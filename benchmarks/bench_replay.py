@@ -1,0 +1,206 @@
+"""Stepping vs. compiled replay: per-replay time and a differential.
+
+Attests seeded executions (each device reads its own sensor, as in a
+fleet of distinct devices) and replays every CFLog twice: with the
+stepping reference :meth:`Verifier.replay` and with the compiled
+:class:`ReplayProgram` the fleet uses. The two must agree on every
+summary field the fleet records (lossless, violations, error,
+consumed, path length and digest) and on the shadow-stack high-water
+mark; any divergence is a hard failure.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/bench_replay.py            # full
+    PYTHONPATH=src python benchmarks/bench_replay.py --smoke    # CI gate
+
+Full mode covers the four sensor firmwares over several seeds plus
+every other workload's default execution, and writes the table to
+``benchmarks/results/replay.txt``. Smoke mode (the CI gate) replays a
+few seeded temperature, ultrasonic, fir and geiger executions and also
+fails (exit 1) if the compiled replay is less than ``MIN_SPEEDUP``
+(5x) faster on geiger, fir or ultrasonic.
+
+This file is intentionally a plain script, not a pytest bench: it has
+no test functions, so collecting ``benchmarks/`` skips it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import pathlib
+import statistics
+import sys
+import time
+from typing import List, Optional
+
+RESULTS = pathlib.Path(__file__).parent / "results" / "replay.txt"
+
+#: the firmwares whose CFLogs differ per device (their sensor's seed)
+SENSOR_WORKLOADS = ["temperature", "ultrasonic", "fir", "geiger"]
+#: smoke-mode speedup floor applies to these (temperature's replay is
+#: short enough that fixed per-call costs dominate both paths)
+GATED = ("ultrasonic", "fir", "geiger")
+#: smoke-mode floor for stepping/compiled time on the GATED firmwares
+MIN_SPEEDUP = 5.0
+
+
+def seeded_workload(name: str, seed: Optional[int]):
+    """``name`` with its sensor on ``seed`` (None: the default one)."""
+    from repro.workloads import load_workload
+    from repro.workloads.base import (
+        ADC_BASE,
+        GEIGER_BASE,
+        GPIO_BASE,
+        ULTRASONIC_BASE,
+    )
+    from repro.workloads.peripherals import (
+        ADCDevice,
+        GeigerTube,
+        GPIOPort,
+        UltrasonicRanger,
+    )
+
+    workload = load_workload(name)
+    if seed is None or name not in SENSOR_WORKLOADS:
+        return workload
+    if name == "geiger":
+        base, sensor, label = GEIGER_BASE, GeigerTube(seed=seed), "geiger"
+    elif name == "ultrasonic":
+        base, sensor, label = (ULTRASONIC_BASE, UltrasonicRanger(seed=seed),
+                               "sonar")
+    elif name == "fir":
+        base, sensor, label = (ADC_BASE, ADCDevice(
+            seed=seed, base_value=300, spread=200), "adc")
+    else:
+        base, sensor, label = ADC_BASE, ADCDevice(seed=seed), "adc"
+    gpio = GPIOPort()
+
+    def devices():
+        sensor.reset()
+        gpio.reset()
+        return [(base, sensor, label), (GPIO_BASE, gpio, "gpio")]
+
+    return dataclasses.replace(workload, devices=devices)
+
+
+def _timed(fn, repeats: int) -> float:
+    """Median seconds per call over ``repeats`` calls."""
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
+
+
+def bench_workload(name: str, seeds: List[Optional[int]], repeats: int):
+    from repro.cfa.engine import EngineConfig, RapTrackEngine
+    from repro.cfa.fleet.verify import _summarize
+    from repro.cfa.verifier import ReplayProgram, Verifier
+    from repro.eval.runner import prepare
+    from repro.tz.keystore import KeyStore
+    from repro.workloads.base import make_mcu
+
+    image, bound = prepare(seeded_workload(name, None), "rap-track")
+    t0 = time.perf_counter()
+    program = ReplayProgram(image, bound)
+    compile_s = time.perf_counter() - t0
+    verifier = Verifier(image, bound, b"bench")
+    ref_s, out_s, path_len, mismatches = [], [], [], []
+    for seed in seeds:
+        workload = seeded_workload(name, seed)
+        mcu = make_mcu(image, workload)
+        records = RapTrackEngine(mcu, KeyStore.provision(), bound,
+                                 EngineConfig()).attest(b"b").cflog.records
+        ref = verifier.replay(records)
+        out = program.run(records)
+        if ((_summarize(ref), ref.max_shadow_depth)
+                != (_summarize(out), out.max_shadow_depth)):
+            mismatches.append(f"seed {seed}: compiled != stepping")
+        ref_s.append(_timed(lambda: verifier.replay(records), repeats))
+        out_s.append(_timed(lambda: program.run(records), 5 * repeats))
+        path_len.append(len(ref.path))
+    ref_ms = 1e3 * statistics.mean(ref_s)
+    out_ms = 1e3 * statistics.mean(out_s)
+    return {
+        "workload": name,
+        "runs": len(seeds),
+        "path": statistics.mean(path_len),
+        "ref_ms": ref_ms,
+        "out_ms": out_ms,
+        "speedup": ref_ms / out_ms,
+        "compile_ms": 1e3 * compile_s,
+        "mismatches": mismatches,
+    }
+
+
+def format_rows(rows) -> str:
+    lines = [
+        "Stepping vs. compiled replay — ms per replay (rap-track)",
+        "(sensor firmwares: mean over seeded executions; others: the",
+        "default execution; compile = ReplayProgram build, once per",
+        "firmware)",
+        "",
+        f"{'workload':12s} {'runs':>4s} {'path len':>9s} {'stepping':>9s} "
+        f"{'compiled':>9s} {'speedup':>8s} {'compile':>8s}",
+        "-" * 66,
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['workload']:12s} {row['runs']:>4d} {row['path']:>9.0f} "
+            f"{row['ref_ms']:>9.3f} {row['out_ms']:>9.3f} "
+            f"{row['speedup']:>7.1f}x {row['compile_ms']:>8.3f}")
+    return "\n".join(lines)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI gate: seeded sensor firmwares only, fail "
+                             f"under {MIN_SPEEDUP:g}x on {', '.join(GATED)}")
+    args = parser.parse_args(argv)
+
+    from repro.workloads import WORKLOADS
+
+    if args.smoke:
+        plan = [(name, [1, 2, 3]) for name in SENSOR_WORKLOADS]
+        repeats = 3
+    else:
+        plan = [(name, list(range(1, 9))) for name in SENSOR_WORKLOADS]
+        plan += [(name, [None]) for name in sorted(WORKLOADS)
+                 if name not in SENSOR_WORKLOADS]
+        repeats = 5
+
+    rows, failures = [], []
+    for name, seeds in plan:
+        row = bench_workload(name, seeds, repeats)
+        rows.append(row)
+        status = f"{row['speedup']:6.1f}x"
+        if row["mismatches"]:
+            failures += [f"{name}: DIFFERENTIAL: {m}"
+                         for m in row["mismatches"]]
+            status += "  DIFFERENTIAL MISMATCH"
+        elif (args.smoke and name in GATED
+              and row["speedup"] < MIN_SPEEDUP):
+            failures.append(f"{name}: speedup {row['speedup']:.1f}x "
+                            f"< floor {MIN_SPEEDUP:.1f}x")
+            status += "  BELOW FLOOR"
+        print(f"  {name:12s} {status}", file=sys.stderr)
+
+    table = format_rows(rows)
+    print(table)
+    if not args.smoke:
+        RESULTS.parent.mkdir(parents=True, exist_ok=True)
+        RESULTS.write_text(table + "\n")
+        print(f"\nwrote {RESULTS}", file=sys.stderr)
+    if failures:
+        print("\nFAIL:", file=sys.stderr)
+        for line in failures:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

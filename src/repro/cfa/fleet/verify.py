@@ -18,15 +18,21 @@ artifacts are memoized per process in :data:`_ARTIFACTS`.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.cfa.speccfa import SpecRecord, SubPathDict, expand
 from repro.cfa.streaming import StreamError, StreamingVerifier
-from repro.cfa.verifier import NaiveVerifier, Verifier
+from repro.cfa.verifier import (
+    NaiveVerifier,
+    ReplayDigest,
+    ReplayProgram,
+    Verifier,
+)
 from repro.cfa.wire import WireError
 from repro.eval.runner import prepare
 from repro.workloads import load_workload
@@ -132,33 +138,61 @@ class ReplayCache:
 
 
 def _summarize(outcome) -> _ReplaySummary:
+    """The replay half of a verdict, from a stepping replay's
+    :class:`~repro.cfa.verifier.VerificationResult` or a compiled
+    replay's :class:`~repro.cfa.verifier.ReplayDigest`."""
+    if isinstance(outcome, ReplayDigest):
+        path_len, digest = outcome.path_len, outcome.path_digest
+    else:
+        path_len, digest = len(outcome.path), path_digest(outcome.path)
     return _ReplaySummary(
         lossless=outcome.lossless,
         violations=tuple(
             (v.kind, v.address, v.detail) for v in outcome.violations),
         error=outcome.error or "",
         consumed=outcome.consumed,
-        path_len=len(outcome.path),
-        path_digest=path_digest(outcome.path),
+        path_len=path_len,
+        path_digest=digest,
     )
 
 
-# per-process memo of Vrf-side offline artifacts: profile -> (image, bound)
-_ARTIFACTS: Dict[DeviceProfile, tuple] = {}
+@dataclass(frozen=True)
+class _Artifacts:
+    """A profile's Vrf side, built once per process: a keyless
+    verifier (so ``H_MEM`` is measured once) and the compiled replay
+    (None for naive-mtb, which keeps the stepping replay)."""
+
+    verifier: Union[Verifier, NaiveVerifier, None]
+    program: Optional[ReplayProgram]
+
+
+# per-process memo of Vrf-side offline artifacts: profile -> _Artifacts
+_ARTIFACTS: Dict[DeviceProfile, _Artifacts] = {}
+
+
+def _artifacts(profile: DeviceProfile) -> _Artifacts:
+    artifacts = _ARTIFACTS.get(profile)
+    if artifacts is None:
+        image, bound = prepare(load_workload(profile.workload),
+                               profile.method)
+        artifacts = _Artifacts(None, None)
+        if profile.method == "naive-mtb":
+            artifacts = _Artifacts(NaiveVerifier(image, b""), None)
+        elif bound is not None:
+            artifacts = _Artifacts(Verifier(image, bound, b""),
+                                   ReplayProgram(image, bound))
+        _ARTIFACTS[profile] = artifacts
+    return artifacts
 
 
 def build_verifier(profile: DeviceProfile, key: bytes):
     """(Re)build the Vrf for a profile; offline artifacts are memoized."""
-    artifacts = _ARTIFACTS.get(profile)
-    if artifacts is None:
-        artifacts = prepare(load_workload(profile.workload), profile.method)
-        _ARTIFACTS[profile] = artifacts
-    image, bound = artifacts
-    if profile.method == "naive-mtb":
-        return NaiveVerifier(image, key)
-    if bound is None:
+    template = _artifacts(profile).verifier
+    if template is None:
         raise ValueError(f"method {profile.method!r} is not attestable")
-    return Verifier(image, bound, key)
+    verifier = copy.copy(template)
+    verifier.key = key
+    return verifier
 
 
 def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
@@ -196,6 +230,7 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     """
     try:
         verifier = build_verifier(profile, key)
+        program = _ARTIFACTS[profile].program
     except Exception as exc:  # unknown workload/method in the profile
         return SessionVerdict(
             device_id=device_id, profile=profile, accepted=False,
@@ -226,10 +261,10 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
             if info is not None:
                 info["cache_hit"] = summary is not None
             if summary is None:
-                summary = _summarize(_replay(verifier, records))
+                summary = _replay(verifier, program, records)
                 cache.store(profile, key_digest, summary)
         else:
-            summary = _summarize(_replay(verifier, records))
+            summary = _replay(verifier, program, records)
     except (WireError, StreamError) as exc:
         return SessionVerdict(
             device_id=device_id, profile=profile, accepted=False,
@@ -251,11 +286,12 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     )
 
 
-def _replay(verifier, records):
+def _replay(verifier, program: Optional[ReplayProgram],
+            records) -> _ReplaySummary:
     """Replay an authenticated (and expanded) record stream."""
-    outcome = verifier.replay(records)
-    outcome.authenticated = True  # each report was checked on feed
-    return outcome
+    if program is None:
+        return _summarize(verifier.replay(records))
+    return _summarize(program.run(records, verifier.max_steps))
 
 
 # the worker-side replay cache (one per process, like _ARTIFACTS)

@@ -20,8 +20,10 @@ attestation key. Verification has three layers:
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.asm.program import Image
 from repro.cfa.cflog import AddressRecord, BranchRecord, LoopRecord, Record
@@ -36,6 +38,11 @@ DEFAULT_MAX_STEPS = 20_000_000
 
 #: The bare-metal exit sentinel (return to the reset value of LR).
 EXIT_SENTINEL = 0xFFFF_FFFE
+
+#: packed path bytes a compiled replay buffers before hashing them
+_HASH_CHUNK = 1 << 16
+
+_PACK_PC = struct.Struct("<I").pack
 
 
 @dataclass(frozen=True)
@@ -141,8 +148,7 @@ class Verifier:
                         f"missing loop-condition record at {pc:#010x}"
                     )
                 cursor += 1
-                trips = trip_count(info, entry.value)
-                loop_state[info.latch_addr] = trips - 1
+                loop_state[info.latch_addr] = _loop_trips(info, entry) - 1
                 pc += instr.size
                 continue
 
@@ -163,7 +169,7 @@ class Verifier:
                 if dst == EXIT_SENTINEL and not shadow:
                     break  # top-level return: program exit
                 if info.kind == "call":
-                    shadow.append(self._call_resume(pc))
+                    shadow.append(call_resume(image, pc))
                     result.max_shadow_depth = max(
                         result.max_shadow_depth, len(shadow))
                     if dst not in rmap.function_entry_addrs:
@@ -241,7 +247,7 @@ class Verifier:
                     remaining = rmap.fixed_trip_at[pc] - 1
                 if remaining > 0:
                     fixed_state[pc] = remaining - 1
-                    pc = self._taken_target(pc, instr)
+                    pc = _taken_target(image, pc, instr)
                 else:
                     fixed_state.pop(pc, None)
                     pc += instr.size
@@ -256,7 +262,7 @@ class Verifier:
                         f"a logged loop condition")
                 if remaining > 0:
                     loop_state[pc] = remaining - 1
-                    pc = self._taken_target(pc, instr)
+                    pc = _taken_target(image, pc, instr)
                 else:
                     del loop_state[pc]
                     pc += instr.size
@@ -268,12 +274,12 @@ class Verifier:
                 if instr.cond is not None:
                     raise ReplayError(
                         f"unclassified conditional at {pc:#010x}")
-                pc = self._taken_target(pc, instr)
+                pc = _taken_target(image, pc, instr)
             elif kind is InstrKind.CALL:
                 shadow.append(pc + instr.size)
                 result.max_shadow_depth = max(
                     result.max_shadow_depth, len(shadow))
-                pc = self._taken_target(pc, instr)
+                pc = _taken_target(image, pc, instr)
             elif kind is InstrKind.INDIRECT_BRANCH:
                 # untracked bx lr: a leaf return through an unspilled LR
                 if not shadow:
@@ -295,27 +301,377 @@ class Verifier:
                 f"{len(records) - cursor} CFLog records left after "
                 f"execution reached its end")
 
-    # -- helpers -----------------------------------------------------------
 
-    def _taken_target(self, pc: int, instr) -> int:
-        target = instr.direct_target()
-        if target is None:
-            raise ReplayError(f"no direct target at {pc:#010x}")
-        return self.image.addr_of(target.name)
+def _taken_target(image: Image, pc: int, instr) -> int:
+    target = instr.direct_target()
+    if target is None:
+        raise ReplayError(f"no direct target at {pc:#010x}")
+    return image.addr_of(target.name)
 
-    def _call_resume(self, site: int) -> int:
-        """Runtime return address of an indirect-call site.
 
-        RAP-Track sites are a single ``bl`` (resume right after it); the
-        TRACES shape is ``svc`` + the original ``blx`` (resume after the
-        pair).
-        """
-        instr = self.image.instr_at[site]
-        if instr.mnemonic == "svc":
-            branch_addr = site + instr.size
-            branch = self.image.instr_at[branch_addr]
-            return branch_addr + branch.size
-        return site + instr.size
+def call_resume(image: Image, site: int) -> int:
+    """Runtime return address of an indirect-call site.
+
+    RAP-Track sites are a single ``bl`` (resume right after it); the
+    TRACES shape is ``svc`` + the original ``blx`` (resume after the
+    pair).
+    """
+    instr = image.instr_at[site]
+    if instr.mnemonic == "svc":
+        branch_addr = site + instr.size
+        branch = image.instr_at[branch_addr]
+        return branch_addr + branch.size
+    return site + instr.size
+
+
+def _loop_trips(info, entry: LoopRecord) -> int:
+    """Body executions a logged loop condition stands for; a value that
+    never terminates the loop makes the log unreplayable."""
+    try:
+        return trip_count(info, entry.value)
+    except ValueError:
+        raise ReplayError(
+            f"logged loop condition {entry.value:#x} at "
+            f"{entry.key:#010x} does not terminate") from None
+
+
+@dataclass
+class ReplayDigest:
+    """A replay outcome with the path folded into its length and the
+    SHA-256 of its ``<I``-packed pcs, the form the fleet records."""
+
+    lossless: bool = False
+    violations: List[Violation] = field(default_factory=list)
+    error: Optional[str] = None
+    consumed: int = 0
+    max_shadow_depth: int = 0
+    path_len: int = 0
+    path_digest: str = ""
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A maximal straight-line run of untracked pcs."""
+
+    packed: bytes  # the run's pcs, ``<I``-packed
+    length: int
+    exit: int  # where control goes after the run's last pc
+
+
+class _PathHash:
+    """SHA-256 over a stream of ``<I``-packed pcs, without the path."""
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+        self._buf = bytearray()
+        self.length = 0
+
+    def add(self, packed: bytes, count: int) -> None:
+        self._buf += packed
+        self.length += count
+        if len(self._buf) >= _HASH_CHUNK:
+            self._flush()
+
+    def repeat(self, body: bytes, count: int, entries: int) -> None:
+        """Append the first ``entries`` pcs of ``body`` (``count`` pcs)
+        repeated without end."""
+        whole, part = divmod(entries, count)
+        batch = _HASH_CHUNK // len(body) + 1
+        if whole >= batch:
+            self._flush()
+            block = body * batch
+            for _ in range(whole // batch):
+                self._sha.update(block)
+            whole %= batch
+        self.add(body * whole + body[:4 * part], entries)
+
+    def _flush(self) -> None:
+        self._sha.update(self._buf)
+        self._buf.clear()
+
+    def hexdigest(self) -> str:
+        self._flush()
+        return self._sha.hexdigest()
+
+
+def _guard_trips(path: _PathHash, body: bytes, count: int,
+                 budget: int) -> None:
+    """The step guard fires inside a repeating ``body``: record the
+    ``budget`` pcs the stepping replay appends before it does."""
+    path.repeat(body, count, budget)
+    raise ReplayError("replay exceeded the step guard")
+
+
+class ReplayProgram:
+    """:meth:`Verifier.replay` compiled once per (image, bound map).
+
+    Replay only needs the path's length and digest, so the program
+    never builds the path. Every pc that is not a rewrite-map site and
+    not a call, return, ``bkpt``, ``svc`` or conditional starts a
+    precomputed straight-line *run* (direct unconditional branches
+    followed, stopping before a pc would repeat), emitted as one
+    pre-packed chunk. A fixed or loop-opt latch whose taken target's
+    run ends exactly at the latch has a pure *body*: reaching it with
+    ``r`` trips left emits the body ``r`` times at once. Everything
+    else steps exactly like :meth:`Verifier._replay`: the same record
+    matching, shadow stack, violations and errors, and the step guard
+    fires at the identical step with the identical partial path, which
+    is computed arithmetically inside runs and collapsed loops.
+    """
+
+    def __init__(self, image: Image, bound_map: BoundRewriteMap):
+        self.image = image
+        self.map = bound_map
+        rmap = bound_map
+        sites = (rmap.loop_at.keys() | rmap.indirect_at.keys()
+                 | rmap.cond_at.keys() | rmap.fixed_trip_at.keys()
+                 | rmap.loop_latches)
+        targets: Dict[int, int] = {}
+        successor: Dict[int, int] = {}
+        for pc, instr in image.instr_at.items():
+            target = instr.direct_target()
+            if target is not None and (target.name in image.symbols
+                                       or target.name in image.equates):
+                targets[pc] = image.addr_of(target.name)
+            if pc in sites:
+                continue
+            kind = instr.kind
+            if kind is InstrKind.BRANCH:
+                if instr.cond is None and pc in targets:
+                    successor[pc] = targets[pc]
+            elif not (kind is InstrKind.CALL
+                      or kind is InstrKind.INDIRECT_BRANCH
+                      or instr.mnemonic in ("bkpt", "svc")
+                      or instr.writes_pc()):
+                successor[pc] = pc + instr.size
+        self._runs: Dict[int, _Run] = {}
+        for start in successor:
+            pcs, pc = [start], successor[start]
+            seen = {start}
+            while pc in successor and pc not in seen:
+                pcs.append(pc)
+                seen.add(pc)
+                pc = successor[pc]
+            self._runs[start] = _Run(
+                struct.pack(f"<{len(pcs)}I", *pcs), len(pcs), pc)
+        #: latch -> (packed body incl. the latch, body length)
+        self._bodies: Dict[int, Tuple[bytes, int]] = {}
+        for latch in rmap.fixed_trip_at.keys() | rmap.loop_latches:
+            target = targets.get(latch, -1)
+            run = self._runs.get(target)
+            if target == latch:
+                body, count = b"", 0
+            elif run is not None and run.exit == latch:
+                body, count = run.packed, run.length
+            else:
+                continue
+            self._bodies[latch] = (body + _PACK_PC(latch), count + 1)
+
+    def run(self, records: Sequence[Record],
+            max_steps: int = DEFAULT_MAX_STEPS) -> ReplayDigest:
+        """Replay ``records``; equal to :meth:`Verifier.replay` with the
+        path replaced by its length and digest."""
+        out = ReplayDigest()
+        path = _PathHash()
+        try:
+            self._run(records, max_steps, out, path)
+            out.lossless = True
+        except ReplayError as exc:
+            out.error = str(exc)
+        out.path_len = path.length
+        out.path_digest = path.hexdigest()
+        return out
+
+    def _run(self, records: Sequence[Record], max_steps: int,
+             out: ReplayDigest, path: _PathHash) -> None:
+        image, rmap = self.image, self.map
+        instr_at, runs, bodies = image.instr_at, self._runs, self._bodies
+        loop_at, indirect_at, cond_at = (
+            rmap.loop_at, rmap.indirect_at, rmap.cond_at)
+        fixed_trip_at, loop_latches = rmap.fixed_trip_at, rmap.loop_latches
+        violations = out.violations
+        emit = path.add
+        pc = image.entry
+        cursor, total = 0, len(records)
+        shadow: List[int] = []
+        fixed_state: Dict[int, int] = {}
+        loop_state: Dict[int, int] = {}
+        steps = 0
+
+        while True:
+            run = runs.get(pc)
+            if run is not None:
+                if run.exit == pc or steps + run.length > max_steps:
+                    # a cycle of untracked pcs only ends at the guard
+                    _guard_trips(path, run.packed, run.length,
+                                 max_steps - steps)
+                steps += run.length
+                emit(run.packed, run.length)
+                pc = run.exit
+                continue
+            steps += 1
+            if steps > max_steps:
+                raise ReplayError("replay exceeded the step guard")
+            instr = instr_at.get(pc)
+            if instr is None:
+                raise ReplayError(f"replay left the code image at {pc:#010x}")
+            emit(_PACK_PC(pc), 1)
+            entry = records[cursor] if cursor < total else None
+
+            # 1. loop-condition log sites
+            if pc in loop_at:
+                info = loop_at[pc]
+                if not isinstance(entry, LoopRecord) or entry.key != pc:
+                    raise ReplayError(
+                        f"missing loop-condition record at {pc:#010x}"
+                    )
+                cursor += 1
+                loop_state[info.latch_addr] = _loop_trips(info, entry) - 1
+                pc += instr.size
+                continue
+
+            # 2. trampolined indirect transfers
+            if pc in indirect_at:
+                info = indirect_at[pc]
+                if (not isinstance(entry, (BranchRecord, AddressRecord))
+                        or entry.key != info.rec_addr):
+                    raise ReplayError(
+                        f"missing record for indirect transfer at {pc:#010x}"
+                    )
+                cursor += 1
+                if instr.mnemonic == "svc":
+                    emit(_PACK_PC(pc + instr.size), 1)
+                dst = entry.dst
+                if dst == EXIT_SENTINEL and not shadow:
+                    break
+                if info.kind == "call":
+                    shadow.append(call_resume(image, pc))
+                    out.max_shadow_depth = max(
+                        out.max_shadow_depth, len(shadow))
+                    if dst not in rmap.function_entry_addrs:
+                        violations.append(Violation(
+                            "jop-call", pc,
+                            f"indirect call to non-entry {dst:#010x}"))
+                elif info.kind in ("return_pop", "return_bx"):
+                    if shadow:
+                        expected = shadow.pop()
+                        if dst != expected:
+                            violations.append(Violation(
+                                "rop-return", pc,
+                                f"return to {dst:#010x}, "
+                                f"call site expected {expected:#010x}"))
+                    else:
+                        violations.append(Violation(
+                            "rop-return", pc,
+                            f"return to {dst:#010x} with empty call stack"))
+                else:
+                    legal = (dst in rmap.address_taken_addrs
+                             or dst in rmap.function_entry_addrs)
+                    if not legal:
+                        violations.append(Violation(
+                            "bad-jump-target", pc,
+                            f"computed jump to {dst:#010x}"))
+                if instr_at.get(dst) is None:
+                    raise ReplayError(
+                        f"logged target {dst:#010x} is not code")
+                pc = dst
+                continue
+
+            # 3. trampolined conditionals
+            if pc in cond_at:
+                info = cond_at[pc]
+                match = (isinstance(entry, (BranchRecord, AddressRecord))
+                         and entry.key == info.rec_addr)
+                if info.flavor == "always":
+                    if not match:
+                        raise ReplayError(
+                            f"missing record for latch at {pc:#010x}")
+                    cursor += 1
+                    rec = instr_at.get(info.rec_addr)
+                    if rec is not None and rec.mnemonic == "svc":
+                        emit(_PACK_PC(info.rec_addr)
+                             + _PACK_PC(info.rec_addr + rec.size), 2)
+                    pc = info.taken_addr
+                elif info.flavor == "taken":
+                    if match:
+                        cursor += 1
+                        rec = instr_at.get(info.rec_addr)
+                        if rec is not None and rec.mnemonic == "svc":
+                            emit(_PACK_PC(info.rec_addr)
+                                 + _PACK_PC(info.rec_addr + rec.size), 2)
+                        pc = info.taken_addr
+                    else:
+                        pc += instr.size
+                else:
+                    if match:
+                        cursor += 1
+                        emit(_PACK_PC(pc + instr.size), 1)
+                        pc = info.cont_addr
+                    else:
+                        pc = info.taken_addr
+                continue
+
+            # 4-5. fixed and loop-opt latches: a pure body is emitted
+            # for all remaining trips at once, any other body stepped
+            if pc in fixed_trip_at or pc in loop_latches:
+                if pc in fixed_trip_at:
+                    remaining = fixed_state.pop(pc, None)
+                    if remaining is None:
+                        remaining = fixed_trip_at[pc] - 1
+                    state = fixed_state
+                else:
+                    remaining = loop_state.pop(pc, None)
+                    if remaining is None:
+                        raise ReplayError(
+                            f"loop latch at {pc:#010x} reached without "
+                            f"a logged loop condition")
+                    state = loop_state
+                if remaining > 0:
+                    body = bodies.get(pc)
+                    if body is None:
+                        state[pc] = remaining - 1
+                        pc = _taken_target(image, pc, instr)
+                        continue
+                    packed, count = body
+                    trips = remaining * count
+                    if steps + trips > max_steps:
+                        _guard_trips(path, packed, count, max_steps - steps)
+                    steps += trips
+                    path.repeat(packed, count, trips)
+                pc += instr.size
+                continue
+
+            # 6. untracked instructions that end a run
+            kind = instr.kind
+            if kind is InstrKind.BRANCH:
+                if instr.cond is not None:
+                    raise ReplayError(
+                        f"unclassified conditional at {pc:#010x}")
+                pc = _taken_target(image, pc, instr)
+            elif kind is InstrKind.CALL:
+                shadow.append(pc + instr.size)
+                out.max_shadow_depth = max(
+                    out.max_shadow_depth, len(shadow))
+                pc = _taken_target(image, pc, instr)
+            elif kind is InstrKind.INDIRECT_BRANCH:
+                if not shadow:
+                    break
+                pc = shadow.pop()
+            elif instr.mnemonic == "bkpt":
+                break
+            elif instr.writes_pc():
+                raise ReplayError(
+                    f"unclassified pc-writing instruction at {pc:#010x}")
+            elif instr.mnemonic == "svc":
+                raise ReplayError(f"unexpected svc at {pc:#010x}")
+            else:
+                pc += instr.size
+
+        out.consumed = cursor
+        if cursor != total:
+            raise ReplayError(
+                f"{total - cursor} CFLog records left after "
+                f"execution reached its end")
 
 
 class NaiveVerifier:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.asm.program import Image
 from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord, Record
-from repro.cfa.verifier import EXIT_SENTINEL
+from repro.cfa.verifier import EXIT_SENTINEL, call_resume
 from repro.core.loops import trip_count
 from repro.core.rewrite_map import BoundRewriteMap
 from repro.isa.instructions import InstrKind
@@ -277,7 +277,7 @@ class TraceSynthesizer:
         state.records.append(self._branch_record(stop.rec_addr, dst))
         if self.map is not None and self.map.indirect_at[stop.pc].kind \
                 == "call":
-            state.shadow.append(self._call_resume(stop.pc))
+            state.shadow.append(call_resume(self.image, stop.pc))
         elif self.map is not None and self.map.indirect_at[stop.pc].kind \
                 in ("return_pop", "return_bx"):
             if state.shadow:
@@ -292,14 +292,6 @@ class TraceSynthesizer:
             elif instr.kind is InstrKind.POP and state.shadow:
                 state.shadow.pop()
         state.pc = dst
-
-    def _call_resume(self, site: int) -> int:
-        instr = self.image.instr_at[site]
-        if instr.mnemonic == "svc":
-            branch_addr = site + instr.size
-            branch = self.image.instr_at[branch_addr]
-            return branch_addr + branch.size
-        return site + instr.size
 
     def honest_dst(self, state: _Walk, stop: _Stop) -> Optional[int]:
         """The destination an honest device would log at this site, or

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cfg import CFG
 from repro.core.dominators import compute_dominators, dominates
@@ -241,26 +242,92 @@ def _initial_value(cfg: CFG, loop: Loop, counter: int) -> Optional[int]:
     return None
 
 
+#: a simple loop whose latch would be taken more often than this is
+#: treated as non-terminating
+TRIP_GUARD = 10_000_000
+
+_WORD = 1 << 32
+
+
 def trip_count(shape: SimpleLoopShape, init: int) -> int:
     """Number of body executions of a simple loop entered with ``init``.
 
     The latch branch is taken ``trip_count - 1`` times and falls through
-    on the final evaluation. The counter is simulated step by step,
-    which is cheap and exactly matches hardware flag semantics.
+    on the final evaluation, when the updated counter first makes the
+    latch condition fail against ``bound``. The answer is computed in
+    closed form: the condition's failing counter values form a few
+    intervals of the 32-bit ring, and the first iteration whose counter
+    lands in one of them is a modular linear congruence. It equals
+    stepping the counter with hardware flag semantics, up to the same
+    :data:`TRIP_GUARD`, past which ``ValueError`` is raised.
+    """
+    step = shape.step % _WORD
+    first = (init + shape.step) % _WORD  # counter at the first latch test
+    taken = None  # latch-taken count before the first failing test
+    for lo, hi in _exit_ranges(shape.cond, shape.bound % _WORD):
+        hit = _first_hit(first, step, lo, hi)
+        if hit is not None and (taken is None or hit < taken):
+            taken = hit
+    if taken is None or taken > TRIP_GUARD:
+        raise ValueError("non-terminating simple loop")
+    return taken + 1
+
+
+@functools.lru_cache(maxsize=1024)
+def _exit_ranges(cond: str, bound: int) -> Tuple[Tuple[int, int], ...]:
+    """Counter values ``[lo, hi]`` for which ``cmp counter, #bound``
+    makes ``cond`` fail.
+
+    N, Z, C and V of ``counter - bound`` only change where the counter
+    crosses ``0``, ``bound``, ``bound + 1``, ``2**31`` (signed wrap) or
+    ``bound + 2**31`` (sign of the difference), so the flags are
+    constant between those points and one evaluation per segment
+    classifies it.
     """
     from repro.isa import alu
     from repro.isa.conditions import cond_passed
     from repro.isa.registers import Flags
 
-    count = 0
-    value = init & alu.MASK32
-    guard = 10_000_000
-    while True:
-        value = alu.u32(value + shape.step)
-        _, n, z, c, v = alu.sub_with_flags(value, shape.bound)
-        flags = Flags(n, z, c, v)
-        if not cond_passed(shape.cond, flags):
-            return count + 1  # final iteration executed, branch not taken
-        count += 1
-        if count > guard:
-            raise ValueError("non-terminating simple loop")
+    cuts = sorted({0, bound, bound + 1, alu.SIGN_BIT,
+                   (bound + alu.SIGN_BIT) % _WORD} - {_WORD})
+    ranges: List[Tuple[int, int]] = []
+    for lo, end in zip(cuts, cuts[1:] + [_WORD]):
+        _, n, z, c, v = alu.sub_with_flags(lo, bound)
+        if cond_passed(cond, Flags(n, z, c, v)):
+            continue
+        if ranges and ranges[-1][1] == lo - 1:
+            ranges[-1] = (ranges[-1][0], end - 1)
+        else:
+            ranges.append((lo, end - 1))
+    return tuple(ranges)
+
+
+def _first_hit(start: int, step: int, lo: int, hi: int) -> Optional[int]:
+    """Smallest ``j >= 0`` with ``(start + j*step) mod 2**32`` in
+    ``[lo, hi]``, or None if the progression never gets there."""
+    offset = (start - lo) % _WORD
+    width = hi - lo + 1
+    if offset < width:
+        return 0
+    # (offset + j*step) mod 2**32 < width, with j = 0 already excluded
+    return _min_multiple(step, _WORD, _WORD - offset,
+                         _WORD - offset + width - 1)
+
+
+def _min_multiple(a: int, m: int, lo: int, hi: int) -> Optional[int]:
+    """Smallest ``x >= 0`` with ``(a*x) mod m`` in ``[lo, hi]``, where
+    ``0 <= lo <= hi < m`` (a Euclid-style descent, O(log m) levels)."""
+    a %= m
+    if lo == 0:
+        return 0
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x  # reached before the first wrap-around
+    # no multiple of a lies in [lo, hi]: count the wrap-arounds y first,
+    # which need (m*y) mod a in [-hi mod a, -lo mod a]
+    wraps = _min_multiple(m % a, a, -hi % a, -lo % a)
+    if wraps is None:
+        return None
+    return -(-(lo + m * wraps) // a)
