@@ -1,12 +1,14 @@
 """Stepping vs. compiled replay: per-replay time and a differential.
 
 Attests seeded executions (each device reads its own sensor, as in a
-fleet of distinct devices) and replays every CFLog twice: with the
-stepping reference :meth:`Verifier.replay` and with the compiled
-:class:`ReplayProgram` the fleet uses. The two must agree on every
-summary field the fleet records (lossless, violations, error,
-consumed, path length and digest) and on the shadow-stack high-water
-mark; any divergence is a hard failure.
+fleet of distinct devices) under RAP-Track, TRACES and naive MTB, and
+replays every CFLog twice: with the stepping reference
+(:meth:`Verifier.replay` / :meth:`NaiveVerifier.replay`) and with the
+compiled program every production verifier runs (``verifier.program``:
+:class:`ReplayProgram` / :class:`NaiveReplayProgram`). The two must
+agree on every field the fleet records (lossless, violations, error,
+consumed, shadow-stack high-water mark, path length and digest); any
+divergence is a hard failure.
 
 Usage::
 
@@ -14,11 +16,14 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_replay.py --smoke    # CI gate
 
 Full mode covers the four sensor firmwares over several seeds plus
-every other workload's default execution, and writes the table to
-``benchmarks/results/replay.txt``. Smoke mode (the CI gate) replays a
-few seeded temperature, ultrasonic, fir and geiger executions and also
-fails (exit 1) if the compiled replay is less than ``MIN_SPEEDUP``
-(5x) faster on geiger, fir or ultrasonic.
+every other workload's default execution, under all three methods, and
+writes the table to ``benchmarks/results/replay.txt``. Smoke mode (the
+CI gate) replays a few seeded temperature, ultrasonic, fir and geiger
+executions under all three methods and also fails (exit 1) if the
+compiled replay is less than ``MIN_SPEEDUP`` (5x) faster on geiger,
+fir or ultrasonic under the trampoline methods, or less than
+``MIN_NAIVE_SPEEDUP`` (2x) faster on geiger or ultrasonic under naive
+MTB (which logs, and so steps, every taken branch).
 
 This file is intentionally a plain script, not a pytest bench: it has
 no test functions, so collecting ``benchmarks/`` skips it.
@@ -38,11 +43,16 @@ RESULTS = pathlib.Path(__file__).parent / "results" / "replay.txt"
 
 #: the firmwares whose CFLogs differ per device (their sensor's seed)
 SENSOR_WORKLOADS = ["temperature", "ultrasonic", "fir", "geiger"]
+METHODS = ("rap-track", "traces", "naive-mtb")
 #: smoke-mode speedup floor applies to these (temperature's replay is
 #: short enough that fixed per-call costs dominate both paths)
 GATED = ("ultrasonic", "fir", "geiger")
 #: smoke-mode floor for stepping/compiled time on the GATED firmwares
 MIN_SPEEDUP = 5.0
+#: naive MTB: its floor applies to these, whose loops dominate the path
+NAIVE_GATED = ("ultrasonic", "geiger")
+#: smoke-mode floor for naive MTB on NAIVE_GATED
+MIN_NAIVE_SPEEDUP = 2.0
 
 
 def seeded_workload(name: str, seed: Optional[int]):
@@ -94,29 +104,39 @@ def _timed(fn, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def bench_workload(name: str, seeds: List[Optional[int]], repeats: int):
+def floor(name: str, method: str) -> Optional[float]:
+    """The smoke-mode speedup floor of a (workload, method) row."""
+    if method == "naive-mtb":
+        return MIN_NAIVE_SPEEDUP if name in NAIVE_GATED else None
+    return MIN_SPEEDUP if name in GATED else None
+
+
+def bench_workload(name: str, method: str, seeds: List[Optional[int]],
+                   repeats: int):
+    from repro.baselines.naive_mtb import NaiveMtbEngine
+    from repro.baselines.traces import TracesEngine
     from repro.cfa.engine import EngineConfig, RapTrackEngine
-    from repro.cfa.fleet.verify import _summarize
-    from repro.cfa.verifier import ReplayProgram, Verifier
+    from repro.cfa.verifier import NaiveVerifier, ReplayDigest, Verifier
     from repro.eval.runner import prepare
     from repro.tz.keystore import KeyStore
     from repro.workloads.base import make_mcu
 
-    image, bound = prepare(seeded_workload(name, None), "rap-track")
+    engines = {"rap-track": RapTrackEngine, "traces": TracesEngine,
+               "naive-mtb": NaiveMtbEngine}
+    image, bound = prepare(seeded_workload(name, None), method)
+    maps = () if bound is None else (bound,)
+    verifier = (NaiveVerifier(image, b"bench") if bound is None
+                else Verifier(image, bound, b"bench"))
     t0 = time.perf_counter()
-    program = ReplayProgram(image, bound)
+    program = verifier.program
     compile_s = time.perf_counter() - t0
-    verifier = Verifier(image, bound, b"bench")
     ref_s, out_s, path_len, mismatches = [], [], [], []
     for seed in seeds:
-        workload = seeded_workload(name, seed)
-        mcu = make_mcu(image, workload)
-        records = RapTrackEngine(mcu, KeyStore.provision(), bound,
-                                 EngineConfig()).attest(b"b").cflog.records
+        mcu = make_mcu(image, seeded_workload(name, seed))
+        records = engines[method](mcu, KeyStore.provision(), *maps,
+                                  EngineConfig()).attest(b"b").cflog.records
         ref = verifier.replay(records)
-        out = program.run(records)
-        if ((_summarize(ref), ref.max_shadow_depth)
-                != (_summarize(out), out.max_shadow_depth)):
+        if ReplayDigest.of(ref) != program.run(records):
             mismatches.append(f"seed {seed}: compiled != stepping")
         ref_s.append(_timed(lambda: verifier.replay(records), repeats))
         out_s.append(_timed(lambda: program.run(records), 5 * repeats))
@@ -125,6 +145,7 @@ def bench_workload(name: str, seeds: List[Optional[int]], repeats: int):
     out_ms = 1e3 * statistics.mean(out_s)
     return {
         "workload": name,
+        "method": method,
         "runs": len(seeds),
         "path": statistics.mean(path_len),
         "ref_ms": ref_ms,
@@ -137,20 +158,21 @@ def bench_workload(name: str, seeds: List[Optional[int]], repeats: int):
 
 def format_rows(rows) -> str:
     lines = [
-        "Stepping vs. compiled replay — ms per replay (rap-track)",
+        "Stepping vs. compiled replay — ms per replay",
         "(sensor firmwares: mean over seeded executions; others: the",
-        "default execution; compile = ReplayProgram build, once per",
-        "firmware)",
+        "default execution; compile = program build, once per firmware)",
         "",
-        f"{'workload':12s} {'runs':>4s} {'path len':>9s} {'stepping':>9s} "
-        f"{'compiled':>9s} {'speedup':>8s} {'compile':>8s}",
-        "-" * 66,
+        f"{'workload':12s} {'method':10s} {'runs':>4s} {'path len':>9s} "
+        f"{'stepping':>9s} {'compiled':>9s} {'speedup':>8s} "
+        f"{'compile':>8s}",
+        "-" * 77,
     ]
     for row in rows:
         lines.append(
-            f"{row['workload']:12s} {row['runs']:>4d} {row['path']:>9.0f} "
-            f"{row['ref_ms']:>9.3f} {row['out_ms']:>9.3f} "
-            f"{row['speedup']:>7.1f}x {row['compile_ms']:>8.3f}")
+            f"{row['workload']:12s} {row['method']:10s} {row['runs']:>4d} "
+            f"{row['path']:>9.0f} {row['ref_ms']:>9.3f} "
+            f"{row['out_ms']:>9.3f} {row['speedup']:>7.1f}x "
+            f"{row['compile_ms']:>8.3f}")
     return "\n".join(lines)
 
 
@@ -158,7 +180,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="CI gate: seeded sensor firmwares only, fail "
-                             f"under {MIN_SPEEDUP:g}x on {', '.join(GATED)}")
+                             f"under {MIN_SPEEDUP:g}x on {', '.join(GATED)} "
+                             f"(naive-mtb: {MIN_NAIVE_SPEEDUP:g}x on "
+                             f"{', '.join(NAIVE_GATED)})")
     args = parser.parse_args(argv)
 
     from repro.workloads import WORKLOADS
@@ -174,19 +198,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rows, failures = [], []
     for name, seeds in plan:
-        row = bench_workload(name, seeds, repeats)
-        rows.append(row)
-        status = f"{row['speedup']:6.1f}x"
-        if row["mismatches"]:
-            failures += [f"{name}: DIFFERENTIAL: {m}"
-                         for m in row["mismatches"]]
-            status += "  DIFFERENTIAL MISMATCH"
-        elif (args.smoke and name in GATED
-              and row["speedup"] < MIN_SPEEDUP):
-            failures.append(f"{name}: speedup {row['speedup']:.1f}x "
-                            f"< floor {MIN_SPEEDUP:.1f}x")
-            status += "  BELOW FLOOR"
-        print(f"  {name:12s} {status}", file=sys.stderr)
+        for method in METHODS:
+            row = bench_workload(name, method, seeds, repeats)
+            rows.append(row)
+            cell = f"{name}/{method}"
+            status = f"{row['speedup']:6.1f}x"
+            minimum = floor(name, method)
+            if row["mismatches"]:
+                failures += [f"{cell}: DIFFERENTIAL: {m}"
+                             for m in row["mismatches"]]
+                status += "  DIFFERENTIAL MISMATCH"
+            elif (args.smoke and minimum is not None
+                  and row["speedup"] < minimum):
+                failures.append(f"{cell}: speedup {row['speedup']:.1f}x "
+                                f"< floor {minimum:.1f}x")
+                status += "  BELOW FLOOR"
+            print(f"  {cell:22s} {status}", file=sys.stderr)
 
     table = format_rows(rows)
     print(table)

@@ -98,7 +98,11 @@ _DECISION_COUNTERS = {
 from repro.cfa.protocol import Challenge
 from repro.cfa.speccfa import expand
 from repro.cfa.wire import WireError, decode_dack_frame, encode_dict_frame
-from repro.core.analysis.certificate import BoundsRegistry, screen_records
+from repro.core.analysis.certificate import (
+    BoundsRegistry,
+    screen_claim,
+    screen_records,
+)
 
 
 class FleetService:
@@ -589,10 +593,14 @@ class FleetService:
         if not session.reports \
                 or session.reports[0].h_mem != cert.image_digest:
             return None
-        records = session.admission_records()
-        if records is None:
+        claim = session.admission_claim()
+        if claim is None:
             return None
-        return screen_records(cert, records)
+        # counts first: a forged repeat count is never expanded
+        reason = screen_claim(cert, *claim)
+        if reason is None and cert.depth_exact:
+            reason = screen_records(cert, session.admission_records())
+        return reason
 
     # -- verification fan-out -----------------------------------------------
 

@@ -33,6 +33,7 @@ MACs, challenge, and sequencing from scratch.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,8 +41,11 @@ from repro.cfa.protocol import Challenge
 from repro.cfa.fleet.dictver import DictEpoch, spec_challenge
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.report import Report
-from repro.cfa.speccfa import SubPathDict, expand
+from repro.cfa.speccfa import SpecRecord, SubPathDict, expand
 from repro.cfa.wire import WireError, decode_report
+
+#: a record's wire size
+_SIZE_BYTES = operator.attrgetter("size_bytes")
 
 # session lifecycle states
 PENDING = "pending"        # challenged, no report accepted yet
@@ -110,19 +114,50 @@ class Session:
         return spec_challenge(self.challenge.nonce, self.epoch,
                               self.dict_digest)
 
+    def admission_claim(self) -> Optional[Tuple[int, int]]:
+        """(records, log bytes) the chain claims once dictionary-expanded,
+        counted without expanding: a token's repeat count costs nothing
+        before the report MACs are checked. ``None`` when the chain
+        references unknown dictionary entries, as for
+        :meth:`admission_records`."""
+        records = self._records()
+        count = len(records)
+        size = sum(map(_SIZE_BYTES, records))
+        if self.dictionary:
+            # path id -> (records, log bytes) of one copy of its pattern
+            copies: Dict[int, Tuple[int, int]] = {}
+            for token in records:
+                if not isinstance(token, SpecRecord):
+                    continue
+                one = copies.get(token.path_id)
+                if one is None:
+                    pattern = self.dictionary.get(token.path_id)
+                    if pattern is None:
+                        return None
+                    one = copies[token.path_id] = (
+                        len(pattern), sum(map(_SIZE_BYTES, pattern)))
+                # the token stands for ``count`` copies of its pattern
+                count += one[0] * token.count - 1
+                size += one[1] * token.count - token.size_bytes
+        return count, size
+
     def admission_records(self) -> Optional[list]:
         """The chain's claimed records, dictionary-expanded — what the
         `BNDS1` admission screen inspects before replay is paid for.
         ``None`` when expansion fails (the chain references unknown
         dictionary entries; replay will reject it authoritatively)."""
-        records = []
-        for report in self.reports:
-            records.extend(report.cflog.records)
+        records = self._records()
         if self.dictionary:
             try:
                 records = expand(records, self.dictionary)
             except ValueError:
                 return None
+        return records
+
+    def _records(self) -> list:
+        records = []
+        for report in self.reports:
+            records.extend(report.cflog.records)
         return records
 
 

@@ -20,19 +20,13 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.cfa.speccfa import SpecRecord, SubPathDict, expand
 from repro.cfa.streaming import StreamError, StreamingVerifier
-from repro.cfa.verifier import (
-    NaiveVerifier,
-    ReplayDigest,
-    ReplayProgram,
-    Verifier,
-)
+from repro.cfa.verifier import NaiveVerifier, ReplayDigest, Verifier
 from repro.cfa.wire import WireError
 from repro.eval.runner import prepare
 from repro.workloads import load_workload
@@ -77,12 +71,6 @@ class SessionVerdict:
     #: identical executions produce identical verdicts whether their
     #: logs crossed the wire compressed or plain
     records_digest: str = ""
-
-
-def path_digest(path: Sequence[int]) -> str:
-    """Order-sensitive digest of a replayed path."""
-    packed = b"".join(struct.pack("<I", pc & 0xFFFFFFFF) for pc in path)
-    return hashlib.sha256(packed).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -137,57 +125,45 @@ class ReplayCache:
             self._entries[(profile, key)] = entry
 
 
-def _summarize(outcome) -> _ReplaySummary:
-    """The replay half of a verdict, from a stepping replay's
-    :class:`~repro.cfa.verifier.VerificationResult` or a compiled
-    replay's :class:`~repro.cfa.verifier.ReplayDigest`."""
-    if isinstance(outcome, ReplayDigest):
-        path_len, digest = outcome.path_len, outcome.path_digest
-    else:
-        path_len, digest = len(outcome.path), path_digest(outcome.path)
+def _summarize(outcome: ReplayDigest) -> _ReplaySummary:
+    """The replay half of a verdict, from a compiled replay."""
     return _ReplaySummary(
         lossless=outcome.lossless,
         violations=tuple(
             (v.kind, v.address, v.detail) for v in outcome.violations),
         error=outcome.error or "",
         consumed=outcome.consumed,
-        path_len=path_len,
-        path_digest=digest,
+        path_len=outcome.path_len,
+        path_digest=outcome.path_digest,
     )
 
 
-@dataclass(frozen=True)
-class _Artifacts:
-    """A profile's Vrf side, built once per process: a keyless
-    verifier (so ``H_MEM`` is measured once) and the compiled replay
-    (None for naive-mtb, which keeps the stepping replay)."""
+#: a profile's keyless template verifier (None: not attestable)
+_Template = Union[Verifier, NaiveVerifier, None]
 
-    verifier: Union[Verifier, NaiveVerifier, None]
-    program: Optional[ReplayProgram]
+# per-process memo of Vrf-side offline artifacts: profile -> template,
+# its replay compiled once and shared by every session's copy
+_ARTIFACTS: Dict[DeviceProfile, _Template] = {}
 
 
-# per-process memo of Vrf-side offline artifacts: profile -> _Artifacts
-_ARTIFACTS: Dict[DeviceProfile, _Artifacts] = {}
-
-
-def _artifacts(profile: DeviceProfile) -> _Artifacts:
-    artifacts = _ARTIFACTS.get(profile)
-    if artifacts is None:
+def _template(profile: DeviceProfile) -> _Template:
+    if profile not in _ARTIFACTS:
         image, bound = prepare(load_workload(profile.workload),
                                profile.method)
-        artifacts = _Artifacts(None, None)
+        template: _Template = None
         if profile.method == "naive-mtb":
-            artifacts = _Artifacts(NaiveVerifier(image, b""), None)
+            template = NaiveVerifier(image, b"")
         elif bound is not None:
-            artifacts = _Artifacts(Verifier(image, bound, b""),
-                                   ReplayProgram(image, bound))
-        _ARTIFACTS[profile] = artifacts
-    return artifacts
+            template = Verifier(image, bound, b"")
+        if template is not None:
+            template.program  # compile before any copy is taken
+        _ARTIFACTS[profile] = template
+    return _ARTIFACTS[profile]
 
 
 def build_verifier(profile: DeviceProfile, key: bytes):
     """(Re)build the Vrf for a profile; offline artifacts are memoized."""
-    template = _artifacts(profile).verifier
+    template = _template(profile)
     if template is None:
         raise ValueError(f"method {profile.method!r} is not attestable")
     verifier = copy.copy(template)
@@ -230,7 +206,6 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     """
     try:
         verifier = build_verifier(profile, key)
-        program = _ARTIFACTS[profile].program
     except Exception as exc:  # unknown workload/method in the profile
         return SessionVerdict(
             device_id=device_id, profile=profile, accepted=False,
@@ -261,10 +236,10 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
             if info is not None:
                 info["cache_hit"] = summary is not None
             if summary is None:
-                summary = _replay(verifier, program, records)
+                summary = _replay(verifier, records)
                 cache.store(profile, key_digest, summary)
         else:
-            summary = _replay(verifier, program, records)
+            summary = _replay(verifier, records)
     except (WireError, StreamError) as exc:
         return SessionVerdict(
             device_id=device_id, profile=profile, accepted=False,
@@ -286,12 +261,9 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     )
 
 
-def _replay(verifier, program: Optional[ReplayProgram],
-            records) -> _ReplaySummary:
+def _replay(verifier, records) -> _ReplaySummary:
     """Replay an authenticated (and expanded) record stream."""
-    if program is None:
-        return _summarize(verifier.replay(records))
-    return _summarize(program.run(records, verifier.max_steps))
+    return _summarize(verifier.program.run(records, verifier.max_steps))
 
 
 # the worker-side replay cache (one per process, like _ARTIFACTS)

@@ -259,12 +259,7 @@ class SpeculativeVerifier:
 
     def verify(self, result: AttestationResult,
                challenge: bytes) -> VerificationResult:
-        authenticated = (
-            result.verify_chain(self.verifier.key)
-            and result.challenge == challenge
-            and all(r.h_mem == self.verifier.expected_h_mem
-                    for r in result.reports)
-        )
+        authenticated = self.verifier.authenticate(result, challenge)
         try:
             expanded = expand(result.cflog.records, self.dictionary)
         except ValueError as exc:

@@ -11,7 +11,11 @@ attestation key. Verification has three layers:
    unrolled from their static trip counts, loop-opt loops from their
    logged conditions, and every trampolined site consumes exactly one
    matching record. Replay succeeding with the log fully consumed means
-   the complete control flow path has been reconstructed.
+   the complete control flow path has been reconstructed. Production
+   verification runs the replay compiled per firmware
+   (:class:`ReplayProgram`, :class:`NaiveReplayProgram`), which folds
+   the path into its length and digest; the stepping replay that
+   returns the path is the reference.
 3. **Policy evidence** — consumed indirect targets are screened against
    the binary's legal-target sets and a shadow return stack; mismatches
    become :class:`Violation` evidence of ROP/JOP-style attacks (the log
@@ -20,6 +24,7 @@ attestation key. Verification has three layers:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -78,29 +83,56 @@ class ReplayError(Exception):
     """The log cannot be losslessly replayed against the binary."""
 
 
-class Verifier:
+class _ReplayVerifier:
+    """What both verifiers share: the expected ``H_MEM``, report-chain
+    authentication, and :attr:`program`, the compiled replay that
+    production verification runs (built on first use and cached, so a
+    ``copy.copy`` taken afterwards shares it). Each verifier's
+    ``verify`` and ``replay`` step the path one pc at a time and return
+    it: they are the reference the compiled program is pinned to."""
+
+    def __init__(self, image: Image, key: bytes,
+                 max_steps: int = DEFAULT_MAX_STEPS):
+        self.image = image
+        self.key = key
+        self.max_steps = max_steps
+        self.expected_h_mem = measure_image(image)
+
+    def authenticate(self, result: AttestationResult,
+                     challenge: bytes) -> bool:
+        """MAC chain, challenge freshness and the expected ``H_MEM``."""
+        return (result.verify_chain(self.key)
+                and result.challenge == challenge
+                and all(r.h_mem == self.expected_h_mem
+                        for r in result.reports))
+
+    @functools.cached_property
+    def program(self) -> "_CompiledReplay":
+        """This verifier's replay, compiled."""
+        return self._compile()
+
+    def _compile(self) -> "_CompiledReplay":
+        raise NotImplementedError
+
+
+class Verifier(_ReplayVerifier):
     """The remote Verifier for trampoline-based CFA (RAP-Track/TRACES)."""
 
     def __init__(self, image: Image, bound_map: BoundRewriteMap, key: bytes,
                  max_steps: int = DEFAULT_MAX_STEPS):
-        self.image = image
+        super().__init__(image, key, max_steps)
         self.map = bound_map
-        self.key = key
-        self.max_steps = max_steps
-        self.expected_h_mem = measure_image(image)
+
+    def _compile(self) -> "ReplayProgram":
+        return ReplayProgram(self.image, self.map)
 
     # -- top level ----------------------------------------------------------
 
     def verify(self, result: AttestationResult,
                challenge: bytes) -> VerificationResult:
         """Authenticate the report chain, then reconstruct the path."""
-        authenticated = (
-            result.verify_chain(self.key)
-            and result.challenge == challenge
-            and all(r.h_mem == self.expected_h_mem for r in result.reports)
-        )
         out = self.replay(result.cflog.records)
-        out.authenticated = authenticated
+        out.authenticated = self.authenticate(result, challenge)
         return out
 
     # -- replay ------------------------------------------------------------
@@ -348,6 +380,14 @@ class ReplayDigest:
     path_len: int = 0
     path_digest: str = ""
 
+    @classmethod
+    def of(cls, result: VerificationResult) -> "ReplayDigest":
+        """The digest form of a stepping replay's result."""
+        packed = struct.pack(f"<{len(result.path)}I", *result.path)
+        return cls(result.lossless, list(result.violations), result.error,
+                   result.consumed, result.max_shadow_depth,
+                   len(result.path), hashlib.sha256(packed).hexdigest())
+
 
 @dataclass(frozen=True)
 class _Run:
@@ -356,6 +396,21 @@ class _Run:
     packed: bytes  # the run's pcs, ``<I``-packed
     length: int
     exit: int  # where control goes after the run's last pc
+
+
+def _build_runs(successor: Dict[int, int]) -> Dict[int, _Run]:
+    """The run starting at every pc with a static ``successor``,
+    followed until a pc without one or a pc that would repeat."""
+    runs: Dict[int, _Run] = {}
+    for start in successor:
+        pcs, pc = [start], successor[start]
+        seen = {start}
+        while pc in successor and pc not in seen:
+            pcs.append(pc)
+            seen.add(pc)
+            pc = successor[pc]
+        runs[start] = _Run(struct.pack(f"<{len(pcs)}I", *pcs), len(pcs), pc)
+    return runs
 
 
 class _PathHash:
@@ -402,7 +457,31 @@ def _guard_trips(path: _PathHash, body: bytes, count: int,
     raise ReplayError("replay exceeded the step guard")
 
 
-class ReplayProgram:
+class _CompiledReplay:
+    """A stepping replay compiled once per firmware: :meth:`run` equals
+    the verifier's ``replay`` with the path replaced by its length and
+    digest."""
+
+    def run(self, records: Sequence[Record],
+            max_steps: int = DEFAULT_MAX_STEPS) -> ReplayDigest:
+        """Replay ``records`` without building the path."""
+        out = ReplayDigest()
+        path = _PathHash()
+        try:
+            self._run(records, max_steps, out, path)
+            out.lossless = True
+        except ReplayError as exc:
+            out.error = str(exc)
+        out.path_len = path.length
+        out.path_digest = path.hexdigest()
+        return out
+
+    def _run(self, records: Sequence[Record], max_steps: int,
+             out: ReplayDigest, path: _PathHash) -> None:
+        raise NotImplementedError
+
+
+class ReplayProgram(_CompiledReplay):
     """:meth:`Verifier.replay` compiled once per (image, bound map).
 
     Replay only needs the path's length and digest, so the program
@@ -444,16 +523,7 @@ class ReplayProgram:
                       or instr.mnemonic in ("bkpt", "svc")
                       or instr.writes_pc()):
                 successor[pc] = pc + instr.size
-        self._runs: Dict[int, _Run] = {}
-        for start in successor:
-            pcs, pc = [start], successor[start]
-            seen = {start}
-            while pc in successor and pc not in seen:
-                pcs.append(pc)
-                seen.add(pc)
-                pc = successor[pc]
-            self._runs[start] = _Run(
-                struct.pack(f"<{len(pcs)}I", *pcs), len(pcs), pc)
+        self._runs = _build_runs(successor)
         #: latch -> (packed body incl. the latch, body length)
         self._bodies: Dict[int, Tuple[bytes, int]] = {}
         for latch in rmap.fixed_trip_at.keys() | rmap.loop_latches:
@@ -466,21 +536,6 @@ class ReplayProgram:
             else:
                 continue
             self._bodies[latch] = (body + _PACK_PC(latch), count + 1)
-
-    def run(self, records: Sequence[Record],
-            max_steps: int = DEFAULT_MAX_STEPS) -> ReplayDigest:
-        """Replay ``records``; equal to :meth:`Verifier.replay` with the
-        path replaced by its length and digest."""
-        out = ReplayDigest()
-        path = _PathHash()
-        try:
-            self._run(records, max_steps, out, path)
-            out.lossless = True
-        except ReplayError as exc:
-            out.error = str(exc)
-        out.path_len = path.length
-        out.path_digest = path.hexdigest()
-        return out
 
     def _run(self, records: Sequence[Record], max_steps: int,
              out: ReplayDigest, path: _PathHash) -> None:
@@ -674,26 +729,17 @@ class ReplayProgram:
                 f"execution reached its end")
 
 
-class NaiveVerifier:
+class NaiveVerifier(_ReplayVerifier):
     """Verifier for the naive-MTB baseline: replay of the *unmodified*
     binary where every non-sequential transfer consumes one MTB packet."""
 
-    def __init__(self, image: Image, key: bytes,
-                 max_steps: int = DEFAULT_MAX_STEPS):
-        self.image = image
-        self.key = key
-        self.max_steps = max_steps
-        self.expected_h_mem = measure_image(image)
+    def _compile(self) -> "NaiveReplayProgram":
+        return NaiveReplayProgram(self.image)
 
     def verify(self, result: AttestationResult,
                challenge: bytes) -> VerificationResult:
-        authenticated = (
-            result.verify_chain(self.key)
-            and result.challenge == challenge
-            and all(r.h_mem == self.expected_h_mem for r in result.reports)
-        )
         out = self.replay(result.cflog.records)
-        out.authenticated = authenticated
+        out.authenticated = self.authenticate(result, challenge)
         return out
 
     def replay(self, records: Sequence[Record]) -> VerificationResult:
@@ -712,6 +758,18 @@ class NaiveVerifier:
         cursor = 0
         shadow: List[int] = []
         steps = 0
+
+        def consume() -> BranchRecord:
+            nonlocal cursor
+            if cursor >= len(records):
+                raise ReplayError(f"CFLog exhausted at {pc:#010x}")
+            entry = records[cursor]
+            if not isinstance(entry, BranchRecord) or entry.key != pc:
+                raise ReplayError(
+                    f"CFLog record mismatch at {pc:#010x}")
+            cursor += 1
+            return entry
+
         while True:
             steps += 1
             if steps > self.max_steps:
@@ -721,43 +779,30 @@ class NaiveVerifier:
                 raise ReplayError(f"replay left the code image at {pc:#010x}")
             result.path.append(pc)
 
-            def consume() -> BranchRecord:
-                nonlocal cursor
-                if cursor >= len(records):
-                    raise ReplayError(f"CFLog exhausted at {pc:#010x}")
-                entry = records[cursor]
-                if not isinstance(entry, BranchRecord) or entry.key != pc:
-                    raise ReplayError(
-                        f"CFLog record mismatch at {pc:#010x}")
-                cursor += 1
-                return entry
-
             kind = instr.kind
             if kind is InstrKind.BRANCH and instr.cond is None:
-                target = self.image.addr_of(instr.direct_target().name)
+                target = _taken_target(image, pc, instr)
                 if target == pc + instr.size:
                     pc = target  # branch-to-next retires sequentially
                 else:
-                    entry = consume()
-                    pc = entry.dst
+                    pc = _direct_dst(image, pc, instr, consume().dst)
             elif (kind is InstrKind.COMPARE_BRANCH
                   or (kind is InstrKind.BRANCH and instr.cond is not None)):
                 entry = records[cursor] if cursor < len(records) else None
                 if isinstance(entry, BranchRecord) and entry.key == pc:
                     cursor += 1
-                    pc = entry.dst
+                    pc = _direct_dst(image, pc, instr, entry.dst)
                 else:
                     pc += instr.size
             elif kind is InstrKind.CALL:
-                target = self.image.addr_of(instr.direct_target().name)
+                target = _taken_target(image, pc, instr)
                 shadow.append(pc + instr.size)
                 result.max_shadow_depth = max(
                     result.max_shadow_depth, len(shadow))
                 if target == pc + instr.size:
                     pc = target  # call-to-next retires sequentially
                 else:
-                    entry = consume()
-                    pc = entry.dst
+                    pc = _direct_dst(image, pc, instr, consume().dst)
             elif kind is InstrKind.INDIRECT_CALL:
                 entry = consume()
                 shadow.append(pc + instr.size)
@@ -792,4 +837,150 @@ class NaiveVerifier:
         if cursor != len(records):
             raise ReplayError(
                 f"{len(records) - cursor} CFLog records left after "
+                f"execution reached its end")
+
+
+def _direct_dst(image: Image, pc: int, instr, dst: int) -> int:
+    """A logged direct transfer: its destination must be the static
+    target, or the log steers the binary where it cannot go."""
+    target = _taken_target(image, pc, instr)
+    if dst != target:
+        raise ReplayError(
+            f"direct transfer at {pc:#010x} logged to {dst:#010x}, "
+            f"its target is {target:#010x}")
+    return target
+
+
+class NaiveReplayProgram(_CompiledReplay):
+    """:meth:`NaiveVerifier.replay` compiled once per image.
+
+    Every pc that is not a branch, call, return, ``pop {..,pc}`` /
+    ``ldr pc`` or ``bkpt`` starts a precomputed straight-line *run* (a
+    direct branch to the next pc included), emitted as one pre-packed
+    chunk. Each control-transfer pc is decoded once into an
+    ``(op, direct target, packed pc, next pc)`` site and steps exactly
+    like :meth:`NaiveVerifier._replay`: the same packet matching,
+    shadow stack, violations and errors, and the step guard fires at
+    the identical step with the identical partial path. No loop is
+    collapsed: the MTB logs every taken backward branch.
+    """
+
+    def __init__(self, image: Image):
+        self.image = image
+        successor: Dict[int, int] = {}
+        #: control-transfer pc -> (op, direct target, packed pc, next pc)
+        self._sites: Dict[int, Tuple[str, Optional[int], bytes, int]] = {}
+        for pc, instr in image.instr_at.items():
+            kind, nxt, target = instr.kind, pc + instr.size, None
+            if kind in (InstrKind.BRANCH, InstrKind.CALL,
+                        InstrKind.COMPARE_BRANCH):
+                try:
+                    target = _taken_target(image, pc, instr)
+                except (ReplayError, KeyError):
+                    pass  # stepped as "opaque": replay raises like _replay
+            if kind is InstrKind.BRANCH and instr.cond is None:
+                if target == nxt:
+                    successor[pc] = nxt
+                    continue
+                op = "b" if target is not None else "opaque"
+            elif kind is InstrKind.COMPARE_BRANCH or kind is InstrKind.BRANCH:
+                op = "cond"
+            elif kind is InstrKind.CALL:
+                op = "call" if target is not None else "opaque"
+            elif kind is InstrKind.INDIRECT_CALL:
+                op = "icall"
+            elif kind is InstrKind.INDIRECT_BRANCH:
+                op = "bx"
+            elif instr.writes_pc():
+                op = "pop" if kind is InstrKind.POP else "jump"
+            elif instr.mnemonic == "bkpt":
+                op = "bkpt"
+            else:
+                successor[pc] = nxt
+                continue
+            self._sites[pc] = (op, target, _PACK_PC(pc), nxt)
+        self._runs = _build_runs(successor)
+
+    def _run(self, records: Sequence[Record], max_steps: int,
+             out: ReplayDigest, path: _PathHash) -> None:
+        image, runs, sites = self.image, self._runs, self._sites
+        violations = out.violations
+        emit = path.add
+        pc = image.entry
+        cursor, total = 0, len(records)
+        shadow: List[int] = []
+        steps = 0
+
+        while True:
+            run = runs.get(pc)
+            if run is not None:
+                if steps + run.length > max_steps:
+                    _guard_trips(path, run.packed, run.length,
+                                 max_steps - steps)
+                steps += run.length
+                emit(run.packed, run.length)
+                pc = run.exit  # never a run start: step it right away
+            steps += 1
+            if steps > max_steps:
+                raise ReplayError("replay exceeded the step guard")
+            site = sites.get(pc)
+            if site is None:
+                raise ReplayError(f"replay left the code image at {pc:#010x}")
+            op, target, packed, nxt = site
+            emit(packed, 1)
+
+            if op == "cond":
+                entry = records[cursor] if cursor < total else None
+                if isinstance(entry, BranchRecord) and entry.key == pc:
+                    cursor += 1
+                    pc = (target if entry.dst == target else _direct_dst(
+                        image, pc, image.instr_at[pc], entry.dst))
+                else:
+                    pc = nxt
+                continue
+            if op == "call":
+                shadow.append(nxt)
+                if len(shadow) > out.max_shadow_depth:
+                    out.max_shadow_depth = len(shadow)
+                if target == nxt:
+                    pc = nxt  # call-to-next retires sequentially
+                    continue
+            elif op == "bkpt":
+                break
+            elif op == "opaque":
+                _taken_target(image, pc, image.instr_at[pc])
+
+            # every other transfer consumes one MTB packet
+            if cursor >= total:
+                raise ReplayError(f"CFLog exhausted at {pc:#010x}")
+            entry = records[cursor]
+            if not isinstance(entry, BranchRecord) or entry.key != pc:
+                raise ReplayError(f"CFLog record mismatch at {pc:#010x}")
+            cursor += 1
+            dst = entry.dst
+            if op == "b" or op == "call":
+                if dst != target:
+                    _direct_dst(image, pc, image.instr_at[pc], dst)
+            elif op == "icall":
+                shadow.append(nxt)
+                if len(shadow) > out.max_shadow_depth:
+                    out.max_shadow_depth = len(shadow)
+            elif dst == EXIT_SENTINEL and not shadow:
+                break  # top-level return: program exit
+            elif op == "bx":
+                if shadow and dst == shadow[-1]:
+                    shadow.pop()
+            elif op == "pop" and shadow:
+                expected = shadow.pop()
+                if dst != expected:
+                    violations.append(Violation(
+                        "rop-return", pc,
+                        f"return to {dst:#010x}, "
+                        f"call site expected {expected:#010x}"))
+            pc = dst
+
+        out.consumed = cursor
+        if cursor != total:
+            raise ReplayError(
+                f"{total - cursor} CFLog records left after "
                 f"execution reached its end")

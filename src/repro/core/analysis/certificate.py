@@ -239,6 +239,20 @@ def load_certificate(root: str, image_digest: bytes, method: str,
 
 # -- admission screening -----------------------------------------------------
 
+def screen_claim(cert: BoundsCertificate, count: int,
+                 total: int) -> Optional[str]:
+    """The length and byte checks of :func:`screen_records` on a
+    stream's claimed record ``count`` and ``total`` log bytes, which a
+    caller can know without materialising the stream."""
+    if cert.max_log_records is not None and count > cert.max_log_records:
+        return (f"bounds: {count} records exceed the certified maximum "
+                f"{cert.max_log_records}")
+    if cert.max_log_bytes is not None and total > cert.max_log_bytes:
+        return (f"bounds: {total} log bytes exceed the certified maximum "
+                f"{cert.max_log_bytes}")
+    return None
+
+
 def screen_records(cert: BoundsCertificate,
                    records: Sequence[object]) -> Optional[str]:
     """Check a claimed (dictionary-expanded) record stream against the
@@ -254,16 +268,11 @@ def screen_records(cert: BoundsCertificate,
     leave direct calls/leaf returns unlogged, so no sound inference
     exists there — replay's shadow stack covers them instead.
     """
-    count = len(records)
-    if cert.max_log_records is not None and count > cert.max_log_records:
-        return (f"bounds: {count} records exceed the certified maximum "
-                f"{cert.max_log_records}")
-    total = sum(getattr(r, "size_bytes", 0) for r in records)
-    if cert.max_log_bytes is not None and total > cert.max_log_bytes:
-        return (f"bounds: {total} log bytes exceed the certified maximum "
-                f"{cert.max_log_bytes}")
-    if not cert.depth_exact or cert.max_stack_depth is None:
-        return None
+    reason = screen_claim(cert, len(records),
+                          sum(getattr(r, "size_bytes", 0) for r in records))
+    if reason is not None or not cert.depth_exact \
+            or cert.max_stack_depth is None:
+        return reason
     calls = frozenset(cert.call_keys)
     returns = frozenset(cert.return_keys)
     up = down = 0
@@ -414,6 +423,7 @@ __all__ = [
     "decode_certificate",
     "load_certificate",
     "pack_certificate",
+    "screen_claim",
     "screen_records",
     "sign_certificate",
     "store_certificate",

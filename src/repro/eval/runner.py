@@ -134,8 +134,10 @@ def run_method(name: str, method: str,
         workload.check(mcu)
     verified = True
     if verify:
-        outcome = verifier.verify(result, b"eval-challenge")
-        verified = outcome.ok
+        outcome = verifier.program.run(result.cflog.records,
+                                       verifier.max_steps)
+        verified = (verifier.authenticate(result, b"eval-challenge")
+                    and outcome.lossless and not outcome.violations)
         if not verified:
             raise RuntimeError(
                 f"{method} verification failed on {name}: "

@@ -1,0 +1,105 @@
+"""The `BNDS1` admission screen on compressed chains, before any MAC.
+
+A speculation token claims ``count`` repetitions of a dictionary
+sub-path, and its count is a 32-bit field the screen reads before any
+report MAC is checked. The screen must judge the claimed size by
+arithmetic: a forged count of 2^22 or 2^31 is rejected with the
+certificate's record bound, fast, without expanding a single token
+and without raising out of ``submit``.
+"""
+
+import time
+from unittest import mock
+
+import pytest
+
+from repro.cfa.cflog import CFLog
+from repro.cfa.fleet import (
+    ChainFactory,
+    DeviceProfile,
+    DeviceSpec,
+    FleetService,
+    dack_mac,
+    device_key,
+)
+from repro.cfa.fleet import session as session_mod
+from repro.cfa.speccfa import SpecRecord, mine_subpaths
+from repro.cfa.wire import decode_report, encode_dack_frame, encode_report
+from repro.core.analysis.certificate import BoundsRegistry, certify_workload
+
+#: a firmware with a bounded rap-track certificate and a loop to mine
+PROFILE = DeviceProfile("temperature")
+DEVICE = "prv-forger"
+
+
+@pytest.fixture(scope="module")
+def factory():
+    return ChainFactory(watermark=256)
+
+
+@pytest.fixture(scope="module")
+def registry():
+    bounds = BoundsRegistry()
+    bounds.add(certify_workload(PROFILE.workload, PROFILE.method))
+    return bounds
+
+
+def pinned_service(factory, registry):
+    """A service with a mined dictionary the device has ACKed, plus the
+    epoch the device's next session is pinned to."""
+    factory.chain(DeviceSpec("miner", PROFILE), b"\x00" * 16)
+    template = factory._templates[(PROFILE, False)]
+    dictionary = mine_subpaths(
+        [r for log in template.cflogs for r in log.records])
+    assert dictionary
+    service = FleetService(workers=0, bounds=registry)
+    entry = service.publish_dictionary(PROFILE, dictionary)
+    challenge = service.open_session(DEVICE, PROFILE, device_key(DEVICE))
+    for chunk in factory.chain(DeviceSpec(DEVICE, PROFILE), challenge.nonce):
+        service.submit(DEVICE, chunk)
+    assert service.verdicts[DEVICE].accepted
+    assert service.ingest_dack(DEVICE, encode_dack_frame(
+        DEVICE, entry.epoch, entry.digest,
+        dack_mac(device_key(DEVICE), DEVICE, entry.epoch, entry.digest)))
+    return service, entry
+
+
+def forge_count(chunks, count):
+    """The chain with its first token's repeat count replaced (the MAC
+    is left as it was, so it no longer verifies)."""
+    forged, done = [], False
+    for chunk in chunks:
+        report, _ = decode_report(chunk)
+        records = list(report.cflog.records)
+        for index, record in enumerate(records):
+            if not done and isinstance(record, SpecRecord):
+                records[index] = SpecRecord(record.path_id, count)
+                done = True
+        report.cflog = CFLog(records)
+        forged.append(encode_report(report))
+    assert done
+    return forged
+
+
+@pytest.mark.parametrize("count", [1 << 22, 1 << 31])
+def test_forged_repeat_count_rejected_without_expansion(
+        factory, registry, count):
+    service, entry = pinned_service(factory, registry)
+    cert = registry.get(PROFILE.workload, PROFILE.method)
+    assert cert.max_log_records is not None
+    challenge = service.open_session(DEVICE, PROFILE, device_key(DEVICE))
+    chunks = forge_count(factory.chain(
+        DeviceSpec(DEVICE, PROFILE), challenge.nonce, entry), count)
+    start = time.perf_counter()
+    with mock.patch.object(session_mod, "expand",
+                           side_effect=AssertionError("expanded")):
+        for chunk in chunks:
+            service.submit(DEVICE, chunk)
+    elapsed = time.perf_counter() - start
+    verdict = service.verdicts[DEVICE]
+    service.close()
+    assert elapsed < 1.0
+    assert not verdict.accepted
+    assert verdict.reason.startswith("bounds: ")
+    assert verdict.reason.endswith(
+        f"records exceed the certified maximum {cert.max_log_records}")

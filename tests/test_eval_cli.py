@@ -61,14 +61,10 @@ class TestRunner:
         # sabotage: make the verifier reject everything
         from repro.cfa import verifier as verifier_mod
 
-        original = verifier_mod.Verifier.verify
-
         def reject(self, result, challenge):
-            out = original(self, result, challenge)
-            out.authenticated = False
-            return out
+            return False
 
-        monkeypatch.setattr(verifier_mod.Verifier, "verify", reject)
+        monkeypatch.setattr(verifier_mod.Verifier, "authenticate", reject)
         with pytest.raises(RuntimeError):
             run_method("crc32", "rap-track")
 

@@ -1,18 +1,22 @@
-"""Differential battery: the compiled replay against the stepping one.
+"""Differential battery: the compiled replays against the stepping ones.
 
-:class:`~repro.cfa.verifier.ReplayProgram` replays a CFLog without
-building the path; :meth:`Verifier.replay` steps it one pc at a time and
-stays the reference. On every stream — honest runs of all workloads
-under both trampoline methods, attack chains, hypothesis-mutated
-streams, hand-broken rewrite maps — the compiled summary (lossless,
-violations, error, consumed, path length and digest) and the
-shadow-stack high-water mark must equal the reference's, including
-where the step guard cuts a replay short inside a run or a collapsed
-loop. The closed-form loop trip count is pinned against the stepping
-counter simulation it replaced.
+:class:`~repro.cfa.verifier.ReplayProgram` (RAP-Track, TRACES) and
+:class:`~repro.cfa.verifier.NaiveReplayProgram` (naive MTB) replay a
+CFLog without building the path; :meth:`Verifier.replay` and
+:meth:`NaiveVerifier.replay` step it one pc at a time and stay the
+reference. On every stream — honest runs of all workloads under all
+three methods, attack chains, hypothesis-mutated streams, hand-broken
+rewrite maps — the compiled digest (lossless, violations, error,
+consumed, shadow-stack high-water mark, path length and digest) must
+equal the reference's, including where the step guard cuts a replay
+short inside a run or a collapsed loop. ``run_method``, which verifies
+with the compiled program, must reach the stepping ``verify``'s
+verdict and failure message. The closed-form loop trip count is pinned
+against the stepping counter simulation it replaced.
 """
 
 import copy
+import dataclasses
 import time
 from unittest import mock
 
@@ -20,28 +24,38 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.baselines.naive_mtb import NaiveMtbEngine
 from repro.baselines.traces import TracesEngine
 from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
 from repro.cfa.engine import EngineConfig, RapTrackEngine
 from repro.cfa.fleet import DeviceProfile, ShardedFleetService
-from repro.cfa.fleet.verify import _summarize
 from repro.cfa.report import Report
-from repro.cfa.verifier import ReplayProgram, Verifier
+from repro.cfa.verifier import (
+    NaiveReplayProgram,
+    NaiveVerifier,
+    ReplayDigest,
+    ReplayProgram,
+    Verifier,
+)
 from repro.cfa.wire import encode_report
 from repro.core import loops
 from repro.core.analysis import synthesize_chains, synthesize_return_flood
 from repro.core.loops import SimpleLoopShape, trip_count
+from repro.eval import runner
 from repro.eval.runner import prepare
 from repro.isa import alu
 from repro.isa.conditions import CONDITIONS, cond_passed
+from repro.isa.instructions import InstrKind
 from repro.isa.registers import Flags
 from repro.tz.keystore import KeyStore
 from repro.workloads import WORKLOADS, load_workload, vulnerable
 from repro.workloads.base import make_mcu
 
-from conftest import rap_setup
+from conftest import naive_setup, rap_setup
 
-METHODS = ("rap-track", "traces")
+METHODS = ("rap-track", "traces", "naive-mtb")
+ENGINES = {"rap-track": RapTrackEngine, "traces": TracesEngine,
+           "naive-mtb": NaiveMtbEngine}
 KEY = KeyStore.provision().attestation_key
 #: small enough that a mutated stream sent into a long loop ends fast
 MUTANT_STEPS = 50_000
@@ -51,7 +65,8 @@ _BUILDS = {}
 
 
 def build(name, method, attack=False):
-    """(image, bound map, honest-or-attacked records), attested once."""
+    """(image, bound map or None for naive-mtb, honest-or-attacked
+    records), attested once."""
     key = (name, method, attack)
     if key not in _BUILDS:
         workload = load_workload(name)
@@ -59,25 +74,31 @@ def build(name, method, attack=False):
         mcu = make_mcu(image, workload)
         if attack:
             mcu.mmio.device("uart").set_feed(vulnerable.attack_feed(image))
-        engine = RapTrackEngine if method == "rap-track" else TracesEngine
-        result = engine(mcu, KeyStore.provision(), bound,
-                        EngineConfig()).attest(b"c")
-        _BUILDS[key] = (image, bound, tuple(result.cflog.records))
+        maps = () if bound is None else (bound,)
+        engine = ENGINES[method](mcu, KeyStore.provision(), *maps,
+                                 EngineConfig())
+        _BUILDS[key] = (image, bound, tuple(engine.attest(b"c").cflog.records))
     return _BUILDS[key]
 
 
+def reference(image, bound, max_steps=20_000_000):
+    """The stepping verifier (naive-MTB when ``bound`` is None)."""
+    if bound is None:
+        return NaiveVerifier(image, KEY, max_steps=max_steps)
+    return Verifier(image, bound, KEY, max_steps=max_steps)
+
+
 def both(image, bound, records, max_steps=20_000_000):
-    """(reference, compiled): summary plus shadow high-water mark."""
-    ref = Verifier(image, bound, KEY, max_steps=max_steps).replay(records)
-    out = ReplayProgram(image, bound).run(records, max_steps)
-    return ((_summarize(ref), ref.max_shadow_depth),
-            (_summarize(out), out.max_shadow_depth))
+    """(reference, compiled) replay digests."""
+    verifier = reference(image, bound, max_steps)
+    return (ReplayDigest.of(verifier.replay(records)),
+            verifier.program.run(records, max_steps))
 
 
 def assert_same(image, bound, records, max_steps=20_000_000):
     ref, out = both(image, bound, records, max_steps)
     assert out == ref
-    return ref[0]
+    return ref
 
 
 class TestWorkloads:
@@ -92,10 +113,12 @@ class TestWorkloads:
     def test_vulnerable_rop_attack(self, method):
         summary = assert_same(*build("vulnerable", method, attack=True))
         assert summary.lossless
-        assert any(kind == "rop-return" for kind, _, _ in summary.violations)
+        assert any(v.kind == "rop-return" for v in summary.violations)
 
-    @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("name", ["vulnerable", "fibcall"])
+    @pytest.mark.parametrize("name, method", [
+        (name, method) for name in ("vulnerable", "fibcall")
+        for method in METHODS
+        if (name, method) != ("fibcall", "naive-mtb")])  # no chain there
     def test_synthesized_chains(self, name, method):
         image, bound, _ = build(name, method)
         chains = synthesize_chains(image, bound, method)
@@ -135,18 +158,24 @@ def without(bound, table, pc):
 MUTATION_BASES = [("ultrasonic", "rap-track"), ("syringe", "traces"),
                   ("gps", "rap-track"), ("gps", "traces"),
                   ("strsearch", "rap-track"), ("vulnerable", "traces")]
+#: naive-MTB streams: direct and conditional branches, calls, pops and
+#: bx returns, indirect calls (gps) and a data-dependent loop (geiger)
+NAIVE_MUTATION_BASES = [("gps", "naive-mtb"), ("syringe", "naive-mtb"),
+                        ("vulnerable", "naive-mtb"), ("fir", "naive-mtb")]
 
 
 def mutate(records, data, image):
     records = list(records)
     op = data.draw(st.sampled_from(
-        ["drop", "duplicate", "swap", "dst", "loop"]))
+        ["drop", "duplicate", "swap", "dst", "loop", "truncate"]))
     if not records:
         return records
     index = data.draw(st.integers(0, len(records) - 1))
     record = records[index]
     if op == "drop":
         del records[index]
+    elif op == "truncate":
+        del records[index:]
     elif op == "duplicate":
         records.insert(index, record)
     elif op == "swap":
@@ -175,6 +204,15 @@ class TestMutatedStreams:
     @given(data=st.data())
     def test_mutants_agree(self, data):
         name, method = data.draw(st.sampled_from(MUTATION_BASES))
+        image, bound, records = build(name, method)
+        for _ in range(data.draw(st.integers(1, 3))):
+            records = mutate(records, data, image)
+        assert_same(image, bound, records, MUTANT_STEPS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_naive_mutants_agree(self, data):
+        name, method = data.draw(st.sampled_from(NAIVE_MUTATION_BASES))
         image, bound, records = build(name, method)
         for _ in range(data.draw(st.integers(1, 3))):
             records = mutate(records, data, image)
@@ -267,6 +305,120 @@ class TestMutatedStreams:
         }
 
 
+    def test_every_naive_replay_error_branch(self):
+        """Each ReplayError message of the naive replay is reached,
+        identically on both paths."""
+        reached = set()
+
+        def check(image, records, max_steps=MUTANT_STEPS):
+            summary = assert_same(image, None, records, max_steps)
+            if summary.error:
+                reached.add(summary.error.split(" at ")[0].split(" 0x")[0])
+
+        image, _, records = build("gps", "naive-mtb")
+        check(image, records, 100)
+        check(image, records[:-1])
+        check(image, [BranchRecord(0x1, records[0].dst)] + list(records[1:]))
+        check(image, records + records[-1:])
+        # a return logged into data: replay runs off the code image
+        ret = next(i for i, r in enumerate(records)
+                   if image.instr_at[r.key].kind is InstrKind.POP)
+        off = list(records)
+        off[ret] = BranchRecord(records[ret].key, 0x1)
+        check(image, off)
+        # a direct branch logged to a pc it does not target
+        direct = next(i for i, r in enumerate(records)
+                      if image.instr_at[r.key].direct_target() is not None)
+        forged = list(records)
+        forged[direct] = BranchRecord(records[direct].key, image.entry)
+        check(image, forged)
+
+        assert reached == {
+            "replay exceeded the step guard",
+            "CFLog exhausted",
+            "CFLog record mismatch",
+            "1 CFLog records left after execution reached its end",
+            "replay left the code image",
+            "direct transfer",
+        }
+
+
+    def test_naive_unresolvable_direct_target(self):
+        """A call whose label the image lost raises alike on both paths
+        (the program cannot decode its target, so it steps it)."""
+        image, _, records = build("gps", "naive-mtb")
+        call = next(r.key for r in records
+                    if image.instr_at[r.key].kind is InstrKind.CALL)
+        label = image.instr_at[call].direct_target().name
+        broken = copy.copy(image)
+        broken.symbols = {k: v for k, v in image.symbols.items()
+                          if k != label}
+        assert NaiveReplayProgram(broken)._sites[call][0] == "opaque"
+        stepping = reference(image, None)  # measured on the intact image
+        stepping.image = broken
+        for replay in (stepping.replay, NaiveReplayProgram(broken).run):
+            with pytest.raises(KeyError, match=label):
+                replay(records)
+
+
+    def test_naive_bx_pops_only_a_matching_frame(self):
+        """A leaf ``bx lr`` logged past its call site leaves the frame
+        on the shadow stack: the caller's ``pop {pc}`` then fails the
+        check instead of exiting cleanly."""
+        image, _, _, engine, _, _ = naive_setup(LEAF)
+        records = list(engine.attest(b"c").cflog.records)
+        bx = image.symbols["leaf"]
+        index = next(i for i, r in enumerate(records) if r.key == bx)
+        forged = list(records)
+        forged[index] = BranchRecord(bx, image.symbols["tail"])
+        honest = assert_same(image, None, records)
+        assert honest.lossless and not honest.violations
+        summary = assert_same(image, None, forged)
+        assert [v.kind for v in summary.violations] == ["rop-return"]
+        assert not summary.lossless
+
+
+LEAF = """
+main:
+    push {lr}
+    bl leaf
+    nop
+tail:
+    pop {pc}
+leaf:
+    bx lr
+"""
+
+
+class TestForgedDirectTransfers:
+    """A naive-MTB packet at a direct ``b``/``bl``/taken conditional must
+    name the static target: a log cannot steer a direct branch."""
+
+    @pytest.mark.parametrize("name", ["vulnerable", "fibcall", "gps"])
+    def test_forged_dst_chain_rejected(self, name):
+        image, _, records = build(name, "naive-mtb")
+        unlock = image.symbols.get("maintenance_unlock", image.entry)
+        kinds = {}
+        for index, record in enumerate(records):
+            instr = image.instr_at[record.key]
+            if instr.direct_target() is None:
+                continue
+            kind = ("cond" if instr.cond is not None
+                    or instr.kind is InstrKind.COMPARE_BRANCH
+                    else instr.kind.value)
+            if kind in kinds:
+                continue
+            kinds[kind] = index
+            forged = list(records)
+            forged[index] = BranchRecord(record.key, unlock)
+            summary = assert_same(image, None, forged)
+            assert not summary.lossless
+            assert summary.error == (
+                f"direct transfer at {record.key:#010x} logged to "
+                f"{unlock:#010x}, its target is {record.dst:#010x}")
+        assert "call" in kinds and "cond" in kinds
+
+
 # -- the step guard -----------------------------------------------------------
 
 class TestStepGuard:
@@ -279,6 +431,20 @@ class TestStepGuard:
         full = program.run(records)
         for max_steps in range(1, full.path_len + 2):
             assert_same(image, bound, records, max_steps)
+
+    def test_naive_guard_at_every_step(self):
+        image, _, records = build("crc32", "naive-mtb")
+        full = NaiveReplayProgram(image).run(records)
+        assert full.lossless
+        for max_steps in range(1, full.path_len + 2):
+            assert_same(image, None, records, max_steps)
+
+    @pytest.mark.parametrize("name", ["geiger", "fir", "ultrasonic"])
+    def test_naive_guard_inside_long_loops(self, name):
+        image, _, records = build(name, "naive-mtb")
+        length = NaiveReplayProgram(image).run(records).path_len
+        for max_steps in range(1, length, max(1, length // 29)):
+            assert_same(image, None, records, max_steps)
 
     @pytest.mark.parametrize("name", ["geiger", "fir", "ultrasonic"])
     def test_guard_inside_long_loops(self, name):
@@ -374,6 +540,73 @@ class TestClosedFormTripCount:
             with pytest.raises(ValueError):
                 trip_count(SimpleLoopShape(0, 4, 3, step, cond, None), init)
         assert time.perf_counter() - start < 0.5
+
+
+# -- run_method verifies with the compiled program ----------------------------
+
+def resigned(result, records, key=KEY):
+    """``result`` as one final report carrying ``records``, signed."""
+    first = result.reports[0]
+    report = Report(device_id=first.device_id, method=first.method,
+                    challenge=first.challenge, h_mem=first.h_mem, seq=0,
+                    final=True, cflog=CFLog(list(records))).sign(key)
+    return dataclasses.replace(result, reports=[report])
+
+
+TAMPERS = {
+    # one record too many: a replay error
+    "appended": lambda result, method: resigned(
+        result, result.cflog.records + result.cflog.records[-1:]),
+    # the live ROP attack's log, validly signed: violations
+    "attack": lambda result, method: resigned(
+        result, build("vulnerable", method, attack=True)[2]),
+    # signed under the wrong key: authentication fails
+    "unsigned": lambda result, method: resigned(
+        result, result.cflog.records, key=b"x" * 32),
+}
+
+
+def run_both(name, method, tamper=None):
+    """``run_method``'s (verified, failure message) next to what the
+    stepping ``verify`` makes of the very chain ``run_method`` saw."""
+    build("vulnerable", method, attack=True)  # attested before patching
+    seen = []
+    engine = ENGINES[method]
+    attest = engine.attest
+
+    def tampered_attest(self, challenge):
+        result = attest(self, challenge)
+        if tamper is not None:
+            result = TAMPERS[tamper](result, method)
+        seen.append(result)
+        return result
+
+    with mock.patch.object(engine, "attest", tampered_attest):
+        try:
+            got = (runner.run_method(name, method).verified, None)
+        except RuntimeError as exc:
+            got = (False, str(exc))
+    image, bound = prepare(load_workload(name), method)
+    ref = reference(image, bound).verify(seen[0], b"eval-challenge")
+    want = (ref.ok, None if ref.ok else (
+        f"{method} verification failed on {name}: "
+        f"{ref.error or ref.violations[:3]}"))
+    return got, want
+
+
+class TestRunMethod:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_matches_stepping_verify(self, name, method):
+        got, want = run_both(name, method)
+        assert got == want == (True, None)
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tampered_chain(self, method, tamper):
+        got, want = run_both("vulnerable", method, tamper)
+        assert got == want
+        assert not got[0]
 
 
 # -- hostile loop values fail closed ------------------------------------------
