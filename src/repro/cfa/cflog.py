@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,19 @@ Record = Union[BranchRecord, AddressRecord, LoopRecord]
 
 
 class CFLog:
-    """An ordered control flow log with wire-size accounting."""
+    """An ordered control flow log with wire-size accounting.
 
-    def __init__(self, records: Iterable[Record] = ()):
+    A log decoded off the wire keeps the bytes it arrived as
+    (``packed``): :meth:`pack` returns them instead of re-packing
+    every record for as long as :attr:`records` still holds exactly
+    the values decoded from them.
+    """
+
+    def __init__(self, records: Iterable[Record] = (),
+                 packed: Optional[bytes] = None):
         self.records: List[Record] = list(records)
+        self._wire = (None if packed is None
+                      else (self.records.copy(), packed))
 
     def append(self, record: Record) -> None:
         self.records.append(record)
@@ -86,6 +95,9 @@ class CFLog:
 
     def pack(self) -> bytes:
         """Deterministic serialization (MAC input)."""
+        wire = self._wire
+        if wire is not None and wire[0] == self.records:
+            return wire[1]
         return b"".join(r.pack() for r in self.records)
 
     def __str__(self) -> str:

@@ -40,12 +40,14 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cfa.fleet.verify import DeviceProfile
 from repro.cfa.speccfa import (
     EMPTY_DICTIONARY_DIGEST,
+    PackedExpander,
     SubPathDict,
     dictionary_digest,
     pack_dictionary,
@@ -65,9 +67,17 @@ class DictEpoch:
     digest: bytes
     payload: bytes
 
-    @property
+    @cached_property
     def dictionary(self) -> SubPathDict:
+        """The parsed payload: parsed once per epoch, then shared
+        read-only by every session pinned to it."""
         return unpack_dictionary(self.payload)
+
+    @cached_property
+    def expander(self) -> PackedExpander:
+        """Expands packed record spans under this epoch (what the
+        replay-cache key hashes), built once per epoch."""
+        return PackedExpander(self.dictionary)
 
     @property
     def is_empty(self) -> bool:
@@ -113,6 +123,8 @@ class DictionaryRegistry:
         self._epochs: Dict[DeviceProfile, List[DictEpoch]] = {}
         #: digest -> DictEpoch, for resolving ACKs
         self._by_digest: Dict[bytes, DictEpoch] = {}
+        #: profile -> its epoch 0, built once like every other epoch
+        self._empty: Dict[DeviceProfile, DictEpoch] = {}
         self.store_dir = Path(store_dir) if store_dir is not None else None
         if self.store_dir is not None:
             self.store_dir.mkdir(parents=True, exist_ok=True)
@@ -176,11 +188,15 @@ class DictionaryRegistry:
 
     def get(self, profile: DeviceProfile, epoch: int) -> DictEpoch:
         """Resolve ``(profile, epoch)``; epoch 0 always resolves."""
-        if epoch == 0:
-            return DictEpoch(profile=profile, epoch=0,
-                             digest=EMPTY_DICTIONARY_DIGEST,
-                             payload=pack_dictionary({}))
         with self._lock:
+            if epoch == 0:
+                entry = self._empty.get(profile)
+                if entry is None:
+                    entry = self._empty[profile] = DictEpoch(
+                        profile=profile, epoch=0,
+                        digest=EMPTY_DICTIONARY_DIGEST,
+                        payload=pack_dictionary({}))
+                return entry
             chain = self._epochs.get(profile, [])
             if not 1 <= epoch <= len(chain):
                 raise KeyError(

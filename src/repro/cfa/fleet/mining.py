@@ -33,14 +33,13 @@ dictionary *epochs* content-addressable in the first place.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cfa.cflog import Record
-from repro.cfa.fleet.verify import DeviceProfile
+from repro.cfa.cflog import CFLog, Record
+from repro.cfa.fleet.verify import DeviceProfile, ReplayCache
 from repro.cfa.speccfa import SubPathDict, compress
 
 #: one weighted exemplar: (record stream, sessions observed)
@@ -49,10 +48,6 @@ WeightedStream = Tuple[Tuple[Record, ...], int]
 
 def _stream_bytes(records: Sequence[Record]) -> int:
     return sum(r.size_bytes for r in records)
-
-
-def _stream_digest(records: Sequence[Record]) -> bytes:
-    return hashlib.sha256(b"".join(r.pack() for r in records)).digest()
 
 
 @dataclass
@@ -111,22 +106,35 @@ class TrafficSampler:
         self.evictions += 1
 
     def observe(self, profile: DeviceProfile,
-                records: Sequence[Record],
-                digest: Optional[bytes] = None) -> None:
-        """Absorb one accepted session's (expanded) record stream."""
-        if digest is None:
-            digest = _stream_digest(records)
+                records: Union[Sequence[Record],
+                               Callable[[], Sequence[Record]]],
+                digest: Optional[bytes] = None,
+                size_bytes: Optional[int] = None) -> None:
+        """Absorb one accepted session's (expanded) record stream.
+
+        ``records`` may be a zero-argument callable producing the
+        stream; given with its ``digest`` and wire ``size_bytes``, it
+        is called only when the stream is kept as a new exemplar.
+        """
+        if digest is None or size_bytes is None:
+            if callable(records):
+                records = records()
+            if digest is None:
+                digest = ReplayCache.key((CFLog(records).pack(),))
+            if size_bytes is None:
+                size_bytes = _stream_bytes(records)
         with self._lock:
             sample = self._profiles.setdefault(profile, ProfileSample())
             sample.sessions += 1
-            sample.bytes_observed += _stream_bytes(records)
+            sample.bytes_observed += size_bytes
             sample.counts[digest] += 1
             while len(sample.counts) > self.max_digests:
                 self._evict_coldest(sample, digest)
             if (digest in sample.counts
                     and digest not in sample.streams
                     and len(sample.streams) < self.max_streams):
-                sample.streams[digest] = tuple(records)
+                sample.streams[digest] = tuple(
+                    records() if callable(records) else records)
 
     def sample(self, profile: DeviceProfile) -> List[WeightedStream]:
         """The weighted exemplar streams for one profile, in sorted
@@ -208,8 +216,8 @@ def mine_fleet_dictionary(streams: Sequence[WeightedStream],
     Deterministic: independent of stream order, candidate hash order,
     and dict iteration order.
     """
-    ordered = sorted(streams,
-                     key=lambda sw: _stream_digest(sw[0]))
+    ordered = sorted(
+        streams, key=lambda sw: ReplayCache.key((CFLog(sw[0]).pack(),)))
     gains: Counter = Counter()
     for records, weight in ordered:
         n = len(records)

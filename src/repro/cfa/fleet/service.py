@@ -562,18 +562,19 @@ class FleetService:
 
     def _sample_locked(self, session: Session,
                        verdict: SessionVerdict) -> None:
-        """Feed one accepted session's expanded stream to the sampler."""
-        records = []
-        for report in session.reports:
-            records.extend(report.cflog.records)
-        if session.dictionary:
-            try:
+        """Feed one accepted session to the sampler, which expands its
+        stream only when it keeps a new exemplar."""
+        def expanded() -> list:
+            records = session.records()
+            if session.dictionary:
                 records = expand(records, session.dictionary)
-            except ValueError:  # unreachable: accepted implies expanded
-                return
-        digest = (bytes.fromhex(verdict.records_digest)
-                  if verdict.records_digest else None)
-        self.sampler.observe(session.profile, records, digest=digest)
+            return records
+
+        claim = session.admission_claim()
+        assert claim is not None  # accepted: every token expanded
+        self.sampler.observe(session.profile, expanded,
+                             digest=bytes.fromhex(verdict.records_digest),
+                             size_bytes=claim[1])
 
     # -- admission pre-check: certified path bounds ------------------------
 
@@ -609,13 +610,13 @@ class FleetService:
         args = (session.device_id, session.profile, session.key,
                 session.bound_challenge, chunks)
         reports = tuple(session.reports)
-        dictionary = session.dictionary
+        dict_epoch = session.dict_epoch
         if self._pool is None:
             t0 = time.perf_counter()
             info: Dict[str, bool] = {}
             verdict = verify_session_chain(
                 *args, cache=self._cache, reports=reports, info=info,
-                dictionary=dictionary)
+                dict_epoch=dict_epoch)
             self._record(session, verdict, time.perf_counter() - t0,
                          cache_hit=info.get("cache_hit", False))
             return
@@ -630,11 +631,11 @@ class FleetService:
         if self.executor == "process":
             # bytes cross the process boundary; the worker decodes
             future = self._pool.submit(
-                pool_verify, *args, self.use_replay_cache, dictionary)
+                pool_verify, *args, self.use_replay_cache, dict_epoch)
         else:
             future = self._pool.submit(
                 local_verify, args, self._cache, reports, info,
-                dictionary)
+                dict_epoch)
         future.add_done_callback(
             lambda fut: self._harvest(session, t0, info, fut))
 

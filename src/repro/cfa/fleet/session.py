@@ -78,14 +78,12 @@ class Session:
     #: how many sessions this device opened before this one (feeds
     #: device-scoped nonce derivation; 0 under the counter scope)
     round_index: int = 0
-    #: the dictionary epoch this session is pinned to. Pinned at
-    #: ``open`` (from the device's last acknowledged epoch) and never
-    #: changed afterwards: a dictionary push landing mid-session takes
-    #: effect at the device's *next* session, so Prv and Vrf always
-    #: compress/expand under the same version.
-    epoch: int = 0
-    dict_digest: bytes = b""
-    dictionary: Optional[SubPathDict] = None
+    #: the dictionary epoch this session is pinned to (None: epoch 0).
+    #: Pinned at ``open`` (from the device's last acknowledged epoch)
+    #: and never changed afterwards: a dictionary push landing
+    #: mid-session takes effect at the device's *next* session, so Prv
+    #: and Vrf always compress/expand under the same version.
+    dict_epoch: Optional[DictEpoch] = None
     chunks: List[bytes] = field(default_factory=list)  # accepted, in order
     #: the decoded twins of ``chunks`` — ingest already paid for the
     #: decode, so in-process verification need not decode again
@@ -101,10 +99,25 @@ class Session:
     #: evidence record carries the healing flag so the policy fold can
     #: judge the rejoin)
     healing: bool = False
+    #: ``(admission_claim(),)`` once the chain is complete
+    _claim: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def active(self) -> bool:
         return self.state in ACTIVE_STATES
+
+    @property
+    def epoch(self) -> int:
+        return self.dict_epoch.epoch if self.dict_epoch else 0
+
+    @property
+    def dict_digest(self) -> bytes:
+        return self.dict_epoch.digest if self.dict_epoch else b""
+
+    @property
+    def dictionary(self) -> Optional[SubPathDict]:
+        """The pinned epoch's parsed dictionary, shared read-only."""
+        return self.dict_epoch.dictionary if self.dict_epoch else None
 
     @property
     def bound_challenge(self) -> bytes:
@@ -119,8 +132,17 @@ class Session:
         counted without expanding: a token's repeat count costs nothing
         before the report MACs are checked. ``None`` when the chain
         references unknown dictionary entries, as for
-        :meth:`admission_records`."""
-        records = self._records()
+        :meth:`admission_records`. Counted once for a complete chain
+        (the bounds screen and the traffic sampler both ask)."""
+        if self._claim is not None:
+            return self._claim[0]
+        claim = self._count_claim()
+        if self.state not in (PENDING, STREAMING):  # the chain is final
+            self._claim = (claim,)
+        return claim
+
+    def _count_claim(self) -> Optional[Tuple[int, int]]:
+        records = self.records()
         count = len(records)
         size = sum(map(_SIZE_BYTES, records))
         if self.dictionary:
@@ -146,7 +168,7 @@ class Session:
         `BNDS1` admission screen inspects before replay is paid for.
         ``None`` when expansion fails (the chain references unknown
         dictionary entries; replay will reject it authoritatively)."""
-        records = self._records()
+        records = self.records()
         if self.dictionary:
             try:
                 records = expand(records, self.dictionary)
@@ -154,7 +176,8 @@ class Session:
                 return None
         return records
 
-    def _records(self) -> list:
+    def records(self) -> list:
+        """The chain's records as received (tokens unexpanded)."""
         records = []
         for report in self.reports:
             records.extend(report.cflog.records)
@@ -263,9 +286,7 @@ class SessionManager:
             opened_at=now, last_activity=now, round_index=round_index,
         )
         if dict_epoch is not None and not dict_epoch.is_empty:
-            session.epoch = dict_epoch.epoch
-            session.dict_digest = dict_epoch.digest
-            session.dictionary = dict_epoch.dictionary
+            session.dict_epoch = dict_epoch
         self.sessions[device_id] = session
         return session
 

@@ -257,6 +257,10 @@ class FleetSimulator:
         #: device-side dictionary state: the epoch each device has
         #: acknowledged and will compress its next session under
         self.device_epochs: Dict[str, DictEpoch] = {}
+        #: one adopted epoch per pushed dictionary, shared by every
+        #: device that installs it (each keeps one parse, not a copy)
+        self._adopted: Dict[Tuple[DeviceProfile, int, bytes],
+                            DictEpoch] = {}
 
     # -- the dictionary push/ACK leg (device side) --------------------------
 
@@ -283,9 +287,13 @@ class FleetSimulator:
                 continue  # not our firmware: refuse to adopt
             if hashlib.sha256(payload).digest() != digest:
                 continue  # damaged in transit: refuse to adopt
-            entry = DictEpoch(profile=spec.profile, epoch=epoch,
-                              digest=digest, payload=payload)
-            entry.dictionary  # strict parse before adopting
+            pin = (spec.profile, epoch, digest)
+            entry = self._adopted.get(pin)
+            if entry is None:
+                entry = DictEpoch(profile=spec.profile, epoch=epoch,
+                                  digest=digest, payload=payload)
+                entry.dictionary  # strict parse before adopting
+                self._adopted[pin] = entry
             self.device_epochs[device_id] = entry
             acks.append((device_id, encode_dack_frame(
                 device_id, epoch, digest,

@@ -15,11 +15,12 @@ idiom of :mod:`repro.eval.cache` with the fleet tier:
   the service is, by construction, already on disk.
 
 * :class:`DurableReplayCache` — the fleet replay cache backed by the
-  same two-level content-addressed store the offline artifacts use
-  (:class:`~repro.eval.cache.ArtifactCache`): replay summaries are
+  content-addressed file idiom the offline artifacts use
+  (:func:`~repro.eval.cache.atomic_pickle`): replay summaries are
   pickled one-file-per-key with an atomic rename, so a restarted
   service re-warms from disk instead of re-replaying the fleet's
-  firmware chains.
+  firmware chains, and the bounded memory map re-reads evicted
+  entries from their files.
 
 **Byte layout** (all little-endian; ``lp x`` = ``u32 len(x) || x``)::
 
@@ -69,6 +70,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
+import pickle
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,7 +82,7 @@ from repro.cfa.fleet.verify import (
     SessionVerdict,
     _ReplaySummary,
 )
-from repro.eval.cache import ArtifactCache
+from repro.eval.cache import atomic_pickle
 
 EVIDENCE_MAGIC = b"EVD1"
 EVIDENCE_VERSION = 3
@@ -638,20 +640,24 @@ class EvidenceStore:
 class DurableReplayCache(ReplayCache):
     """The fleet replay cache, persisted content-addressed on disk.
 
-    Entries live in an :class:`~repro.eval.cache.ArtifactCache`
-    (memory + one pickle file per key, atomic rename), keyed by a
-    digest of ``(profile, record-stream digest)`` — the same CAS
-    discipline the offline-artifact cache uses, so concurrent shards
-    can share one directory and a restarted service re-warms from
-    disk. A corrupt or unreadable entry is a miss and gets rebuilt,
-    exactly like an offline artifact; and as with the in-memory cache,
-    only the pure replay half of a verdict is ever stored, so the
-    disk image cannot launder authentication.
+    Entries are pickled one file per key (atomic rename, the
+    :func:`~repro.eval.cache.atomic_pickle` idiom the offline-artifact
+    cache uses), keyed by a digest of ``(profile, record-stream
+    digest)``, so concurrent shards can share one directory and a
+    restarted service re-warms from disk. Memory holds only the
+    bounded :class:`ReplayCache` map: an entry evicted from it is read
+    back from its file on the next lookup. A corrupt or unreadable
+    file is a miss and gets rebuilt, exactly like an offline artifact;
+    and as with the in-memory cache, only the pure replay half of a
+    verdict is ever stored, so the disk image cannot launder
+    authentication. Without a ``root`` the cache is memory-only.
     """
 
     def __init__(self, root: Optional[Union[str, os.PathLike]] = None):
         super().__init__()
-        self._cas = ArtifactCache(root)
+        self.root = Path(root) if root is not None else None
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
         self.disk_hits = 0
 
     @staticmethod
@@ -668,10 +674,17 @@ class DurableReplayCache(ReplayCache):
                key: bytes) -> Optional[_ReplaySummary]:
         with self._lock:
             entry = self._entries.get((profile, key))
-            if entry is None:
-                entry = self._cas.get(self.cas_key(profile, key))
+            root = self.root
+            if entry is None and root is not None:
+                # evicted from memory, or never seen by this process
+                path = root / f"{self.cas_key(profile, key)}.pkl"
+                try:
+                    with open(path, "rb") as fh:
+                        entry = pickle.load(fh)
+                except Exception:  # absent or corrupt: rebuilt
+                    entry = None
                 if entry is not None:
-                    self._entries[(profile, key)] = entry
+                    self._remember((profile, key), entry)
                     self.disk_hits += 1
             if entry is None:
                 self.misses += 1
@@ -682,5 +695,8 @@ class DurableReplayCache(ReplayCache):
     def store(self, profile: DeviceProfile, key: bytes,
               entry: _ReplaySummary) -> None:
         with self._lock:
-            self._entries[(profile, key)] = entry
-            self._cas.put(self.cas_key(profile, key), entry)
+            self._remember((profile, key), entry)
+            root = self.root
+            if root is not None:
+                atomic_pickle(root, root / f"{self.cas_key(profile, key)}.pkl",
+                              entry)

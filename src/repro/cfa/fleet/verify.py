@@ -21,15 +21,27 @@ from __future__ import annotations
 import copy
 import hashlib
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.cfa.speccfa import SpecRecord, SubPathDict, expand
+from repro.cfa.speccfa import PackedExpander, expand
 from repro.cfa.streaming import StreamError, StreamingVerifier
 from repro.cfa.verifier import NaiveVerifier, ReplayDigest, Verifier
-from repro.cfa.wire import WireError
+from repro.cfa.wire import WireError, record_span
 from repro.eval.runner import prepare
 from repro.workloads import load_workload
+
+if TYPE_CHECKING:
+    from repro.cfa.fleet.dictver import DictEpoch
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,12 @@ class _ReplaySummary:
     path_digest: str
 
 
+#: most replay summaries a :class:`ReplayCache` keeps in memory, far
+#: above a distinct-execution fleet's working set (~1000 entries per
+#: round); past it the oldest entry is evicted first
+REPLAY_CACHE_ENTRIES = 16384
+
+
 class ReplayCache:
     """Memoizes the replay of identical ``(profile, CFLog)`` chains.
 
@@ -96,18 +114,39 @@ class ReplayCache:
     re-checked, so a cached entry can never launder a forged chain.
     Replay is a pure function of ``(verifier artifacts, records)``,
     which makes the memoization verdict-preserving.
+
+    The map is bounded: past :data:`REPLAY_CACHE_ENTRIES` the oldest
+    entry is evicted (deterministic insertion order) and counted in
+    :attr:`evictions`, so a device sending a new stream every session
+    cannot grow Vrf memory. An evicted chain is simply replayed again.
     """
 
     def __init__(self):
-        self._entries: Dict[Tuple[DeviceProfile, bytes], _ReplaySummary] = {}
+        #: (profile, key) -> summary, oldest first
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()  # shared by thread-pool workers
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
 
     @staticmethod
-    def key(records) -> bytes:
-        return hashlib.sha256(
-            b"".join(r.pack() for r in records)).digest()
+    def key(spans: Iterable[bytes],
+            expander: Optional[PackedExpander] = None) -> bytes:
+        """SHA-256 of the expanded record stream's packed bytes.
+
+        ``spans`` are runs of packed records (:func:`record_span` cuts
+        them straight out of the received reports); ``expander``
+        splices each speculation token's sub-path in, so the digest
+        equals the one over ``expand(records, dictionary)`` without
+        building a record. Raises ``ValueError``, as :func:`expand`
+        does, on a token whose path id the expander does not know
+        (every token, without one).
+        """
+        expander = expander or PackedExpander({})
+        digest = hashlib.sha256()
+        for span in spans:
+            digest.update(expander.expand_span(span))
+        return digest.digest()
 
     def lookup(self, profile: DeviceProfile,
                key: bytes) -> Optional[_ReplaySummary]:
@@ -122,7 +161,15 @@ class ReplayCache:
     def store(self, profile: DeviceProfile, key: bytes,
               entry: _ReplaySummary) -> None:
         with self._lock:
-            self._entries[(profile, key)] = entry
+            self._remember((profile, key), entry)
+
+    def _remember(self, slot: Tuple[DeviceProfile, bytes],
+                  entry: _ReplaySummary) -> None:
+        """Insert under the bound (caller holds ``_lock``)."""
+        self._entries[slot] = entry
+        while len(self._entries) > REPLAY_CACHE_ENTRIES:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
 
 def _summarize(outcome: ReplayDigest) -> _ReplaySummary:
@@ -176,7 +223,7 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
                          cache: Optional[ReplayCache] = None,
                          reports: Optional[Sequence] = None,
                          info: Optional[dict] = None,
-                         dictionary: Optional[SubPathDict] = None
+                         dict_epoch: Optional["DictEpoch"] = None
                          ) -> SessionVerdict:
     """Verify one complete session chain exactly as the serial Vrf would.
 
@@ -192,12 +239,14 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     come back as a rejected verdict so a poisoned session cannot take a
     worker (or the service thread) down with it.
 
-    ``dictionary`` is the speculation dictionary of the session's
-    pinned epoch: after authentication, speculated tokens in the
-    record stream are expanded through it before replay. The replay
-    cache is keyed by the digest of the **expanded** stream, so a
-    compressed session and a plain session of the same execution
-    share one cached replay — and produce ``==`` verdicts.
+    ``dict_epoch`` is the session's pinned speculation dictionary.
+    After authentication the replay-cache key is hashed from the
+    reports' record bytes as they arrived, each speculated token
+    spliced in as its epoch's packed sub-path; the key is the digest
+    of the **expanded** stream, so a compressed session and a plain
+    session of the same execution share one cached replay — and
+    produce ``==`` verdicts. Tokens are expanded into records only
+    when the replay actually runs (a cache miss).
 
     ``info``, when supplied, receives side-band facts that must *not*
     influence verdict equality — currently ``info["cache_hit"]``, True
@@ -216,30 +265,32 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
             for report in reports:
                 stream.feed(report)
         else:
-            for chunk in chunks:
-                stream.feed_bytes(chunk)
+            reports = [stream.feed_bytes(chunk) for chunk in chunks]
         if not stream.finished:
             raise StreamError("final report not yet received")
-        records = stream.records
-        if dictionary or any(isinstance(r, SpecRecord) for r in records):
-            # expansion only after every report authenticated; a token
-            # naming an unknown sub-path (wrong/missing dictionary) is
-            # an explicit rejection, never a silent mis-expansion
-            try:
-                records = expand(records, dictionary or {})
-            except ValueError as exc:
-                raise StreamError(
-                    f"speculation expansion failed: {exc}") from None
-        key_digest = ReplayCache.key(records)
+        # keyed only after every report authenticated; a token naming
+        # an unknown sub-path (wrong/missing dictionary) is an explicit
+        # rejection, never a silent mis-expansion
+        try:
+            key_digest = ReplayCache.key(
+                map(record_span, chunks, reports),
+                dict_epoch.expander if dict_epoch is not None else None)
+        except ValueError as exc:
+            raise StreamError(
+                f"speculation expansion failed: {exc}") from None
+        summary = None
         if cache is not None:
             summary = cache.lookup(profile, key_digest)
             if info is not None:
                 info["cache_hit"] = summary is not None
-            if summary is None:
-                summary = _replay(verifier, records)
-                cache.store(profile, key_digest, summary)
-        else:
+        if summary is None:
+            # the key vouched for every token: expansion cannot fail
+            records = stream.records
+            if dict_epoch is not None:
+                records = expand(records, dict_epoch.dictionary)
             summary = _replay(verifier, records)
+            if cache is not None:
+                cache.store(profile, key_digest, summary)
     except (WireError, StreamError) as exc:
         return SessionVerdict(
             device_id=device_id, profile=profile, accepted=False,
@@ -273,7 +324,7 @@ _WORKER_CACHE = ReplayCache()
 def pool_verify(device_id: str, profile: DeviceProfile, key: bytes,
                 challenge: bytes, chunks: Sequence[bytes],
                 use_cache: bool,
-                dictionary: Optional[SubPathDict] = None
+                dict_epoch: Optional["DictEpoch"] = None
                 ) -> Tuple[SessionVerdict, int, int]:
     """Worker-pool entry point (module-level for pickling).
 
@@ -284,7 +335,7 @@ def pool_verify(device_id: str, profile: DeviceProfile, key: bytes,
     hits0, misses0 = _WORKER_CACHE.hits, _WORKER_CACHE.misses
     verdict = verify_session_chain(
         device_id, profile, key, challenge, chunks, cache=cache,
-        dictionary=dictionary)
+        dict_epoch=dict_epoch)
     return (verdict, _WORKER_CACHE.hits - hits0,
             _WORKER_CACHE.misses - misses0)
 
@@ -292,11 +343,11 @@ def pool_verify(device_id: str, profile: DeviceProfile, key: bytes,
 def local_verify(args: tuple, cache: Optional[ReplayCache],
                  reports: Optional[Sequence] = None,
                  info: Optional[dict] = None,
-                 dictionary: Optional[SubPathDict] = None
+                 dict_epoch: Optional["DictEpoch"] = None
                  ) -> Tuple[SessionVerdict, int, int]:
     """Thread-pool entry point: shares the service's cache in-process
     (cache deltas ride the shared object, so none are reported here;
     the caller's ``info`` dict rides along for the cache-hit flag)."""
     return verify_session_chain(
         *args, cache=cache, reports=reports, info=info,
-        dictionary=dictionary), 0, 0
+        dict_epoch=dict_epoch), 0, 0

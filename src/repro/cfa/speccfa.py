@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -217,6 +218,75 @@ def expand(records: Sequence[Record],
         else:
             out.append(record)
     return out
+
+
+#: a packed record: u8 tag, u32, u32 (the ``Record.pack`` layout)
+_PACKED = struct.Struct("<BII")
+#: a token's tag in that layout
+_TOKEN_TAG = 4
+#: byte budget of one :class:`PackedExpander`'s memo; past it the
+#: memo restarts, so hostile repeat counts cannot pin memory
+EXPANSION_MEMO_BYTES = 1 << 20
+
+
+class PackedExpander:
+    """:func:`expand` over packed records: wire bytes in, bytes out.
+
+    ``expand_span(span)`` is ``b"".join(r.pack() for r in expand(...))``
+    for a run of packed records, computed without building a record:
+    each 9-byte record maps to its expansion (itself, or ``count``
+    packed copies of a token's sub-path) through a memo keyed by the
+    unpacked record, so a span of known records expands in one
+    C-level sweep. Raises ``ValueError`` on an unknown path id, as
+    :func:`expand` does.
+    """
+
+    def __init__(self, dictionary: SubPathDict):
+        self.patterns = {path_id: b"".join(r.pack() for r in pattern)
+                         for path_id, pattern in dictionary.items()}
+        self._memo: Dict[Tuple[int, ...], bytes] = {}
+        self._memo_bytes = 0
+        self._lock = threading.Lock()
+
+    def expand_span(self, span: bytes) -> bytes:
+        if span[::_PACKED.size].find(_TOKEN_TAG) < 0:
+            return span  # no token: the span is its own expansion
+        try:
+            pieces = list(map(self._memo.__getitem__,
+                              _PACKED.iter_unpack(span)))
+        except KeyError:
+            pieces = [self._piece(r) for r in _PACKED.iter_unpack(span)]
+        return b"".join(pieces)
+
+    def _piece(self, record: Tuple[int, ...]) -> bytes:
+        with self._lock:
+            piece = self._memo.get(record)
+            if piece is None:
+                tag, a, b = record
+                if tag != _TOKEN_TAG:
+                    piece = _PACKED.pack(tag, a, b)
+                elif a in self.patterns:
+                    piece = self.patterns[a] * b
+                else:
+                    raise ValueError(
+                        f"unknown speculated sub-path id {a}")
+                if len(piece) <= EXPANSION_MEMO_BYTES:
+                    if self._memo_bytes + len(piece) > EXPANSION_MEMO_BYTES:
+                        self._memo.clear()
+                        self._memo_bytes = 0
+                    self._memo[record] = piece
+                    self._memo_bytes += len(piece)
+            return piece
+
+    def __getstate__(self) -> dict:
+        # the lock cannot cross a process boundary; the memo need not
+        return {"patterns": self.patterns}
+
+    def __setstate__(self, state: dict) -> None:
+        self.patterns = state["patterns"]
+        self._memo = {}
+        self._memo_bytes = 0
+        self._lock = threading.Lock()
 
 
 def speculate_result(result: AttestationResult, dictionary: SubPathDict,

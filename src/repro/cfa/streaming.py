@@ -47,12 +47,13 @@ class StreamingVerifier:
         """The authenticated records accumulated so far (shared list)."""
         return self._records
 
-    def feed_bytes(self, data: bytes) -> None:
-        """Feed one wire-encoded report."""
+    def feed_bytes(self, data: bytes) -> Report:
+        """Feed one wire-encoded report; returns it decoded."""
         report, consumed = decode_report(data)
         if consumed != len(data):
             raise StreamError("trailing bytes after report")
         self.feed(report)
+        return report
 
     def feed(self, report: Report) -> None:
         """Authenticate and absorb one report, in order."""

@@ -6,13 +6,15 @@ is length-delimited and self-describing:
 
 ``report  := header fields cflog mac``, all little-endian, with each
 variable-length field length-prefixed. Records reuse the 9-byte tagged
-encoding of :meth:`Record.pack`.
+encoding of :meth:`Record.pack`, decoded in one pass into shared,
+interned record values.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+import threading
+from typing import Dict, List, Tuple
 
 from repro.cfa.cflog import (
     AddressRecord,
@@ -28,7 +30,26 @@ MAGIC = b"RAPT"
 VERSION = 1
 
 #: every record crosses the wire as the 9-byte tagged ``Record.pack``
-RECORD_BYTES = 9
+_RECORD = struct.Struct("<BII")
+RECORD_BYTES = _RECORD.size
+
+#: record tag (the first byte of ``Record.pack``) -> record class
+_RECORD_TYPES: Dict[int, type] = {
+    1: BranchRecord,
+    2: AddressRecord,
+    3: LoopRecord,
+    4: SpecRecord,
+}
+
+#: most distinct records the decoder keeps interned; a fleet's firmware
+#: emits a few hundred (77 on a shared fleet, 198 on distinct sensor
+#: fleets), and hostile traffic past the cap only restarts the table
+INTERN_CAP = 4096
+
+#: ``(tag, a, b)`` -- the record's 9 wire bytes, unpacked -> its one
+#: shared frozen record value
+_interned: Dict[Tuple[int, ...], Record] = {}
+_intern_lock = threading.Lock()
 
 
 class WireError(Exception):
@@ -65,23 +86,41 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def encode_record(record: Record) -> bytes:
-    return record.pack()
+def _intern(fields: Tuple[int, ...]) -> Record:
+    """The shared record for one unpacked wire triple (slow path)."""
+    with _intern_lock:
+        record = _interned.get(fields)
+        if record is None:
+            cls = _RECORD_TYPES.get(fields[0])
+            if cls is None:
+                raise WireError(f"unknown record tag {fields[0]}")
+            record = cls(fields[1], fields[2])
+            if len(_interned) >= INTERN_CAP:
+                _interned.clear()
+            _interned[fields] = record
+        return record
 
 
-def decode_record(reader: _Reader) -> Record:
-    tag = reader.u8()
-    a = reader.u32()
-    b = reader.u32()
-    if tag == 1:
-        return BranchRecord(a, b)
-    if tag == 2:
-        return AddressRecord(a, b)
-    if tag == 3:
-        return LoopRecord(a, b)
-    if tag == 4:
-        return SpecRecord(a, b)
-    raise WireError(f"unknown record tag {tag}")
+def _decode_records(span: bytes) -> List[Record]:
+    """Decode a run of packed records in one pass.
+
+    Equal records decode to one shared frozen value. Once the fleet's
+    records are interned a report costs one C-level sweep; any record
+    not yet in the table sends the span down the per-record path,
+    which raises on the first unknown tag in stream order.
+    """
+    try:
+        return list(map(_interned.__getitem__, _RECORD.iter_unpack(span)))
+    except KeyError:
+        return [_intern(t) for t in _RECORD.iter_unpack(span)]
+
+
+def record_span(chunk: bytes, report: Report) -> bytes:
+    """The packed records of ``chunk``, one wire-encoded report that
+    decoded to ``report`` with nothing trailing: they end where the
+    length-prefixed MAC begins."""
+    end = len(chunk) - 4 - len(report.mac)
+    return chunk[end - RECORD_BYTES * len(report.cflog.records):end]
 
 
 def encode_report(report: Report) -> bytes:
@@ -92,7 +131,7 @@ def encode_report(report: Report) -> bytes:
         _pack_bytes(report.h_mem),
         struct.pack("<IB", report.seq, 1 if report.final else 0),
         struct.pack("<I", len(report.cflog)),
-        b"".join(encode_record(r) for r in report.cflog),
+        report.cflog.pack(),
         _pack_bytes(report.mac),
     ])
     return MAGIC + struct.pack("<B", VERSION) + _pack_bytes(body)
@@ -119,17 +158,19 @@ def decode_report(data: bytes) -> Tuple[Report, int]:
         raise WireError(f"final flag must be 0 or 1, got {final}")
     count = body.u32()
     # each record is exactly RECORD_BYTES; reject absurd counts before
-    # looping so a mutated length cannot drive a long decode spin
+    # decoding so a mutated length cannot drive a long decode spin
     if count * RECORD_BYTES > len(body.data) - body.pos:
         raise WireError(
             f"record count {count} exceeds the remaining body")
-    records: List[Record] = [decode_record(body) for _ in range(count)]
+    span = body.take(count * RECORD_BYTES)
+    records = _decode_records(span)
     mac = body.lp_bytes()
     if not body.exhausted:
         raise WireError("trailing bytes inside report body")
     report = Report(
         device_id=device_id, method=method, challenge=challenge,
-        h_mem=h_mem, seq=seq, final=bool(final), cflog=CFLog(records),
+        h_mem=h_mem, seq=seq, final=bool(final),
+        cflog=CFLog(records, packed=span),
         mac=mac,
     )
     return report, reader.pos

@@ -23,14 +23,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cfa.cflog import AddressRecord, BranchRecord, LoopRecord
+from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
 from repro.cfa.fleet import (
     DeviceProfile,
+    ReplayCache,
     TrafficSampler,
     mine_fleet_dictionary,
     mining_gain,
 )
-from repro.cfa.fleet.mining import _stream_digest
 from repro.cfa.speccfa import (
     EMPTY_DICTIONARY_DIGEST,
     SpecRecord,
@@ -42,6 +42,11 @@ from repro.cfa.speccfa import (
 )
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+
+def _stream_digest(records):
+    """The sampler's dedup digest: the replay-cache key of the stream."""
+    return ReplayCache.key((CFLog(records).pack(),))
 
 #: expanded (plain) record streams — what the sampler feeds the miner
 base_records = st.lists(
