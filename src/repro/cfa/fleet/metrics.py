@@ -48,6 +48,9 @@ class FleetMetrics:
     executor: str = "inline"
     replay_cache_hits: int = 0
     replay_cache_misses: int = 0
+    #: entries the bounded in-memory replay cache dropped (a dropped
+    #: chain is simply replayed again on its next sighting)
+    replay_cache_evictions: int = 0
     wall_s: float = 0.0
     # durability / sharding
     evidence_records: int = 0
@@ -110,7 +113,8 @@ class FleetMetrics:
             f"{pct['p95'] * 1e3:.1f}/{pct['p99'] * 1e3:.1f} ms, "
             f"queue depth max {self.queue_depth_max}, "
             f"replay cache {self.replay_cache_hits}/"
-            f"{self.replay_cache_hits + self.replay_cache_misses} hits, "
+            f"{self.replay_cache_hits + self.replay_cache_misses} hits "
+            f"({self.replay_cache_evictions} evicted), "
             + (f"bounds screen {self.sessions_bounds_rejected} rejected, "
                if self.sessions_bounds_rejected else "")
             + (f"shards={self.shards}, " if self.shards else "")
@@ -165,6 +169,7 @@ def aggregate_metrics(per_shard: Sequence[FleetMetrics],
         total.workers += m.workers
         total.replay_cache_hits += m.replay_cache_hits
         total.replay_cache_misses += m.replay_cache_misses
+        total.replay_cache_evictions += m.replay_cache_evictions
         total.evidence_records += m.evidence_records
         total.evidence_bytes += m.evidence_bytes
         total.evidence_fsyncs += m.evidence_fsyncs

@@ -157,8 +157,7 @@ class FleetService:
             max_sessions=max_sessions, nonce_scope=nonce_scope,
             epoch_bindings=self.registry.bindings)
         self.workers = max(0, workers)
-        # replay_cache may be a ready-made cache instance (e.g. a
-        # DurableReplayCache over a shared CAS directory) or a bool
+        # replay_cache may be a ready-made cache instance or a bool
         if isinstance(replay_cache, ReplayCache):
             self.use_replay_cache = True
             self._cache: Optional[ReplayCache] = replay_cache
@@ -300,8 +299,9 @@ class FleetService:
         device's lifecycle state comes back, and decisions a crash lost
         (derived but never appended) are re-appended byte-identically.
         Returns the number of verdicts restored. The replay cache is
-        not rebuilt here: a :class:`DurableReplayCache` re-warms
-        lazily from its own content-addressed files.
+        not rebuilt: it starts cold after a restart and warms from new
+        traffic. Evidence never records cache hits, so a cold cache
+        changes no verdict and no evidence byte.
         """
         records = list(records)
         session_records = [r for r in records
@@ -613,12 +613,10 @@ class FleetService:
         dict_epoch = session.dict_epoch
         if self._pool is None:
             t0 = time.perf_counter()
-            info: Dict[str, bool] = {}
             verdict = verify_session_chain(
-                *args, cache=self._cache, reports=reports, info=info,
+                *args, cache=self._cache, reports=reports,
                 dict_epoch=dict_epoch)
-            self._record(session, verdict, time.perf_counter() - t0,
-                         cache_hit=info.get("cache_hit", False))
+            self._record(session, verdict, time.perf_counter() - t0)
             return
         self._slots.acquire()  # backpressure: block until a slot frees
         with self._lock:
@@ -627,19 +625,17 @@ class FleetService:
             self.metrics.queue_depth_max = max(
                 self.metrics.queue_depth_max, self.metrics.queue_depth)
         t0 = time.perf_counter()
-        info = {}
         if self.executor == "process":
             # bytes cross the process boundary; the worker decodes
             future = self._pool.submit(
                 pool_verify, *args, self.use_replay_cache, dict_epoch)
         else:
             future = self._pool.submit(
-                local_verify, args, self._cache, reports, info,
-                dict_epoch)
+                local_verify, args, self._cache, reports, dict_epoch)
         future.add_done_callback(
-            lambda fut: self._harvest(session, t0, info, fut))
+            lambda fut: self._harvest(session, t0, fut))
 
-    def _harvest(self, session: Session, t0: float, info: dict,
+    def _harvest(self, session: Session, t0: float,
                  future: Future) -> None:
         self._slots.release()
         hits = misses = 0
@@ -651,9 +647,6 @@ class FleetService:
                 accepted=False,
                 reason=f"verifier worker failed: "
                        f"{type(exc).__name__}: {exc}")
-        # process workers report the hit as a counter delta; thread
-        # workers filled the shared info dict before the future resolved
-        cache_hit = bool(info.get("cache_hit", False) or hits > 0)
         with self._lock:
             self.metrics.queue_depth -= 1
             self._inflight -= 1
@@ -661,22 +654,23 @@ class FleetService:
             self._worker_misses += misses
             self.metrics.verify_latencies_s.append(
                 time.perf_counter() - t0)
-            self._record_locked(session, verdict, cache_hit=cache_hit)
+            self._record_locked(session, verdict)
             if self._inflight == 0:
                 self._idle.notify_all()
 
     def _record(self, session: Session, verdict: SessionVerdict,
-                latency_s: float, cache_hit: bool = False) -> None:
+                latency_s: float) -> None:
         with self._lock:
             self.metrics.verify_latencies_s.append(latency_s)
-            self._record_locked(session, verdict, cache_hit=cache_hit)
+            self._record_locked(session, verdict)
 
-    def _record_locked(self, session: Session, verdict: SessionVerdict,
-                       cache_hit: bool = False) -> None:
+    def _record_locked(self, session: Session,
+                       verdict: SessionVerdict) -> None:
         # durability first: the evidence record (cache hits included —
         # a replayed verdict is still a verdict) must be fsync'd into
         # the hash chain before anything observes the verdict. If the
         # append fails the verdict is withheld, never half-released.
+        # Which cache served the replay stays side-band (metrics only).
         measurement = session.reports[0].h_mem if session.reports else b""
         record = None
         if self.store is not None:
@@ -684,7 +678,6 @@ class FleetService:
                 verdict,
                 chain=chain_digest(session.chunks),
                 challenge=session.challenge.nonce,
-                cache_hit=cache_hit,
                 expired=session.state == EXPIRED,
                 epoch=session.epoch,
                 measurement=measurement,
@@ -730,6 +723,8 @@ class FleetService:
         local_misses = self._cache.misses if self._cache else 0
         self.metrics.replay_cache_hits = self._worker_hits + local_hits
         self.metrics.replay_cache_misses = self._worker_misses + local_misses
+        self.metrics.replay_cache_evictions = (
+            self._cache.evictions if self._cache else 0)
 
     # -- draining / shutdown ------------------------------------------------
 

@@ -22,7 +22,12 @@ service paths identical. It owns:
   report rejects;
 * **idle expiry and retry** — a session with no activity for
   ``idle_timeout`` logical seconds is re-challenged (fresh nonce,
-  chain discarded) up to ``max_attempts`` times, then expired.
+  chain discarded) up to ``max_attempts`` times, then expired;
+* **a bounded buffer** — no MAC is checked before the chain
+  completes, so a session holding more than
+  :data:`MAX_SESSION_REPORTS` reports or :data:`MAX_SESSION_BYTES`
+  wire bytes (accepted and reorder-buffered alike) is rejected rather
+  than buffered further.
 
 Structural checks here are *pre-filters*: the authoritative verdict
 always comes from replaying the accepted chain through
@@ -58,6 +63,15 @@ EXPIRED = "expired"        # idled out after the last attempt
 #: states in which a session still occupies Vrf resources
 ACTIVE_STATES = (PENDING, STREAMING, QUEUED)
 
+#: most reports one session may hold before its chain completes. The
+#: largest honest chain over the 15 workloads x 3 methods, at the
+#: smallest watermark any test uses (16 B), is geiger under naive-mtb:
+#: 7527 reports, so this leaves 4.35x headroom.
+MAX_SESSION_REPORTS = 32768
+#: most wire bytes one session may hold before its chain completes;
+#: the same largest honest chain is 1,129,032 B (4.64x headroom)
+MAX_SESSION_BYTES = 5 << 20
+
 
 class FleetOverloadError(Exception):
     """The service refused a new session: at its max_sessions limit."""
@@ -90,6 +104,8 @@ class Session:
     reports: List[Report] = field(default_factory=list)
     #: reorder-window holding area: seq -> (bytes, decoded report)
     buffered: Dict[int, Tuple[bytes, Report]] = field(default_factory=dict)
+    #: wire bytes held in ``chunks`` and ``buffered`` together
+    held_bytes: int = 0
     next_seq: int = 0
     final_seq: Optional[int] = None
     duplicates: int = 0
@@ -368,11 +384,18 @@ class SessionManager:
             return self._reject(
                 session,
                 f"report #{seq} past the final report #{session.final_seq}")
+        if len(session.chunks) + len(session.buffered) >= MAX_SESSION_REPORTS:
+            return self._reject(
+                session, f"session exceeds {MAX_SESSION_REPORTS} reports")
+        if session.held_bytes + len(data) > MAX_SESSION_BYTES:
+            return self._reject(
+                session, f"session exceeds {MAX_SESSION_BYTES} bytes")
         if report.final:
             if any(b > seq for b in session.buffered):
                 return self._reject(
                     session, f"buffered report past the final #{seq}")
             session.final_seq = seq
+        session.held_bytes += len(data)
         if seq == session.next_seq:
             session.chunks.append(data)
             session.reports.append(report)
@@ -422,6 +445,7 @@ class SessionManager:
                 session.chunks = []
                 session.reports = []
                 session.buffered = {}
+                session.held_bytes = 0
                 session.next_seq = 0
                 session.final_seq = None
                 session.state = PENDING

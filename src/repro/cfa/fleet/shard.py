@@ -30,13 +30,13 @@ inherits devices from another existing shard, so their evidence logs
 and session state stay put.
 
 With ``store_dir`` set, each shard appends to its own evidence log
-(``evidence-NN.log``) and all shards share one content-addressed
-replay-cache directory (atomic single-file publishes make concurrent
-writers safe, exactly like the offline-artifact cache). Constructing
-with ``resume=True`` replays the evidence logs — truncating at most
-one torn tail per shard — and restores every released verdict and
-every device's nonce round before new traffic is admitted: the
-crash-recovery protocol of docs/internals.md §9.
+(``evidence-NN.log``). The replay cache is per shard and in memory
+only: evidence records verdicts, never cache hits, so a cold cache
+after a restart, or another shard count, changes no evidence byte.
+Constructing with ``resume=True`` replays the evidence logs —
+truncating at most one torn tail per shard — and restores every
+released verdict and every device's nonce round before new traffic is
+admitted: the crash-recovery protocol of docs/internals.md §9.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.cfa.fleet.dictver import DictEpoch, DictionaryRegistry
 from repro.cfa.fleet.metrics import FleetMetrics, aggregate_metrics
 from repro.cfa.fleet.mining import TrafficSampler
 from repro.cfa.fleet.service import FleetService
-from repro.cfa.fleet.store import DurableReplayCache, EvidenceStore
+from repro.cfa.fleet.store import EvidenceStore
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.policy.engine import PolicyEngine
 from repro.cfa.policy.recovery import write_recovery_manifest
@@ -199,19 +199,14 @@ class ShardedFleetService:
         recovered = 0
         for shard_id in range(shards):
             store = None
-            cache: Union[bool, DurableReplayCache] = replay_cache
             if self.store_dir is not None:
                 store = EvidenceStore(
                     self.store_dir / f"evidence-{shard_id:02d}.log",
                     self.audit_key, fsync=fsync)
-                if replay_cache:
-                    # one shared CAS directory: atomic publishes make
-                    # cross-shard (and cross-process) writers safe
-                    cache = DurableReplayCache(self.store_dir / "replay")
             service = FleetService(
                 workers=workers, seed=seed, idle_timeout=idle_timeout,
                 reorder_window=reorder_window, max_attempts=max_attempts,
-                max_sessions=max_sessions, replay_cache=cache,
+                max_sessions=max_sessions, replay_cache=replay_cache,
                 executor=executor, store=store, nonce_scope="device",
                 registry=self.registry, sampler=sampler,
                 policy=self.policy, key_lookup=key_lookup,

@@ -14,13 +14,13 @@ idiom of :mod:`repro.eval.cache` with the fleet tier:
   the verdict is released to anyone — a verdict that exists outside
   the service is, by construction, already on disk.
 
-* :class:`DurableReplayCache` — the fleet replay cache backed by the
+* :class:`DurableReplayCache` — a replay cache backed by the
   content-addressed file idiom the offline artifacts use
-  (:func:`~repro.eval.cache.atomic_pickle`): replay summaries are
-  pickled one-file-per-key with an atomic rename, so a restarted
-  service re-warms from disk instead of re-replaying the fleet's
-  firmware chains, and the bounded memory map re-reads evicted
-  entries from their files.
+  (:func:`~repro.eval.cache.atomic_pickle`). The fleet service no
+  longer builds one: each shard keeps a bounded in-memory
+  :class:`~repro.cfa.fleet.verify.ReplayCache`, since the evidence no
+  longer records cache state that would need a shared, durable cache
+  to stay invariant.
 
 **Byte layout** (all little-endian; ``lp x`` = ``u32 len(x) || x``)::
 
@@ -49,9 +49,14 @@ Policy-decision records (``kind`` 1, the transitions of
 hash chain as the device's session records — one chain per device
 commits its verdicts and its lifecycle, interleaved in decision order.
 
-``flags`` bits: 0 accepted, 1 authenticated, 2 lossless, 3 cache_hit,
+``flags`` bits: 0 accepted, 1 authenticated, 2 lossless, 3 reserved,
 4 expired, 5 healing (the session was opened by the healing
-protocol). **Hash schedule**::
+protocol). Bit 3 is always written 0. Logs written before the replay
+cache left the evidence set it on sessions whose replay came from the
+cache; readers still decode it (:attr:`EvidenceRecord.cache_hit`), so
+those logs load, audit and restore unchanged. Evidence records the
+verdict, never which cache served it, so the bytes do not depend on
+the cache, the shard count, or a restart. **Hash schedule**::
 
     mac_i    = HMAC-SHA256(K_audit, prev_digest_i || body_i)
     digest_i = SHA256(prev_digest_i || body_i || mac_i)
@@ -176,7 +181,9 @@ class EvidenceRecord:
     accepted: bool
     authenticated: bool
     lossless: bool
-    cache_hit: bool       # verdict's replay half came from the cache
+    #: flag bit 3: set only in logs written before the replay cache
+    #: left the evidence (the replay half came from the cache)
+    cache_hit: bool
     expired: bool
     reason: str
     reports: int
@@ -258,7 +265,7 @@ class PolicyRecord:
 
 
 def _encode_body(verdict: SessionVerdict, challenge: bytes,
-                 chain: bytes, cache_hit: bool, expired: bool,
+                 chain: bytes, expired: bool,
                  seq: int, epoch: int = 0,
                  version: int = EVIDENCE_VERSION,
                  measurement: bytes = b"",
@@ -266,7 +273,6 @@ def _encode_body(verdict: SessionVerdict, challenge: bytes,
     flags = ((_FLAG_ACCEPTED if verdict.accepted else 0)
              | (_FLAG_AUTHENTICATED if verdict.authenticated else 0)
              | (_FLAG_LOSSLESS if verdict.lossless else 0)
-             | (_FLAG_CACHE_HIT if cache_hit else 0)
              | (_FLAG_EXPIRED if expired else 0)
              | (_FLAG_HEALING if healing and version >= 3 else 0))
     if len(chain) != _DIGEST_LEN:
@@ -530,9 +536,8 @@ class EvidenceStore:
     # -- writing ------------------------------------------------------------
 
     def append(self, verdict: SessionVerdict, chain: bytes,
-               challenge: bytes = b"", cache_hit: bool = False,
-               expired: bool = False, epoch: int = 0,
-               measurement: bytes = b"",
+               challenge: bytes = b"", expired: bool = False,
+               epoch: int = 0, measurement: bytes = b"",
                healing: bool = False) -> EvidenceRecord:
         """Persist one verdict; durable before this method returns.
 
@@ -544,9 +549,8 @@ class EvidenceStore:
         """
         device_id = verdict.device_id
         seq, prev_digest = self._heads.get(device_id, (0, GENESIS))
-        body = _encode_body(verdict, challenge, chain, cache_hit,
-                            expired, seq, epoch=epoch,
-                            version=self.version,
+        body = _encode_body(verdict, challenge, chain, expired, seq,
+                            epoch=epoch, version=self.version,
                             measurement=measurement, healing=healing)
         self._append_frame(device_id, seq, prev_digest, body)
         mac = _record_mac(self.key, prev_digest, body)
@@ -638,19 +642,23 @@ class EvidenceStore:
 
 
 class DurableReplayCache(ReplayCache):
-    """The fleet replay cache, persisted content-addressed on disk.
+    """A replay cache persisted content-addressed on disk.
 
     Entries are pickled one file per key (atomic rename, the
     :func:`~repro.eval.cache.atomic_pickle` idiom the offline-artifact
     cache uses), keyed by a digest of ``(profile, record-stream
-    digest)``, so concurrent shards can share one directory and a
-    restarted service re-warms from disk. Memory holds only the
-    bounded :class:`ReplayCache` map: an entry evicted from it is read
-    back from its file on the next lookup. A corrupt or unreadable
-    file is a miss and gets rebuilt, exactly like an offline artifact;
-    and as with the in-memory cache, only the pure replay half of a
-    verdict is ever stored, so the disk image cannot launder
-    authentication. Without a ``root`` the cache is memory-only.
+    digest)``. Memory holds only the bounded :class:`ReplayCache` map:
+    an entry evicted from it is read back from its file on the next
+    lookup. A corrupt or unreadable file is a miss and gets rebuilt,
+    exactly like an offline artifact; and as with the in-memory cache,
+    only the pure replay half of a verdict is ever stored, so the disk
+    image cannot launder authentication. Without a ``root`` the cache
+    is memory-only.
+
+    The fleet service does not use it: a pickle per miss cost more
+    than a replay on fleets whose logs differ, and the evidence no
+    longer depends on the cache. The benchmark tracer still names the
+    class, so it stays until the tracer drops it.
     """
 
     def __init__(self, root: Optional[Union[str, os.PathLike]] = None):

@@ -250,8 +250,8 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
 
     ``info``, when supplied, receives side-band facts that must *not*
     influence verdict equality — currently ``info["cache_hit"]``, True
-    iff the replay half came from the cache. The evidence store uses
-    it to annotate (never skip) the record for a cache-served verdict.
+    iff the replay half came from the cache. Nothing persisted depends
+    on it: evidence records the verdict, not which cache served it.
     """
     try:
         verifier = build_verifier(profile, key)
@@ -342,12 +342,9 @@ def pool_verify(device_id: str, profile: DeviceProfile, key: bytes,
 
 def local_verify(args: tuple, cache: Optional[ReplayCache],
                  reports: Optional[Sequence] = None,
-                 info: Optional[dict] = None,
                  dict_epoch: Optional["DictEpoch"] = None
                  ) -> Tuple[SessionVerdict, int, int]:
     """Thread-pool entry point: shares the service's cache in-process
-    (cache deltas ride the shared object, so none are reported here;
-    the caller's ``info`` dict rides along for the cache-hit flag)."""
+    (cache deltas ride the shared object, so none are reported here)."""
     return verify_session_chain(
-        *args, cache=cache, reports=reports, info=info,
-        dict_epoch=dict_epoch), 0, 0
+        *args, cache=cache, reports=reports, dict_epoch=dict_epoch), 0, 0

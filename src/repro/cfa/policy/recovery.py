@@ -14,7 +14,8 @@ carries, derived offline by an auditor who never ran the service.
 :func:`write_recovery_manifest` drops a ``RECOVERY.md`` beside the
 logs describing exactly that procedure (trust boundaries, integrity
 checks, authoritative reconstruction order), so an operator staring at
-a dead Vrf's disk knows what is state and what is merely cache.
+a dead Vrf's disk knows what is authoritative and how to rebuild from
+it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ attestation keys, which live outside this store.
 | `evidence-*.log`  | per-shard hash-chained evidence logs    | HMAC per record + per-device hash chain under the audit key |
 | `policy/*.pol`    | signed firmware-policy epochs           | HMAC under the policy key; monotone, gapless epochs |
 | `dicts/*.dict`    | speculation-dictionary epochs           | content-addressed (sha256 of payload) |
-| `replay/`         | replay-cache CAS                        | **cache only** — safe to delete; rebuilt lazily |
 
 ## Integrity verification (do this first)
 
@@ -81,8 +81,9 @@ not crash damage — stop and investigate before trusting anything.
 3. **Registries** — reload `policy/` and `dicts/` (steps 3–4 above
    already verified them); the engine's firmware judgments and the
    session epoch pins resolve against these.
-4. **Caches** — nothing to do: the replay CAS re-warms lazily and
-   undelivered PLCY/HEAL notices are re-sent (both are idempotent).
+4. **Caches** — nothing to do: the replay cache lives in memory only
+   and starts cold, and undelivered PLCY/HEAL notices are re-sent
+   (idempotent).
 
 `repro.cfa.policy.recovery.reconstruct_control_plane(store_dir, seed)`
 executes steps 1–3 and returns the reconstructed snapshot.

@@ -470,7 +470,7 @@ def _cmd_audit(args) -> int:
     result = {
         "ok": False, "store": str(args.store), "logs": [],
         "records": 0, "session_records": 0, "policy_records": 0,
-        "devices": 0, "accepted": 0, "rejected": 0, "cache_hits": 0,
+        "devices": 0, "accepted": 0, "rejected": 0,
         "policy_states": {}, "error": None,
     }
 
@@ -490,7 +490,6 @@ def _cmd_audit(args) -> int:
                   f"{result['devices']} devices OK "
                   f"({result['accepted']} accepted, "
                   f"{result['rejected']} rejected, "
-                  f"{result['cache_hits']} cache-hit, "
                   f"{result['policy_records']} policy"
                   + (f"; states: {states}" if states else "") + ")")
         return code
@@ -524,8 +523,6 @@ def _cmd_audit(args) -> int:
                 result["session_records"] += 1
                 key_name = "accepted" if record.accepted else "rejected"
                 result[key_name] += 1
-                if record.cache_hit:
-                    result["cache_hits"] += 1
     result["devices"] = len(devices)
     result["policy_states"] = dict(Counter(last_state.values()))
     result["ok"] = True

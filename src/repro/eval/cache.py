@@ -104,11 +104,12 @@ def atomic_pickle(root: Union[str, os.PathLike],
                   path: Union[str, os.PathLike], value: Any) -> None:
     """Atomically publish ``value`` pickled at ``path``.
 
-    The one-file-per-key CAS idiom shared by the offline-artifact
-    cache and the fleet's durable replay cache: write to a temp file
-    in the same directory, then rename — concurrent writers may race
-    on the same key, but every rename installs a complete file and
-    readers never observe a torn write.
+    The one-file-per-key CAS idiom of the offline-artifact cache
+    (:class:`~repro.cfa.fleet.store.DurableReplayCache` uses it too,
+    but the fleet service keeps its replay cache in memory): write to
+    a temp file in the same directory, then rename — concurrent
+    writers may race on the same key, but every rename installs a
+    complete file and readers never observe a torn write.
     """
     fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
     try:

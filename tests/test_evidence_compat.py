@@ -17,7 +17,10 @@ Regenerate (only if the fixture must ever change) with::
                    seed=7, factory=ChainFactory(watermark=256)).run(service)
 """
 
+import hashlib
+import hmac
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -30,9 +33,15 @@ from repro.cfa.fleet import (
     device_key,
     verify_evidence_trail,
 )
-from repro.cfa.fleet.store import EvidenceError, EvidenceStore
+from repro.cfa.fleet.store import (
+    GENESIS,
+    EvidenceError,
+    EvidenceStore,
+    _encode_body,
+)
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.policy import PolicyEngine, reconstruct_control_plane
+from repro.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "evidence-v1.log"
 SEED = b"fleet-vrf"
@@ -133,3 +142,42 @@ def test_policy_control_plane_refuses_to_write_into_v1_logs(tmp_path):
         ShardedFleetService(shards=1, store_dir=store_dir, seed=SEED,
                             idle_timeout=5.0, resume=True, policy=True,
                             key_lookup=device_key)
+
+
+def test_v3_record_with_cache_hit_bit_still_decodes_and_audits(
+        tmp_path, capsys):
+    """Flag bit 3 (``cache_hit``) is written 0 now, but logs written
+    before the replay cache left the evidence set it; such a record
+    must still decode, audit and restore."""
+    verdict = SessionVerdict(
+        device_id="old-0", profile=DeviceProfile("fibcall"),
+        accepted=True, authenticated=True, lossless=True,
+        violations=(), reason="", reports=3, records=9,
+        path_len=40, path_digest="ef" * 32, records_digest="12" * 32)
+    challenge = b"\x07" * 16
+    body = bytearray(_encode_body(verdict, challenge, b"\x5c" * 32,
+                                  expired=False, seq=0, version=3))
+    # the flags byte follows kind, the four lp fields, the chain
+    # digest and the epoch
+    flags_at = 1 + sum(4 + len(field) for field in (
+        b"old-0", b"fibcall", b"rap-track", challenge)) + 32 + 4
+    assert body[flags_at] == 0b111  # accepted, authenticated, lossless
+    body[flags_at] |= 1 << 3
+    body = bytes(body)
+    mac = hmac.new(KEY, GENESIS + body, hashlib.sha256).digest()
+    frame = GENESIS + mac + body
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    log = store_dir / "evidence-00.log"
+    log.write_bytes(b"EVD1\x03" + struct.pack("<I", len(frame)) + frame)
+
+    (record,) = verify_evidence_trail(log, KEY)
+    assert record.cache_hit
+    assert record.to_verdict() == verdict
+    assert main(["audit", str(store_dir)]) == 0
+    assert "1 records across 1 devices OK" in capsys.readouterr().out
+    service = ShardedFleetService(shards=1, store_dir=store_dir,
+                                  seed=SEED, idle_timeout=5.0,
+                                  resume=True)
+    assert service.verdicts == {"old-0": verdict}
+    service.close()

@@ -15,9 +15,14 @@ from repro.cfa.fleet import (
     DeviceSpec,
     FleetOverloadError,
     FleetService,
+    ShardedFleetService,
     device_key,
 )
+from repro.cfa.fleet import session as session_mod
+from repro.cfa.fleet import verify as verify_mod
+from repro.cfa.fleet.session import MAX_SESSION_BYTES, MAX_SESSION_REPORTS
 from repro.cfa.wire import decode_report, encode_report
+from repro.trace.mtb import PACKET_BYTES
 
 FIBCALL = DeviceProfile("fibcall")
 
@@ -267,6 +272,84 @@ class TestAttackDetection:
         assert verdict.violations or not verdict.lossless
 
 
+class TestSessionBounds:
+    """No MAC is checked before a chain completes, so an unbounded
+    stream of non-final reports must not grow a session forever."""
+
+    @staticmethod
+    def flood(chunk, count):
+        """``count`` non-final reports cloned from ``chunk``, seq 0.."""
+        report, _ = decode_report(chunk)
+        report.final = False
+        for seq in range(count):
+            report.seq = seq
+            yield encode_report(report)
+
+    def test_flood_rejected_at_the_cap_beside_honest_sessions(
+            self, factory):
+        verdicts = {}
+        for flooded in (False, True):
+            service = FleetService(workers=0)
+            honest = {device_id: open_with_chain(service, factory,
+                                                 device_id)
+                      for device_id in ("prv-0", "prv-1")}
+            flood_chain = open_with_chain(service, factory, "flooder")
+            if flooded:
+                for index, chunk in enumerate(
+                        self.flood(flood_chain[0], 50_000)):
+                    service.submit("flooder", chunk)
+                    if index == 20_000:  # honest traffic mid-flood
+                        for chunk in honest["prv-0"]:
+                            service.submit("prv-0", chunk)
+            else:
+                for chunk in honest["prv-0"]:
+                    service.submit("prv-0", chunk)
+            for chunk in honest["prv-1"]:
+                service.submit("prv-1", chunk)
+            metrics = service.close()
+            verdicts[flooded] = {d: service.verdicts[d] for d in honest}
+        session = service.manager.sessions["flooder"]
+        assert len(session.chunks) + len(session.buffered) \
+            <= MAX_SESSION_REPORTS
+        assert session.held_bytes <= MAX_SESSION_BYTES
+        # one ~370-byte report at a time: the byte cap trips first
+        assert session.held_bytes + len(flood_chain[0]) > MAX_SESSION_BYTES
+        verdict = service.verdicts["flooder"]
+        assert not verdict.accepted
+        assert verdict.reason == (
+            f"session exceeds {MAX_SESSION_BYTES} bytes")
+        assert metrics.reports_ignored == 50_000 - len(session.chunks) - 1
+        assert verdicts[True] == verdicts[False]
+        assert all(v.accepted for v in verdicts[True].values())
+
+    def test_report_cap_counts_buffered_reports(self, factory,
+                                                monkeypatch):
+        monkeypatch.setattr(session_mod, "MAX_SESSION_REPORTS", 4)
+        service = FleetService(workers=0)
+        chunk = open_with_chain(service, factory)[0]
+        reports = list(self.flood(chunk, 6))
+        # seq 0-1 accepted, seq 3-4 held in the reorder window: four
+        # reports held, so the fifth is one too many
+        for seq in (0, 1, 3, 4, 5):
+            service.submit("prv-0", reports[seq])
+        service.close()
+        session = service.manager.sessions["prv-0"]
+        assert (len(session.chunks), len(session.buffered)) == (2, 2)
+        verdict = service.verdicts["prv-0"]
+        assert not verdict.accepted
+        assert verdict.reason == "session exceeds 4 reports"
+
+    def test_largest_honest_chain_fits_four_times(self):
+        # geiger under naive-mtb at a 2-packet watermark is the largest
+        # honest chain of every workload and method (see the caps)
+        spec = DeviceSpec("prv-0", DeviceProfile("geiger", "naive-mtb"))
+        chunks = ChainFactory(watermark=2 * PACKET_BYTES).chain(
+            spec, b"\x00" * 16)
+        assert (len(chunks), sum(map(len, chunks))) == (7527, 1_129_032)
+        assert 4 * len(chunks) <= MAX_SESSION_REPORTS
+        assert 4 * sum(map(len, chunks)) <= MAX_SESSION_BYTES
+
+
 class TestReplayCache:
     def test_cache_preserves_verdicts(self, factory):
         verdicts = {}
@@ -283,6 +366,25 @@ class TestReplayCache:
                 assert metrics.replay_cache_hits == 0
             verdicts[cached] = dict(service.verdicts)
         assert verdicts[False] == verdicts[True]
+
+    def test_evictions_merge_across_shards(self, factory, monkeypatch):
+        monkeypatch.setattr(verify_mod, "REPLAY_CACHE_ENTRIES", 1)
+        service = ShardedFleetService(shards=2, idle_timeout=5.0)
+        devices = [f"prv-{index}" for index in range(64)]
+        for shard in (0, 1):
+            # four devices per shard, alternating two firmwares
+            owned = [d for d in devices if service.shard_of(d) == shard]
+            for index, device_id in enumerate(owned[:4]):
+                profile = DeviceProfile(("fibcall", "prime")[index % 2])
+                for chunk in open_with_chain(service, factory, device_id,
+                                             profile):
+                    service.submit(device_id, chunk)
+        metrics = service.close()
+        per_shard = [shard.metrics.replay_cache_evictions
+                     for shard in service.shards]
+        assert per_shard == [3, 3]
+        assert metrics.replay_cache_evictions == sum(per_shard)
+        assert f"({sum(per_shard)} evicted)" in metrics.summary()
 
 
 class TestMetrics:

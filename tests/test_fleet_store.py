@@ -6,8 +6,9 @@ the verdict and a digest of the exact wire bytes the device sent — so
 an honestly-produced log always verifies end-to-end from disk, and
 *any* single-byte mutation of the persisted bytes (header, framing,
 links, MACs, bodies) breaks verification. Cache-served verdicts are a
-regression focus: a replay-cache hit must still append a (cache-hit
-annotated) evidence record, never skip one.
+regression focus: a replay-cache hit must still append an evidence
+record, never skip one, and that record's bytes must not depend on the
+cache.
 """
 
 import pytest
@@ -206,7 +207,21 @@ class TestCacheHitCoherence:
         assert metrics.evidence_records == 2
         by_device = {r.device_id: r for r in records}
         assert not by_device["prv-0"].cache_hit
-        assert by_device["prv-1"].cache_hit
+        # the same sessions with no cache: the cache-hit record's
+        # bytes (flag bit 3 written 0) equal the uncached run's
+        uncached_store = make_store(tmp_path / "evidence-uncached.log")
+        uncached = FleetService(workers=0, store=uncached_store,
+                                replay_cache=False)
+        drive_session(uncached, factory, "prv-0")
+        drive_session(uncached, factory, "prv-1")
+        uncached.close()
+        uncached_records = {
+            r.device_id: r
+            for r in verify_evidence_trail(uncached_store.path, AUDIT_KEY)}
+        assert by_device["prv-1"] == uncached_records["prv-1"]
+        assert not by_device["prv-1"].cache_hit
+        assert (store.path.read_bytes()
+                == uncached_store.path.read_bytes())
         # annotation only: the verdicts themselves are identical
         assert (by_device["prv-0"].to_verdict()
                 == service.verdicts["prv-0"])
@@ -328,9 +343,9 @@ class TestEncodingTotality:
             path_len=120, path_digest="ab" * 32)
         store = make_store(tmp_path / "evidence.log")
         store.append(verdict, chain=b"\x05" * 32, challenge=b"\x01" * 16,
-                     cache_hit=True, expired=True)
+                     expired=True)
         store.close()
         (record,) = verify_evidence_trail(store.path, AUDIT_KEY)
         assert record.to_verdict() == verdict
-        assert record.cache_hit and record.expired
+        assert record.expired and not record.cache_hit
         assert record.challenge == b"\x01" * 16
