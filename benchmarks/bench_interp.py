@@ -18,6 +18,12 @@ table to ``benchmarks/results/interp.txt``.  Smoke mode
 on and fails (exit 1) if the JIT is less than ``--min-speedup`` (2x)
 over the interpreter on any of them.
 
+Both modes end each workload with a warm pass: the workload is linked
+again into a separate image and run once under the JIT.  The JIT's
+block cache is keyed by image content, so that run must reuse the
+blocks the timed pass compiled — zero fresh compiles — and still match
+the interpreter exactly.
+
 This file is intentionally a plain script, not a pytest bench: it has
 no test functions, so collecting ``benchmarks/`` skips it.
 """
@@ -48,6 +54,21 @@ SEED_RATES = {
 }
 
 
+def _first_run(mcu, trace: bool):
+    """Run ``mcu`` once from reset, optionally recording the ground-truth
+    retire stream; returns ``(run, retire pcs or None, final regs)``."""
+    from repro.trace.groundtruth import GroundTruthTracer
+
+    tracer = None
+    if trace:
+        tracer = GroundTruthTracer(record_all=True)
+        mcu.cpu.retire_hooks.append(tracer.on_retire)
+    run = mcu.run()
+    if tracer:
+        mcu.cpu.retire_hooks.remove(tracer.on_retire)
+    return run, (list(tracer.pcs) if tracer else None), list(mcu.cpu.regs)
+
+
 def _measure(image, workload, enable_jit: bool, min_time: float,
              trace: bool = False):
     """Sustained throughput: warm run, then reset+rerun for ``min_time``.
@@ -57,18 +78,10 @@ def _measure(image, workload, enable_jit: bool, min_time: float,
     measures steady-state simulated-cycles-per-second with the tracer
     detached, which is the figure the results table reports.
     """
-    from repro.trace.groundtruth import GroundTruthTracer
     from repro.workloads.base import make_mcu
 
     mcu = make_mcu(image, workload, enable_jit=enable_jit)
-    tracer = None
-    if trace:
-        tracer = GroundTruthTracer(record_all=True)
-        mcu.cpu.retire_hooks.append(tracer.on_retire)
-    first = mcu.run()
-    pcs = list(tracer.pcs) if tracer else None
-    if tracer:
-        mcu.cpu.retire_hooks.remove(tracer.on_retire)
+    first = _first_run(mcu, trace)
     total_cycles = 0
     elapsed = 0.0
     t0 = time.perf_counter()
@@ -76,31 +89,46 @@ def _measure(image, workload, enable_jit: bool, min_time: float,
         mcu.reset()
         total_cycles += mcu.run().cycles
         elapsed = time.perf_counter() - t0
-    return total_cycles / elapsed, first, pcs
+    return total_cycles / elapsed, first
+
+
+def _mismatches(expected, actual) -> List[str]:
+    """Differences between two ``_first_run`` outcomes."""
+    (run0, pcs0, regs0), (run1, pcs1, regs1) = expected, actual
+    out = []
+    for field in ("cycles", "instructions", "exit_reason"):
+        a, b = getattr(run0, field), getattr(run1, field)
+        if a != b:
+            out.append(f"{field}: interp={a} jit={b}")
+    if pcs0 != pcs1:
+        out.append("ground-truth retire streams differ")
+    if regs0 != regs1:
+        out.append("final registers differ")
+    return out
 
 
 def bench_workload(name: str, min_time: float, trace: bool):
     from repro.workloads import load_workload
+    from repro.workloads.base import make_mcu
 
     workload = load_workload(name)
     image = link(workload.module())
-    interp_rate, interp_run, interp_pcs = _measure(
-        image, workload, False, min_time, trace)
-    jit_rate, jit_run, jit_pcs = _measure(
-        image, workload, True, min_time, trace)
-    mismatches = []
-    for field in ("cycles", "instructions", "exit_reason"):
-        a, b = getattr(interp_run, field), getattr(jit_run, field)
-        if a != b:
-            mismatches.append(f"{field}: interp={a} jit={b}")
-    if trace and interp_pcs != jit_pcs:
-        mismatches.append("ground-truth retire streams differ")
+    interp_rate, interp = _measure(image, workload, False, min_time, trace)
+    jit_rate, jit = _measure(image, workload, True, min_time, trace)
+    mismatches = _mismatches(interp, jit)
+    # warm pass: a separately linked copy reuses the timed pass's blocks
+    warm_mcu = make_mcu(link(workload.module()), workload, enable_jit=True)
+    warm = _first_run(warm_mcu, trace)
+    mismatches += [f"warm re-link: {m}" for m in _mismatches(interp, warm)]
+    if warm_mcu.jit.compiles:
+        mismatches.append(f"warm re-link: {warm_mcu.jit.compiles} fresh "
+                          "compiles (expected 0)")
     return {
         "workload": name,
         "interp": interp_rate,
         "jit": jit_rate,
         "speedup": jit_rate / interp_rate,
-        "cycles": interp_run.cycles,
+        "cycles": interp[0].cycles,
         "mismatches": mismatches,
     }
 

@@ -25,7 +25,7 @@ from repro.cfa.cflog import BranchRecord, CFLog, LoopRecord, Record
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.services import SVC_LOG_LOOP
 from repro.core.rewrite_map import BoundRewriteMap
-from repro.crypto.hashing import measure_image
+from repro.crypto.hashing import hash_bytes
 from repro.machine.cpu import CPU
 from repro.machine.mcu import MCU
 from repro.trace.dwt import DWT
@@ -80,10 +80,9 @@ class AttestationEngineBase:
         self.mcu.nvic.ns_enabled = False
         for region in ("ns_text", "mtbar"):
             self.mcu.memmap.lock_region_writes(region)
-        self._h_mem = measure_image(self.image)
-        self.setup_cycles = (
-            len(self.image.code_bytes()) * self.config.hash_cycles_per_byte
-        )
+        code = self.image.code_bytes()
+        self._h_mem = hash_bytes(code)
+        self.setup_cycles = len(code) * self.config.hash_cycles_per_byte
 
     def _end(self) -> None:
         for region in ("ns_text", "mtbar"):

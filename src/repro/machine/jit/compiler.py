@@ -82,11 +82,11 @@ class CompiledBlock:
     """One compiled superblock plus its dispatch metadata."""
 
     __slots__ = ("entry", "end", "pcs", "body_pcs", "fn", "max_extra",
-                 "n_instr", "source")
+                 "n_instr")
 
     def __init__(self, entry: int, end: int, pcs: Tuple[int, ...],
                  body_pcs: Tuple[int, ...], fn, max_extra: int,
-                 n_instr: int, source: str):
+                 n_instr: int):
         self.entry = entry
         self.end = end
         self.pcs = pcs
@@ -98,7 +98,6 @@ class CompiledBlock:
         #: boundary as under interpretation
         self.max_extra = max_extra
         self.n_instr = n_instr
-        self.source = source
 
     def __repr__(self) -> str:
         return (f"CompiledBlock(entry={self.entry:#x}, end={self.end:#x}, "
@@ -503,5 +502,4 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
         fn=namespace["_block"],
         max_extra=n_total - 1,
         n_instr=n_total,
-        source=source,
     )

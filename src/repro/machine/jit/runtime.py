@@ -1,15 +1,28 @@
-"""JIT runtime: per-image code caches, hook hoisting, invalidation.
+"""JIT runtime: content-keyed code caches, hook hoisting, invalidation.
 
 Blocks are compiled lazily with a hotness threshold (an entry PC must be
 dispatched twice before it is compiled) and cached in two layers:
 
-* a **shared** per-:class:`Image` cache (compilation depends only on the
-  image, so MCUs running the same binary — the fleet, the eval grid —
-  share compiled code);
+* a **shared** block table per image *content*: compilation depends
+  only on the linked code, so every MCU running the same binary — the
+  fleet's devices, the eval grid's cells, baseline and naive-mtb (which
+  run one unmodified image) — shares compiled code, even when each
+  links its own :class:`Image`;
 * a **local** per-runtime cache of blocks validated against this MCU's
   memory map (every PC in the block must be fetch-legal for this
   world/memmap, because the generated code hoists the per-instruction
   MPU fetch check to registration time).
+
+The content key (:func:`content_key`) is a SHA-256 over every
+instruction's address, mnemonic, condition, full operand values and
+label-resolved canonical text, computed once per :class:`Image` object.
+It is deliberately not ``H_MEM``/``code_bytes()``: that encoding keeps
+only 2-4 bytes of a per-instruction digest, so ``mov r0, #36`` and
+``mov r0, #84`` encode alike and would run each other's code.  The
+content map keeps the ``SHARED_CACHE_IMAGES`` most recently linked
+contents (eviction only costs recompiles).  Invalidation detaches the
+image from the map: its runtimes continue on a private table, so an
+image patched in place never serves its code to another image.
 
 Hook hoisting: the run loop may execute a compiled block only if every
 registered CPU hook opts into batch observation.  An observer opts in by
@@ -23,10 +36,13 @@ lists change, and execution falls back to per-instruction stepping.
 
 from __future__ import annotations
 
+import hashlib
 import weakref
-from typing import Dict, List, Optional, Union
+from collections import OrderedDict
+from typing import Dict, Optional, Union
 
 from repro.asm.program import Image
+from repro.isa.encoding import _canonical_text
 from repro.machine.faults import MemFault
 from repro.machine.jit.compiler import CompiledBlock, compile_superblock
 from repro.machine.jit.superblock import discover_superblock
@@ -34,6 +50,10 @@ from repro.machine.memmap import MemoryMap, World
 
 #: dispatches of an entry PC before it is compiled
 HOT_THRESHOLD = 2
+
+#: distinct image contents whose block tables are kept (LRU); one eval
+#: sweep links 41 distinct images
+SHARED_CACHE_IMAGES = 64
 
 
 class _NoJit:
@@ -68,11 +88,20 @@ def hoisted_handlers(hooks, attr: str, batch_name: str) -> Optional[list]:
     return out
 
 
-class _SharedCache:
-    """Compilation results shared by every runtime of one image."""
+#: entry pc -> compiled block, or NOJIT for "interpret this address"
+_Table = Dict[int, Union[CompiledBlock, _NoJit]]
 
-    def __init__(self):
-        self.blocks: Dict[int, Union[CompiledBlock, _NoJit]] = {}
+
+class _SharedCache:
+    """One image's JIT state: warmth, attached runtimes, block table.
+
+    ``blocks`` is shared with every image of equal content until this
+    image is invalidated.
+    """
+
+    def __init__(self, key: bytes, blocks: _Table):
+        self.key = key
+        self.blocks = blocks
         self.hot: Dict[int, int] = {}
         self.runtimes: "weakref.WeakSet[JITRuntime]" = weakref.WeakSet()
 
@@ -81,13 +110,56 @@ _IMAGE_CACHES: "weakref.WeakKeyDictionary[Image, _SharedCache]" = (
     weakref.WeakKeyDictionary()
 )
 
+#: content key -> block table, least recently used first
+_CONTENT_BLOCKS: "OrderedDict[bytes, _Table]" = OrderedDict()
+
+
+def content_key(image: Image) -> bytes:
+    """Injective digest of everything compilation reads from ``image``.
+
+    ``str(instr)`` alone is not enough (it drops a memory operand's
+    offset when an index register is present), so the operands go in
+    by ``repr``; label operands go in resolved, through the canonical
+    text ``H_MEM`` encodes.  An unresolvable label never compiles, and
+    is keyed as such.  ``Instr.meta`` is left out: it never affects
+    execution.
+    """
+    digest = hashlib.sha256()
+    resolve = image.resolve
+    for address in sorted(image.instr_at):
+        instr = image.instr_at[address]
+        text: Optional[str]
+        try:
+            text = _canonical_text(instr, resolve)
+        except KeyError:
+            text = None
+        digest.update(repr((address, instr.mnemonic, instr.cond,
+                            instr.operands, text)).encode())
+    return digest.digest()
+
 
 def shared_cache_for(image: Image) -> _SharedCache:
     cache = _IMAGE_CACHES.get(image)
     if cache is None:
-        cache = _SharedCache()
+        key = content_key(image)
+        blocks = _CONTENT_BLOCKS.pop(key, None)
+        if blocks is None:
+            blocks = {}
+        _CONTENT_BLOCKS[key] = blocks
+        while len(_CONTENT_BLOCKS) > SHARED_CACHE_IMAGES:
+            _CONTENT_BLOCKS.popitem(last=False)
+        cache = _SharedCache(key, blocks)
         _IMAGE_CACHES[image] = cache
     return cache
+
+
+def clear_shared_caches() -> None:
+    """Forget every content-keyed block table (a reset for tests).
+
+    Images linked afterwards compile from cold; images already attached
+    keep their tables.
+    """
+    _CONTENT_BLOCKS.clear()
 
 
 class JITRuntime:
@@ -100,7 +172,7 @@ class JITRuntime:
         self._shared = shared_cache_for(image)
         self._shared.runtimes.add(self)
         #: entry pc -> CompiledBlock | NOJIT; read directly by MCU.run
-        self.blocks: Dict[int, Union[CompiledBlock, _NoJit]] = {}
+        self.blocks: _Table = {}
         self.compiles = 0
         self.invalidations = 0
 
@@ -162,25 +234,26 @@ class JITRuntime:
         rewrite can make a previously unprofitable address compilable).
         With no address, drops everything.  Local caches of *all*
         runtimes sharing the image are cleared in place (the run loop
-        aliases the dict).  Returns the number of compiled blocks
-        dropped.
+        aliases the dict).  The image leaves the content map: the
+        surviving blocks move to a table private to it, so code it
+        compiles from now on never reaches another image.  Returns the
+        number of compiled blocks dropped.
         """
         shared = self._shared
-        if address is None:
-            dropped = sum(1 for b in shared.blocks.values() if b is not NOJIT)
-            shared.blocks.clear()
-        else:
-            stale = [entry for entry, b in shared.blocks.items()
-                     if b is NOJIT or b.entry <= address < b.end]
-            dropped = sum(1 for entry in stale
-                          if shared.blocks[entry] is not NOJIT)
-            for entry in stale:
-                del shared.blocks[entry]
+        compiled = sum(1 for b in shared.blocks.values() if b is not NOJIT)
+        survivors: _Table = {}
+        if address is not None:
+            survivors = {entry: b for entry, b in shared.blocks.items()
+                         if b is not NOJIT
+                         and not b.entry <= address < b.end}
+        if _CONTENT_BLOCKS.get(shared.key) is shared.blocks:
+            del _CONTENT_BLOCKS[shared.key]
+        shared.blocks = survivors
         shared.hot.clear()
         for runtime in shared.runtimes:
             runtime.blocks.clear()
         self.invalidations += 1
-        return dropped
+        return compiled - len(survivors)
 
     def on_code_write(self, address: int) -> None:
         """Memory observer: a checked write landed in executable code."""

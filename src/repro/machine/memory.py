@@ -68,6 +68,22 @@ class Memory:
         for i in range(size):
             self._bytes[address + i] = (value >> (8 * i)) & 0xFF
 
+    def peek_word(self, address: int) -> int:
+        """Word-wise :meth:`peek` (``size=4``) for secure-world readout."""
+        b = self._bytes
+        return (b.get(address, 0)
+                | b.get(address + 1, 0) << 8
+                | b.get(address + 2, 0) << 16
+                | b.get(address + 3, 0) << 24)
+
+    def poke_word(self, address: int, value: int) -> None:
+        """Word-wise :meth:`poke` (``size=4``) for trace-unit writes."""
+        b = self._bytes
+        b[address] = value & 0xFF
+        b[address + 1] = (value >> 8) & 0xFF
+        b[address + 2] = (value >> 16) & 0xFF
+        b[address + 3] = (value >> 24) & 0xFF
+
     # -- checked access ----------------------------------------------------
 
     def read(self, address: int, size: int, world: World) -> int:

@@ -65,7 +65,6 @@ class MTB:
         self.wrapped = False
         self.total_packets = 0  # lifetime count (not reset by wrap)
         self._warmup = 0
-        self._packets: List[MTBPacket] = []  # shadow of the SRAM contents
 
     # -- control (Secure World register interface) -------------------------
 
@@ -85,7 +84,6 @@ class MTB:
         """Reset the write pointer (done after each partial report)."""
         self.position = 0
         self.wrapped = False
-        self._packets = []
 
     def start(self) -> None:
         """TSTART event (from DWT) or direct TSTARTEN write."""
@@ -126,10 +124,9 @@ class MTB:
         if offset + PACKET_BYTES > self.buffer_size:
             offset = 0
             self.wrapped = True
-            self._packets = []
-        self.memory.poke(self.base + offset, src, 4)
-        self.memory.poke(self.base + offset + 4, dst, 4)
-        self._packets.append(MTBPacket(src, dst))
+        address = self.base + offset
+        self.memory.poke_word(address, src)
+        self.memory.poke_word(address + 4, dst)
         self.position = offset + PACKET_BYTES
         self.total_packets += 1
         if self.watermark is not None and self.position >= self.watermark:
@@ -145,12 +142,10 @@ class MTB:
         Reads go through the memory system to stay faithful to the real
         flow (the engine copies the trace SRAM into its report).
         """
-        count = self.position // PACKET_BYTES
-        packets = []
-        for i in range(count):
-            src = self.memory.peek(self.base + i * PACKET_BYTES, 4)
-            dst = self.memory.peek(self.base + i * PACKET_BYTES + 4, 4)
-            packets.append(MTBPacket(src, dst))
+        peek_word = self.memory.peek_word
+        packets = [MTBPacket(peek_word(address), peek_word(address + 4))
+                   for address in range(self.base, self.base + self.position,
+                                        PACKET_BYTES)]
         self.reset_position()
         return packets
 

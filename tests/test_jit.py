@@ -19,10 +19,17 @@ from hypothesis import HealthCheck, given, settings
 from repro.asm.assembler import assemble_and_link
 from repro.machine.faults import MemFault
 from repro.machine.jit import NOJIT, discover_superblock
-from repro.machine.jit.runtime import HOT_THRESHOLD
+from repro.machine.jit.runtime import HOT_THRESHOLD, clear_shared_caches
 from repro.machine.mcu import MCU
 from repro.machine.memmap import NS_RAM_BASE, RODATA_BASE
 from repro.trace.groundtruth import GroundTruthTracer
+
+
+@pytest.fixture(autouse=True)
+def _cold_jit_cache():
+    """Each test links its images against a cold content-keyed cache, so
+    compile counts are this test's own."""
+    clear_shared_caches()
 
 
 def run_one(image, enable_jit, max_instructions=1_000_000):
@@ -43,6 +50,7 @@ def run_one(image, enable_jit, max_instructions=1_000_000):
 def assert_identical(source, require_compiles=True,
                      max_instructions=1_000_000):
     """Run ``source`` under both tiers; assert bit-identical outcomes."""
+    clear_shared_caches()  # hypothesis replays an example in one test
     image = assemble_and_link(source)
     m0, t0, r0, e0 = run_one(image, False, max_instructions)
     m1, t1, r1, e1 = run_one(image, True, max_instructions)
