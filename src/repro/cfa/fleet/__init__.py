@@ -42,13 +42,14 @@ from repro.cfa.fleet.mining import (
 )
 from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.session import FleetOverloadError, Session, SessionManager
-from repro.cfa.fleet.shard import HashRing, ShardedFleetService, audit_key
+from repro.cfa.fleet.shard import HashRing, ShardedFleetService
 from repro.cfa.fleet.store import (
     DurableReplayCache,
     EvidenceError,
     EvidenceRecord,
     EvidenceStore,
     PolicyRecord,
+    audit_key,
     chain_digest,
     verify_evidence_trail,
 )

@@ -38,18 +38,14 @@ import hashlib
 import hmac
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.cfa.fleet.verify import DeviceProfile
+from repro.cfa.epochs import DeviceProfile, EpochRegistry
 from repro.cfa.speccfa import (
-    EMPTY_DICTIONARY_DIGEST,
     PackedExpander,
     SubPathDict,
-    dictionary_digest,
     pack_dictionary,
     unpack_dictionary,
 )
@@ -110,58 +106,31 @@ def dack_mac(key: bytes, device_id: str, epoch: int,
         hashlib.sha256).digest()
 
 
-def _profile_key(profile: DeviceProfile) -> str:
-    return f"{profile.workload}__{profile.method}"
+class DictionaryRegistry(EpochRegistry[DictEpoch]):
+    """Monotone, content-addressed dictionary versions per profile
+    (unsigned SPD1 payloads, one ``.dict`` file per epoch)."""
 
-
-class DictionaryRegistry:
-    """Monotone, content-addressed dictionary versions per profile."""
+    kind = "dictionary"
+    suffix = ".dict"
+    empty: SubPathDict = {}
 
     def __init__(self, store_dir: Optional[Union[str, os.PathLike]] = None):
-        self._lock = threading.Lock()
-        #: profile -> [DictEpoch for epoch 1..N] (epoch 0 is implicit)
-        self._epochs: Dict[DeviceProfile, List[DictEpoch]] = {}
-        #: digest -> DictEpoch, for resolving ACKs
-        self._by_digest: Dict[bytes, DictEpoch] = {}
-        #: profile -> its epoch 0, built once like every other epoch
-        self._empty: Dict[DeviceProfile, DictEpoch] = {}
-        self.store_dir = Path(store_dir) if store_dir is not None else None
-        if self.store_dir is not None:
-            self.store_dir.mkdir(parents=True, exist_ok=True)
-            self._load()
+        super().__init__(store_dir)
 
-    # -- persistence ----------------------------------------------------------
+    def _pack(self, profile: DeviceProfile, epoch: int,
+              content: SubPathDict) -> bytes:
+        return pack_dictionary(content)
 
-    def _epoch_path(self, profile: DeviceProfile, epoch: int) -> Path:
-        return self.store_dir / f"{_profile_key(profile)}__{epoch:06d}.dict"
+    def _unpack(self, payload: bytes) -> SubPathDict:
+        return unpack_dictionary(payload)
 
-    def _load(self) -> None:
-        for path in sorted(self.store_dir.glob("*.dict")):
-            workload, method, epoch_str = path.stem.rsplit("__", 2)
-            profile = DeviceProfile(workload, method)
-            payload = path.read_bytes()
-            unpack_dictionary(payload)  # strict: refuse corrupt epochs
-            entry = DictEpoch(
-                profile=profile, epoch=int(epoch_str),
-                digest=hashlib.sha256(payload).digest(), payload=payload)
-            chain = self._epochs.setdefault(profile, [])
-            if entry.epoch != len(chain) + 1:
-                raise ValueError(
-                    f"dictionary store {self.store_dir} has a gap: "
-                    f"{path.name} is epoch {entry.epoch}, expected "
-                    f"{len(chain) + 1}")
-            chain.append(entry)
-            self._by_digest[entry.digest] = entry
-
-    def _persist(self, entry: DictEpoch) -> None:
-        if self.store_dir is None:
-            return
-        path = self._epoch_path(entry.profile, entry.epoch)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(entry.payload)
-        os.replace(tmp, path)
-
-    # -- the registry surface -------------------------------------------------
+    def _entry(self, profile: DeviceProfile, epoch: int,
+               content: SubPathDict, payload: bytes, digest: bytes,
+               mac: bytes) -> DictEpoch:
+        # the parse stays lazy (DictEpoch.dictionary): once per epoch,
+        # by whichever session first needs it
+        return DictEpoch(profile=profile, epoch=epoch, digest=digest,
+                         payload=payload)
 
     def publish(self, profile: DeviceProfile,
                 dictionary: SubPathDict) -> DictEpoch:
@@ -173,51 +142,7 @@ class DictionaryRegistry:
         """
         if not dictionary:
             return self.get(profile, 0)
-        payload = pack_dictionary(dictionary)
-        digest = hashlib.sha256(payload).digest()
-        with self._lock:
-            chain = self._epochs.setdefault(profile, [])
-            if chain and chain[-1].digest == digest:
-                return chain[-1]
-            entry = DictEpoch(profile=profile, epoch=len(chain) + 1,
-                              digest=digest, payload=payload)
-            self._persist(entry)
-            chain.append(entry)
-            self._by_digest[digest] = entry
-            return entry
-
-    def get(self, profile: DeviceProfile, epoch: int) -> DictEpoch:
-        """Resolve ``(profile, epoch)``; epoch 0 always resolves."""
-        with self._lock:
-            if epoch == 0:
-                entry = self._empty.get(profile)
-                if entry is None:
-                    entry = self._empty[profile] = DictEpoch(
-                        profile=profile, epoch=0,
-                        digest=EMPTY_DICTIONARY_DIGEST,
-                        payload=pack_dictionary({}))
-                return entry
-            chain = self._epochs.get(profile, [])
-            if not 1 <= epoch <= len(chain):
-                raise KeyError(
-                    f"profile {profile} has no dictionary epoch {epoch}")
-            return chain[epoch - 1]
-
-    def latest(self, profile: DeviceProfile) -> DictEpoch:
-        with self._lock:
-            chain = self._epochs.get(profile, [])
-            if chain:
-                return chain[-1]
-        return self.get(profile, 0)
-
-    def latest_epoch(self, profile: DeviceProfile) -> int:
-        with self._lock:
-            return len(self._epochs.get(profile, []))
-
-    def find(self, digest: bytes) -> Optional[DictEpoch]:
-        """Resolve a content digest back to its epoch (ACK ingest)."""
-        with self._lock:
-            return self._by_digest.get(digest)
+        return self._publish(profile, dictionary)
 
     def epochs_of(self, profile: DeviceProfile) -> List[DictEpoch]:
         """Every published epoch for a profile (excluding epoch 0)."""

@@ -53,10 +53,9 @@ from repro.cfa.fleet.dictver import DictEpoch, DictionaryRegistry
 from repro.cfa.fleet.metrics import FleetMetrics, aggregate_metrics
 from repro.cfa.fleet.mining import TrafficSampler
 from repro.cfa.fleet.service import FleetService
-from repro.cfa.fleet.store import EvidenceStore
+from repro.cfa.fleet.store import EvidenceStore, audit_key
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.policy.engine import PolicyEngine
-from repro.cfa.policy.recovery import write_recovery_manifest
 from repro.cfa.policy.registry import PolicyRegistry, policy_key
 from repro.cfa.protocol import Challenge
 from repro.cfa.wire import (
@@ -68,11 +67,6 @@ from repro.cfa.wire import (
     decode_shard_frame,
     encode_shard_frame,
 )
-
-
-def audit_key(seed: bytes) -> bytes:
-    """The Vrf-side evidence-MAC key derived from the service seed."""
-    return hashlib.sha256(b"evidence-audit|" + seed).digest()
 
 
 class HashRing:
@@ -224,7 +218,10 @@ class ShardedFleetService:
         self.recovered_verdicts = recovered
         if self.store_dir is not None:
             # the operator's map of what on this disk is authoritative
-            # state vs cache, and how to rebuild the control plane
+            # state vs cache, and how to rebuild the control plane;
+            # imported here because the auditor side reads this
+            # package's evidence store (a top-level import is a cycle)
+            from repro.cfa.policy.recovery import write_recovery_manifest
             write_recovery_manifest(self.store_dir)
         self._recovery_s = time.perf_counter() - t0 if resume else 0.0
         self._started = time.perf_counter()

@@ -87,6 +87,7 @@ from repro.cfa.fleet.verify import (
     SessionVerdict,
     _ReplaySummary,
 )
+from repro.codec import Reader, lp
 from repro.eval.cache import atomic_pickle
 
 EVIDENCE_MAGIC = b"EVD1"
@@ -122,50 +123,17 @@ def chain_digest(chunks: Sequence[bytes]) -> bytes:
     report boundaries cannot be shifted without changing the digest."""
     h = hashlib.sha256()
     for chunk in chunks:
-        h.update(struct.pack("<I", len(chunk)))
-        h.update(chunk)
+        h.update(lp(chunk))
     return h.digest()
 
 
-def _lp(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + data
+def audit_key(seed: bytes) -> bytes:
+    """The Vrf-side evidence-MAC key derived from the service seed."""
+    return hashlib.sha256(b"evidence-audit|" + seed).digest()
 
 
-class _Reader:
-    """Bounded little-endian reader (the wire-codec idiom)."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise EvidenceError("truncated evidence body")
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def lp_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    def lp_str(self) -> str:
-        try:
-            return self.lp_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EvidenceError(f"non-UTF-8 evidence field: {exc}") from None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
+#: what a non-UTF-8 string field in an evidence body raises
+_NON_UTF8 = "non-UTF-8 evidence field"
 
 
 @dataclass(frozen=True)
@@ -285,30 +253,30 @@ def _encode_body(verdict: SessionVerdict, challenge: bytes,
     if version >= 3:
         parts.append(struct.pack("<B", KIND_SESSION))
     parts += [
-        _lp(verdict.device_id.encode()),
-        _lp(verdict.profile.workload.encode()),
-        _lp(verdict.profile.method.encode()),
-        _lp(challenge),
+        lp(verdict.device_id.encode()),
+        lp(verdict.profile.workload.encode()),
+        lp(verdict.profile.method.encode()),
+        lp(challenge),
         chain,
     ]
     if version >= 2:
         parts.append(struct.pack("<I", epoch))
     parts += [
         struct.pack("<B", flags),
-        _lp(verdict.reason.encode()),
+        lp(verdict.reason.encode()),
         struct.pack("<III", verdict.reports, verdict.records,
                     verdict.path_len),
-        _lp(verdict.path_digest.encode()),
+        lp(verdict.path_digest.encode()),
     ]
     if version >= 2:
-        parts.append(_lp(verdict.records_digest.encode()))
+        parts.append(lp(verdict.records_digest.encode()))
     parts.append(struct.pack("<H", len(verdict.violations)))
     for kind, address, detail in verdict.violations:
-        parts.append(_lp(kind.encode()))
+        parts.append(lp(kind.encode()))
         parts.append(struct.pack("<I", address & 0xFFFFFFFF))
-        parts.append(_lp(detail.encode()))
+        parts.append(lp(detail.encode()))
     if version >= 3:
-        parts.append(_lp(measurement))
+        parts.append(lp(measurement))
     parts.append(struct.pack("<I", seq))
     return b"".join(parts)
 
@@ -318,15 +286,15 @@ def _encode_policy_body(decision, seq: int) -> bytes:
     the :class:`~repro.cfa.policy.engine.PolicyDecision` fields)."""
     return b"".join([
         struct.pack("<B", KIND_POLICY),
-        _lp(decision.device_id.encode()),
-        _lp(decision.workload.encode()),
-        _lp(decision.method.encode()),
+        lp(decision.device_id.encode()),
+        lp(decision.workload.encode()),
+        lp(decision.method.encode()),
         struct.pack("<BB", decision.from_state, decision.to_state),
-        _lp(decision.action.encode()),
-        _lp(decision.reason.encode()),
+        lp(decision.action.encode()),
+        lp(decision.reason.encode()),
         struct.pack("<III", decision.score, decision.heal_attempt,
                     decision.policy_epoch),
-        _lp(decision.measurement),
+        lp(decision.measurement),
         struct.pack("<I", seq),
     ])
 
@@ -334,35 +302,33 @@ def _encode_policy_body(decision, seq: int) -> bytes:
 def _decode_body(body: bytes, prev_digest: bytes, mac: bytes,
                  version: int = EVIDENCE_VERSION
                  ) -> Union[EvidenceRecord, "PolicyRecord"]:
-    reader = _Reader(body)
+    reader = Reader(body, EvidenceError, "evidence body")
     if version >= 3:
         kind = reader.u8()
         if kind == KIND_POLICY:
             return _decode_policy_body(reader, body, prev_digest, mac)
         if kind != KIND_SESSION:
             raise EvidenceError(f"unknown evidence record kind {kind}")
-    device_id = reader.lp_str()
-    workload = reader.lp_str()
-    method = reader.lp_str()
-    challenge = reader.lp_bytes()
+    device_id = reader.lp_str(_NON_UTF8)
+    workload = reader.lp_str(_NON_UTF8)
+    method = reader.lp_str(_NON_UTF8)
+    challenge = reader.lp()
     chain = reader.take(_DIGEST_LEN)
     epoch = reader.u32() if version >= 2 else 0
     flags = reader.u8()
-    reason = reader.lp_str()
-    reports, records, path_len = struct.unpack("<III", reader.take(12))
-    path_digest = reader.lp_str()
-    records_digest = reader.lp_str() if version >= 2 else ""
-    n_violations = reader.u16()
+    reason = reader.lp_str(_NON_UTF8)
+    reports, records, path_len = reader.unpack("<III")
+    path_digest = reader.lp_str(_NON_UTF8)
+    records_digest = reader.lp_str(_NON_UTF8) if version >= 2 else ""
     violations = []
-    for _ in range(n_violations):
-        kind = reader.lp_str()
+    for _ in range(reader.u16()):
+        kind = reader.lp_str(_NON_UTF8)
         address = reader.u32()
-        detail = reader.lp_str()
+        detail = reader.lp_str(_NON_UTF8)
         violations.append((kind, address, detail))
-    measurement = reader.lp_bytes() if version >= 3 else b""
+    measurement = reader.lp() if version >= 3 else b""
     seq = reader.u32()
-    if not reader.exhausted:
-        raise EvidenceError("trailing bytes inside evidence body")
+    reader.end("trailing bytes inside evidence body")
     return EvidenceRecord(
         device_id=device_id, workload=workload, method=method,
         challenge=challenge, chain_digest=chain, epoch=epoch,
@@ -382,20 +348,18 @@ def _decode_body(body: bytes, prev_digest: bytes, mac: bytes,
     )
 
 
-def _decode_policy_body(reader: _Reader, body: bytes,
+def _decode_policy_body(reader: Reader, body: bytes,
                         prev_digest: bytes, mac: bytes) -> PolicyRecord:
-    device_id = reader.lp_str()
-    workload = reader.lp_str()
-    method = reader.lp_str()
-    from_state, to_state = struct.unpack("<BB", reader.take(2))
-    action = reader.lp_str()
-    reason = reader.lp_str()
-    score, heal_attempt, policy_epoch = struct.unpack(
-        "<III", reader.take(12))
-    measurement = reader.lp_bytes()
+    device_id = reader.lp_str(_NON_UTF8)
+    workload = reader.lp_str(_NON_UTF8)
+    method = reader.lp_str(_NON_UTF8)
+    from_state, to_state = reader.unpack("<BB")
+    action = reader.lp_str(_NON_UTF8)
+    reason = reader.lp_str(_NON_UTF8)
+    score, heal_attempt, policy_epoch = reader.unpack("<III")
+    measurement = reader.lp()
     seq = reader.u32()
-    if not reader.exhausted:
-        raise EvidenceError("trailing bytes inside policy record body")
+    reader.end("trailing bytes inside policy record body")
     return PolicyRecord(
         device_id=device_id, workload=workload, method=method,
         from_state=from_state, to_state=to_state, action=action,
@@ -586,7 +550,7 @@ class EvidenceStore:
         mac = _record_mac(self.key, prev_digest, body)
         frame = prev_digest + mac + body
         try:
-            self._fh.write(struct.pack("<I", len(frame)) + frame)
+            self._fh.write(lp(frame))
             self._fh.flush()
             if self.fsync_enabled:
                 self._fsync(self._fh.fileno())

@@ -33,6 +33,7 @@ from typing import (
     Union,
 )
 
+from repro.cfa.epochs import DeviceProfile
 from repro.cfa.speccfa import PackedExpander, expand
 from repro.cfa.streaming import StreamError, StreamingVerifier
 from repro.cfa.verifier import NaiveVerifier, ReplayDigest, Verifier
@@ -42,18 +43,6 @@ from repro.workloads import load_workload
 
 if TYPE_CHECKING:
     from repro.cfa.fleet.dictver import DictEpoch
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """What Vrf knows about a device model: which attested binary it
-    runs and under which CFA method — enough to rebuild the verifier."""
-
-    workload: str
-    method: str = "rap-track"
-
-    def __str__(self) -> str:
-        return f"{self.workload}/{self.method}"
 
 
 @dataclass(frozen=True)

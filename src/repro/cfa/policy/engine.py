@@ -53,7 +53,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.cfa.fleet.verify import DeviceProfile
+from repro.cfa.epochs import DeviceProfile
 from repro.cfa.policy.registry import (
     PolicyRegistry,
     REVOKED_FW,

@@ -46,6 +46,7 @@ from repro.cfa.wire import (
     encode_heal_frame,
     encode_policy_frame,
 )
+from repro.codec import lp
 
 
 def heal_mac(key: bytes, device_id: str, attempt: int,
@@ -56,7 +57,7 @@ def heal_mac(key: bytes, device_id: str, attempt: int,
         key,
         b"heal-order|" + device_id.encode()
         + struct.pack("<II", attempt, policy_epoch)
-        + struct.pack("<I", len(measurement)) + measurement
+        + lp(measurement)
         + nonce,
         hashlib.sha256).digest()
 

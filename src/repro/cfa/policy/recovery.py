@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.cfa.fleet.store import verify_evidence_trail
+from repro.cfa.fleet.store import audit_key, verify_evidence_trail
 from repro.cfa.policy.engine import PolicyEngine, STATE_NAMES
 from repro.cfa.policy.registry import PolicyRegistry, policy_key
 
@@ -120,13 +120,6 @@ class ControlPlaneSnapshot:
                 f"{self.session_records} session + "
                 f"{self.policy_records} policy records over "
                 f"{len(self.heads)} device(s); policy states: {states}")
-
-
-def audit_key(seed: bytes) -> bytes:
-    # mirrors repro.cfa.fleet.shard.audit_key without importing the
-    # service stack into the auditor path
-    import hashlib
-    return hashlib.sha256(b"evidence-audit|" + seed).digest()
 
 
 def reconstruct_control_plane(

@@ -37,6 +37,7 @@ from repro.cfa.cflog import (
 )
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.verifier import VerificationResult, Verifier
+from repro.codec import Reader
 
 
 @dataclass(frozen=True)
@@ -96,36 +97,24 @@ def pack_dictionary(dictionary: SubPathDict) -> bytes:
 
 def unpack_dictionary(payload: bytes) -> SubPathDict:
     """Invert :func:`pack_dictionary`; strict (raises ``ValueError``)."""
-    if payload[:4] != DICTIONARY_MAGIC:
-        raise ValueError("bad dictionary magic")
-    pos = 4
-    if pos + 4 > len(payload):
-        raise ValueError("truncated dictionary header")
-    (n_paths,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
+    reader = Reader(payload, ValueError, "dictionary")
+    reader.header(DICTIONARY_MAGIC, "dictionary")
     dictionary: SubPathDict = {}
-    for _ in range(n_paths):
-        if pos + 6 > len(payload):
-            raise ValueError("truncated sub-path header")
-        path_id, n_records = struct.unpack_from("<IH", payload, pos)
-        pos += 6
+    for _ in range(reader.u32()):
+        path_id, n_records = reader.unpack("<IH")
         if path_id in dictionary:
             raise ValueError(f"duplicate sub-path id {path_id}")
         if n_records == 0:
             raise ValueError(f"sub-path {path_id} is empty")
         pattern = []
         for _ in range(n_records):
-            if pos + 9 > len(payload):
-                raise ValueError("truncated sub-path record")
-            tag, a, b = struct.unpack_from("<BII", payload, pos)
-            pos += 9
+            tag, a, b = reader.unpack("<BII")
             cls = _PATTERN_RECORDS.get(tag)
             if cls is None:
                 raise ValueError(f"unknown sub-path record tag {tag}")
             pattern.append(cls(a, b))
         dictionary[path_id] = tuple(pattern)
-    if pos != len(payload):
-        raise ValueError("trailing bytes after dictionary")
+    reader.end("trailing bytes after dictionary")
     return dictionary
 
 

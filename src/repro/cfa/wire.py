@@ -25,6 +25,7 @@ from repro.cfa.cflog import (
 )
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.speccfa import SpecRecord
+from repro.codec import Reader, lp
 
 MAGIC = b"RAPT"
 VERSION = 1
@@ -56,34 +57,8 @@ class WireError(Exception):
     """Malformed or truncated wire data."""
 
 
-def _pack_bytes(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + data
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise WireError("truncated wire data")
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def lp_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
+def _reader(data: bytes) -> Reader:
+    return Reader(data, WireError, "wire data")
 
 
 def _intern(fields: Tuple[int, ...]) -> Record:
@@ -125,48 +100,40 @@ def record_span(chunk: bytes, report: Report) -> bytes:
 
 def encode_report(report: Report) -> bytes:
     body = b"".join([
-        _pack_bytes(report.device_id),
-        _pack_bytes(report.method.encode()),
-        _pack_bytes(report.challenge),
-        _pack_bytes(report.h_mem),
+        lp(report.device_id),
+        lp(report.method.encode()),
+        lp(report.challenge),
+        lp(report.h_mem),
         struct.pack("<IB", report.seq, 1 if report.final else 0),
         struct.pack("<I", len(report.cflog)),
         report.cflog.pack(),
-        _pack_bytes(report.mac),
+        lp(report.mac),
     ])
-    return MAGIC + struct.pack("<B", VERSION) + _pack_bytes(body)
+    return MAGIC + struct.pack("<B", VERSION) + lp(body)
 
 
 def decode_report(data: bytes) -> Tuple[Report, int]:
     """Parse one report; returns ``(report, bytes_consumed)``."""
-    reader = _Reader(data)
-    if reader.take(4) != MAGIC:
-        raise WireError("bad magic")
-    version = reader.u8()
-    if version != VERSION:
-        raise WireError(f"unsupported version {version}")
-    body = _Reader(reader.lp_bytes())
-    device_id = body.lp_bytes()
-    try:
-        method = body.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"method field is not valid UTF-8: {exc}") from None
-    challenge = body.lp_bytes()
-    h_mem = body.lp_bytes()
-    seq, final = struct.unpack("<IB", body.take(5))
+    reader = _reader(data)
+    reader.header(MAGIC, "", VERSION)
+    body = _reader(reader.lp())
+    device_id = body.lp()
+    method = body.lp_str("method field is not valid UTF-8")
+    challenge = body.lp()
+    h_mem = body.lp()
+    seq, final = body.unpack("<IB")
     if final not in (0, 1):
         raise WireError(f"final flag must be 0 or 1, got {final}")
     count = body.u32()
     # each record is exactly RECORD_BYTES; reject absurd counts before
     # decoding so a mutated length cannot drive a long decode spin
-    if count * RECORD_BYTES > len(body.data) - body.pos:
+    if count * RECORD_BYTES > body.remaining:
         raise WireError(
             f"record count {count} exceeds the remaining body")
     span = body.take(count * RECORD_BYTES)
     records = _decode_records(span)
-    mac = body.lp_bytes()
-    if not body.exhausted:
-        raise WireError("trailing bytes inside report body")
+    mac = body.lp()
+    body.end("trailing bytes inside report body")
     report = Report(
         device_id=device_id, method=method, challenge=challenge,
         h_mem=h_mem, seq=seq, final=bool(final),
@@ -211,8 +178,8 @@ def encode_shard_frame(shard_id: int, device_id: str, payload: bytes,
         raise WireError(f"shard id {shard_id} out of range")
     return (SHARD_MAGIC
             + struct.pack("<BBI", SHARD_VERSION, kind, shard_id)
-            + _pack_bytes(device_id.encode())
-            + _pack_bytes(payload))
+            + lp(device_id.encode())
+            + lp(payload))
 
 
 def decode_shard_frame(data: bytes) -> Tuple[int, str, int, bytes]:
@@ -223,22 +190,14 @@ def decode_shard_frame(data: bytes) -> Tuple[int, str, int, bytes]:
     device id, trailing bytes) — the shard boundary is as hostile a
     surface as the device link and gets the same strictness.
     """
-    reader = _Reader(data)
-    if reader.take(4) != SHARD_MAGIC:
-        raise WireError("bad shard frame magic")
-    version, kind, shard_id = struct.unpack("<BBI", reader.take(6))
-    if version != SHARD_VERSION:
-        raise WireError(f"unsupported shard frame version {version}")
+    reader = _reader(data)
+    reader.header(SHARD_MAGIC, "shard frame", SHARD_VERSION)
+    kind, shard_id = reader.unpack("<BI")
     if kind not in _SHARD_KINDS:
         raise WireError(f"unknown shard frame kind {kind}")
-    try:
-        device_id = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(
-            f"device id is not valid UTF-8: {exc}") from None
-    payload = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after shard frame")
+    device_id = reader.lp_str("device id is not valid UTF-8")
+    payload = reader.lp()
+    reader.end("trailing bytes after shard frame")
     return shard_id, device_id, kind, payload
 
 
@@ -275,29 +234,22 @@ def encode_dict_frame(workload: str, method: str, epoch: int,
     return (DICT_MAGIC
             + struct.pack("<BI", DICT_VERSION, epoch)
             + digest
-            + _pack_bytes(workload.encode())
-            + _pack_bytes(method.encode())
-            + _pack_bytes(payload))
+            + lp(workload.encode())
+            + lp(method.encode())
+            + lp(payload))
 
 
 def decode_dict_frame(data: bytes) -> Tuple[str, str, int, bytes, bytes]:
     """Parse a dictionary push; returns
     ``(workload, method, epoch, digest, payload)``."""
-    reader = _Reader(data)
-    if reader.take(4) != DICT_MAGIC:
-        raise WireError("bad dictionary frame magic")
-    version, epoch = struct.unpack("<BI", reader.take(5))
-    if version != DICT_VERSION:
-        raise WireError(f"unsupported dictionary frame version {version}")
+    reader = _reader(data)
+    reader.header(DICT_MAGIC, "dictionary frame", DICT_VERSION)
+    epoch = reader.u32()
     digest = reader.take(_DIGEST_LEN)
-    try:
-        workload = reader.lp_bytes().decode("utf-8")
-        method = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"non-UTF-8 profile field: {exc}") from None
-    payload = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after dictionary frame")
+    workload = reader.lp_str("non-UTF-8 profile field")
+    method = reader.lp_str("non-UTF-8 profile field")
+    payload = reader.lp()
+    reader.end("trailing bytes after dictionary frame")
     return workload, method, epoch, digest, payload
 
 
@@ -311,26 +263,19 @@ def encode_dack_frame(device_id: str, epoch: int, digest: bytes,
     return (DACK_MAGIC
             + struct.pack("<BI", DACK_VERSION, epoch)
             + digest
-            + _pack_bytes(device_id.encode())
-            + _pack_bytes(mac))
+            + lp(device_id.encode())
+            + lp(mac))
 
 
 def decode_dack_frame(data: bytes) -> Tuple[str, int, bytes, bytes]:
     """Parse an ACK; returns ``(device_id, epoch, digest, mac)``."""
-    reader = _Reader(data)
-    if reader.take(4) != DACK_MAGIC:
-        raise WireError("bad dictionary ACK magic")
-    version, epoch = struct.unpack("<BI", reader.take(5))
-    if version != DACK_VERSION:
-        raise WireError(f"unsupported dictionary ACK version {version}")
+    reader = _reader(data)
+    reader.header(DACK_MAGIC, "dictionary ACK", DACK_VERSION)
+    epoch = reader.u32()
     digest = reader.take(_DIGEST_LEN)
-    try:
-        device_id = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"device id is not valid UTF-8: {exc}") from None
-    mac = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after dictionary ACK")
+    device_id = reader.lp_str("device id is not valid UTF-8")
+    mac = reader.lp()
+    reader.end("trailing bytes after dictionary ACK")
     return device_id, epoch, digest, mac
 
 
@@ -363,30 +308,22 @@ def encode_policy_frame(device_id: str, state: str, reason: str,
         raise WireError(f"policy epoch {policy_epoch} out of range")
     return (PLCY_MAGIC
             + struct.pack("<BI", PLCY_VERSION, policy_epoch)
-            + _pack_bytes(device_id.encode())
-            + _pack_bytes(state.encode())
-            + _pack_bytes(reason.encode())
-            + _pack_bytes(mac))
+            + lp(device_id.encode())
+            + lp(state.encode())
+            + lp(reason.encode())
+            + lp(mac))
 
 
 def decode_policy_frame(data: bytes) -> Tuple[str, str, str, int, bytes]:
     """Parse a policy notice; returns
     ``(device_id, state, reason, policy_epoch, mac)``."""
-    reader = _Reader(data)
-    if reader.take(4) != PLCY_MAGIC:
-        raise WireError("bad policy frame magic")
-    version, policy_epoch = struct.unpack("<BI", reader.take(5))
-    if version != PLCY_VERSION:
-        raise WireError(f"unsupported policy frame version {version}")
-    try:
-        device_id = reader.lp_bytes().decode("utf-8")
-        state = reader.lp_bytes().decode("utf-8")
-        reason = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"non-UTF-8 policy field: {exc}") from None
-    mac = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after policy frame")
+    reader = _reader(data)
+    reader.header(PLCY_MAGIC, "policy frame", PLCY_VERSION)
+    policy_epoch = reader.u32()
+    device_id, state, reason = (
+        reader.lp_str("non-UTF-8 policy field") for _ in range(3))
+    mac = reader.lp()
+    reader.end("trailing bytes after policy frame")
     return device_id, state, reason, policy_epoch, mac
 
 
@@ -400,34 +337,24 @@ def encode_heal_frame(device_id: str, attempt: int, policy_epoch: int,
         raise WireError(f"policy epoch {policy_epoch} out of range")
     return (HEAL_MAGIC
             + struct.pack("<BII", HEAL_VERSION, attempt, policy_epoch)
-            + _pack_bytes(device_id.encode())
-            + _pack_bytes(measurement)
-            + _pack_bytes(nonce)
-            + _pack_bytes(mac))
+            + lp(device_id.encode())
+            + lp(measurement)
+            + lp(nonce)
+            + lp(mac))
 
 
 def decode_heal_frame(
         data: bytes) -> Tuple[str, int, int, bytes, bytes, bytes]:
     """Parse a healing order; returns
     ``(device_id, attempt, policy_epoch, measurement, nonce, mac)``."""
-    reader = _Reader(data)
-    if reader.take(4) != HEAL_MAGIC:
-        raise WireError("bad healing frame magic")
-    version, attempt, policy_epoch = struct.unpack(
-        "<BII", reader.take(9))
-    if version != HEAL_VERSION:
-        raise WireError(f"unsupported healing frame version {version}")
+    reader = _reader(data)
+    reader.header(HEAL_MAGIC, "healing frame", HEAL_VERSION)
+    attempt, policy_epoch = reader.unpack("<II")
     if attempt < 1:
         raise WireError("healing attempt must be >= 1")
-    try:
-        device_id = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"device id is not valid UTF-8: {exc}") from None
-    measurement = reader.lp_bytes()
-    nonce = reader.lp_bytes()
-    mac = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after healing frame")
+    device_id = reader.lp_str("device id is not valid UTF-8")
+    measurement, nonce, mac = reader.lp(), reader.lp(), reader.lp()
+    reader.end("trailing bytes after healing frame")
     return device_id, attempt, policy_epoch, measurement, nonce, mac
 
 

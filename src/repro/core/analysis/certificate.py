@@ -36,6 +36,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.codec import Reader, lp16
 from repro.core.analysis.bounds import PathBounds, UNBOUNDED
 
 MAGIC = b"BNDS1"
@@ -74,18 +75,12 @@ def _pack_u64(value: Optional[int]) -> bytes:
     return struct.pack("<Q", UNBOUNDED if value is None else value)
 
 
-def _pack_lp(data: bytes) -> bytes:
-    if len(data) > 0xFFFF:
-        raise ValueError("field too long for u16 length prefix")
-    return struct.pack("<H", len(data)) + data
-
-
 def pack_certificate(cert: BoundsCertificate) -> bytes:
     """The unsigned canonical payload."""
     out = [MAGIC, struct.pack("<B", VERSION)]
-    out.append(_pack_lp(cert.workload.encode()))
-    out.append(_pack_lp(cert.method.encode()))
-    out.append(_pack_lp(cert.image_digest))
+    out.append(lp16(cert.workload.encode()))
+    out.append(lp16(cert.method.encode()))
+    out.append(lp16(cert.image_digest))
     out.append(_pack_u64(cert.max_stack_depth))
     out.append(_pack_u64(cert.max_log_records))
     out.append(_pack_u64(cert.max_log_bytes))
@@ -94,7 +89,7 @@ def pack_certificate(cert: BoundsCertificate) -> bytes:
     for cycle in cert.recursion_cycles:
         out.append(struct.pack("<H", len(cycle)))
         for label in cycle:
-            out.append(_pack_lp(label.encode()))
+            out.append(lp16(label.encode()))
     for keys in (cert.call_keys, cert.return_keys):
         ordered = sorted(keys)
         out.append(struct.pack("<I", len(ordered)))
@@ -106,35 +101,7 @@ def sign_certificate(cert: BoundsCertificate, key: bytes) -> bytes:
     """Canonical payload + MAC: the on-disk/wire blob."""
     payload = pack_certificate(cert)
     mac = hmac.new(key, payload, hashlib.sha256).digest()
-    return payload + _pack_lp(mac)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated certificate")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def lp(self) -> bytes:
-        return self.take(self.u16())
+    return payload + lp16(mac)
 
 
 def _unpack_u64(value: int) -> Optional[int]:
@@ -144,18 +111,11 @@ def _unpack_u64(value: int) -> Optional[int]:
 def decode_certificate(blob: bytes) -> Tuple[BoundsCertificate, bytes]:
     """Strict parse of a signed blob -> (certificate, mac). Unauthenticated:
     callers that care must use :func:`verify_certificate`."""
-    r = _Reader(blob)
-    if r.take(5) != MAGIC:
-        raise ValueError("bad certificate magic")
-    version = r.u8()
-    if version != VERSION:
-        raise ValueError(f"unsupported certificate version {version}")
-    try:
-        workload = r.lp().decode("utf-8")
-        method = r.lp().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"non-UTF8 name field: {exc}") from None
-    digest = r.lp()
+    r = Reader(blob, ValueError, "certificate")
+    r.header(MAGIC, "certificate", VERSION)
+    workload = r.utf8(r.lp16(), "non-UTF8 name field")
+    method = r.utf8(r.lp16(), "non-UTF8 name field")
+    digest = r.lp16()
     depth = _unpack_u64(r.u64())
     records = _unpack_u64(r.u64())
     log_bytes = _unpack_u64(r.u64())
@@ -164,25 +124,19 @@ def decode_certificate(blob: bytes) -> Tuple[BoundsCertificate, bytes]:
         raise ValueError(f"depth_exact flag must be 0/1, got {flag}")
     cycles: List[Tuple[str, ...]] = []
     for _ in range(r.u16()):
-        members = []
-        for _ in range(r.u16()):
-            try:
-                members.append(r.lp().decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"non-UTF8 cycle label: {exc}") from None
-        cycles.append(tuple(members))
+        cycles.append(tuple(r.utf8(r.lp16(), "non-UTF8 cycle label")
+                            for _ in range(r.u16())))
     key_lists: List[Tuple[int, ...]] = []
     for _ in range(2):
         count = r.u32()
-        if count * 4 > len(r.data) - r.pos:
+        if count * 4 > r.remaining:
             raise ValueError(f"key count {count} exceeds remaining bytes")
         keys = tuple(r.u32() for _ in range(count))
         if list(keys) != sorted(keys):
             raise ValueError("key list not sorted (non-canonical)")
         key_lists.append(keys)
-    mac = r.lp()
-    if r.pos != len(blob):
-        raise ValueError("trailing bytes after certificate")
+    mac = r.lp16()
+    r.end("trailing bytes after certificate")
     cert = BoundsCertificate(
         workload=workload, method=method, image_digest=digest,
         max_stack_depth=depth, max_log_records=records,
