@@ -95,7 +95,7 @@ class EpochRegistry(Generic[E]):
     def _mac(self, payload: bytes) -> bytes:
         if self.key is None:
             return b""
-        return hmac.new(self.key, payload, hashlib.sha256).digest()
+        return hmac.digest(self.key, payload, "sha256")
 
     def _make(self, profile: DeviceProfile, epoch: int,
               content: Any) -> E:

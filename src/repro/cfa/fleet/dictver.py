@@ -99,11 +99,11 @@ def spec_challenge(nonce: bytes, epoch: int, digest: bytes) -> bytes:
 def dack_mac(key: bytes, device_id: str, epoch: int,
              digest: bytes) -> bytes:
     """The MAC a device signs its dictionary acknowledgement with."""
-    return hmac.new(
+    return hmac.digest(
         key,
         b"dict-ack|" + device_id.encode() + struct.pack("<I", epoch)
         + digest,
-        hashlib.sha256).digest()
+        "sha256")
 
 
 class DictionaryRegistry(EpochRegistry[DictEpoch]):

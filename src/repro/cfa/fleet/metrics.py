@@ -9,11 +9,21 @@ percentiles, throughput) computed on demand and a one-line
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Deque, Dict, Sequence
+
+#: most verification latencies one metrics object keeps (the newest);
+#: the percentiles describe this window, so a long-lived service holds
+#: a fixed amount of latency state
+LATENCY_WINDOW = 16384
 
 
-def percentile(values: List[float], fraction: float) -> float:
+def _latency_window() -> Deque[float]:
+    return deque(maxlen=LATENCY_WINDOW)
+
+
+def percentile(values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile; 0.0 on an empty sample."""
     if not values:
         return 0.0
@@ -41,7 +51,9 @@ class FleetMetrics:
     duplicates_dropped: int = 0
     bytes_ingested: int = 0
     # verification engine
-    verify_latencies_s: List[float] = field(default_factory=list, repr=False)
+    #: the last :data:`LATENCY_WINDOW` verification latencies
+    verify_latencies_s: Deque[float] = field(
+        default_factory=_latency_window, repr=False)
     queue_depth: int = 0
     queue_depth_max: int = 0
     workers: int = 0
@@ -144,8 +156,10 @@ def aggregate_metrics(per_shard: Sequence[FleetMetrics],
                       recovery_s: float = 0.0) -> FleetMetrics:
     """Fold per-shard metrics into one fleet-wide view.
 
-    Counters sum; latency samples concatenate (so the percentiles are
-    fleet-wide, not a mean of per-shard percentiles); queue depth takes
+    Counters sum; latency windows concatenate, shard by shard, into
+    one window of the same bound (so the percentiles are fleet-wide,
+    not a mean of per-shard percentiles, and a read copies at most one
+    window per shard); queue depth takes
     the worst shard. ``wall_s`` is the *router's* wall clock — shards
     run concurrently, so summing their walls would double count.
     """

@@ -38,7 +38,6 @@ MACs, challenge, and sequencing from scratch.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,11 +45,8 @@ from repro.cfa.protocol import Challenge
 from repro.cfa.fleet.dictver import DictEpoch, spec_challenge
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.report import Report
-from repro.cfa.speccfa import SpecRecord, SubPathDict, expand
+from repro.cfa.speccfa import SubPathDict, expand, span_claim
 from repro.cfa.wire import WireError, decode_report
-
-#: a record's wire size
-_SIZE_BYTES = operator.attrgetter("size_bytes")
 
 # session lifecycle states
 PENDING = "pending"        # challenged, no report accepted yet
@@ -117,6 +113,8 @@ class Session:
     healing: bool = False
     #: ``(admission_claim(),)`` once the chain is complete
     _claim: Optional[tuple] = field(default=None, init=False, repr=False)
+    #: ``(challenge, dict_epoch, bound challenge)`` last derived
+    _bound: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def active(self) -> bool:
@@ -139,9 +137,16 @@ class Session:
     def bound_challenge(self) -> bytes:
         """What the reports' challenge field must equal: the bare nonce
         under epoch 0, the epoch-bound nonce otherwise (so the report
-        MACs pin the session to exactly one dictionary version)."""
-        return spec_challenge(self.challenge.nonce, self.epoch,
-                              self.dict_digest)
+        MACs pin the session to exactly one dictionary version).
+        Derived once per challenge: a retry issues a new one."""
+        bound = self._bound
+        if (bound is None or bound[0] is not self.challenge
+                or bound[1] is not self.dict_epoch):
+            bound = self._bound = (
+                self.challenge, self.dict_epoch,
+                spec_challenge(self.challenge.nonce, self.epoch,
+                               self.dict_digest))
+        return bound[2]
 
     def admission_claim(self) -> Optional[Tuple[int, int]]:
         """(records, log bytes) the chain claims once dictionary-expanded,
@@ -158,25 +163,18 @@ class Session:
         return claim
 
     def _count_claim(self) -> Optional[Tuple[int, int]]:
-        records = self.records()
-        count = len(records)
-        size = sum(map(_SIZE_BYTES, records))
-        if self.dictionary:
-            # path id -> (records, log bytes) of one copy of its pattern
-            copies: Dict[int, Tuple[int, int]] = {}
-            for token in records:
-                if not isinstance(token, SpecRecord):
-                    continue
-                one = copies.get(token.path_id)
-                if one is None:
-                    pattern = self.dictionary.get(token.path_id)
-                    if pattern is None:
-                        return None
-                    one = copies[token.path_id] = (
-                        len(pattern), sum(map(_SIZE_BYTES, pattern)))
-                # the token stands for ``count`` copies of its pattern
-                count += one[0] * token.count - 1
-                size += one[1] * token.count - token.size_bytes
+        # each report's packed records are counted by the pinned epoch's
+        # expander, which memoizes the spans that carry tokens
+        claim_of: Callable[[bytes], Optional[Tuple[int, int]]] = span_claim
+        if self.dict_epoch is not None and self.dictionary:
+            claim_of = self.dict_epoch.expander.claim
+        count = size = 0
+        for report in self.reports:
+            claim = claim_of(report.cflog.pack())
+            if claim is None:
+                return None
+            count += claim[0]
+            size += claim[1]
         return count, size
 
     def admission_records(self) -> Optional[list]:

@@ -7,8 +7,9 @@ by device id: a :class:`HashRing` routes each device to exactly one
 shard, and each shard is a full ``FleetService`` owning its devices'
 sessions, nonces, reorder windows, replay cache, and evidence log —
 no state is shared across shards, so shards can run their own worker
-pools (or, with the handoff framing in :mod:`repro.cfa.wire`, in
-separate processes) without coordination.
+pools without coordination. In process the router hands each call
+straight to the owning shard; the RSHD handoff frame in
+:mod:`repro.cfa.wire` is the codec for a shard in another process.
 
 Three properties make sharding invisible to verdicts, all pinned by
 ``tests/test_fleet_sharding.py``:
@@ -58,15 +59,6 @@ from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.policy.engine import PolicyEngine
 from repro.cfa.policy.registry import PolicyRegistry, policy_key
 from repro.cfa.protocol import Challenge
-from repro.cfa.wire import (
-    SHARD_KIND_DACK,
-    SHARD_KIND_DICT,
-    SHARD_KIND_HEAL,
-    SHARD_KIND_PLCY,
-    SHARD_KIND_REPORT,
-    decode_shard_frame,
-    encode_shard_frame,
-)
 
 
 class HashRing:
@@ -138,10 +130,12 @@ class ShardedFleetService:
     Presents the same surface as :class:`FleetService` (``open_session``
     / ``submit`` / ``tick`` / ``drain`` / ``close`` / ``verdicts``), so
     the simulator, the CLI, and the benchmarks drive either
-    interchangeably. Every submit crosses the shard boundary through
-    the wire handoff framing — encode at the router, decode at the
-    shard — so the path a multi-process deployment would take is the
-    path that is tested.
+    interchangeably. Shards live in this process, so every routed call
+    is a plain method call on the owning shard: nothing is framed. The
+    RSHD handoff frame (:func:`~repro.cfa.wire.encode_shard_frame`)
+    stays the codec for a shard behind a process boundary; its golden
+    bytes, decoder battery and round-trip tests pin it until shards
+    run as processes behind a socket and carry it.
     """
 
     def __init__(self, shards: int = 2,
@@ -248,13 +242,8 @@ class ShardedFleetService:
             device_id, profile, key, now)
 
     def submit(self, device_id: str, data: bytes, now: float = 0.0) -> None:
-        """Route one report to its owning shard via the handoff frame."""
-        shard_id = self.ring.route(device_id)
-        frame = encode_shard_frame(shard_id, device_id, data)
-        framed_shard, framed_device, kind, payload = \
-            decode_shard_frame(frame)
-        assert kind == SHARD_KIND_REPORT
-        self.shards[framed_shard].submit(framed_device, payload, now)
+        """Route one report to its owning shard."""
+        self.shards[self.ring.route(device_id)].submit(device_id, data, now)
 
     def tick(self, now: float) -> List[Tuple[str, Challenge]]:
         """Advance every shard's logical clock; merge re-challenges."""
@@ -299,32 +288,16 @@ class ShardedFleetService:
     def dictionary_pushes(
             self, profile: Optional[DeviceProfile] = None
     ) -> List[Tuple[str, bytes]]:
-        """``(device_id, DICT frame)`` fleet-wide. Each push crosses
-        the shard handoff framing (kind ``DICT``) exactly like a report
-        submit does, so the multi-process path is the tested path."""
-        pushes: List[Tuple[str, bytes]] = []
-        for shard_id, service in enumerate(self.shards):
-            for device_id, payload in service.dictionary_pushes(profile):
-                frame = encode_shard_frame(
-                    shard_id, device_id, payload, kind=SHARD_KIND_DICT)
-                framed_shard, framed_device, kind, inner = \
-                    decode_shard_frame(frame)
-                assert kind == SHARD_KIND_DICT and framed_shard == shard_id
-                pushes.append((framed_device, inner))
-        return pushes
+        """``(device_id, DICT frame)`` fleet-wide, shard by shard."""
+        return [push for service in self.shards
+                for push in service.dictionary_pushes(profile)]
 
     def ingest_dack(self, device_id: str, data: bytes,
                     now: float = 0.0) -> bool:
-        """Route a device's ``DACK`` to its owning shard (kind ``DACK``
-        handoff frame); the shard validates MAC and registry binding."""
-        shard_id = self.ring.route(device_id)
-        frame = encode_shard_frame(
-            shard_id, device_id, data, kind=SHARD_KIND_DACK)
-        framed_shard, framed_device, kind, payload = \
-            decode_shard_frame(frame)
-        assert kind == SHARD_KIND_DACK
-        return self.shards[framed_shard].ingest_dack(
-            framed_device, payload, now)
+        """Route a device's ``DACK`` to its owning shard, which
+        validates MAC and registry binding."""
+        return self.shards[self.ring.route(device_id)].ingest_dack(
+            device_id, data, now)
 
     def acked_epoch(self, device_id: str, profile: DeviceProfile) -> int:
         return self.shards[self.ring.route(device_id)].acked_epoch(
@@ -345,63 +318,34 @@ class ShardedFleetService:
     def heal_pushes(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
         """One fleet-wide healing round. The engine is shared, so the
         router — not the shards — enumerates quarantined devices and
-        routes each heal to the shard that owns the device's sessions;
-        each order crosses the ``HEAL`` handoff framing like every
-        other shard-bound byte."""
+        routes each heal to the shard that owns the device's sessions."""
         if self.policy is None:
             return []
-        pushes: List[Tuple[str, bytes]] = []
-        for device_id in self.policy.quarantined_devices():
-            shard_id = self.ring.route(device_id)
-            push = self.shards[shard_id].begin_heal(device_id, now)
-            if push is None:
-                continue
-            frame = encode_shard_frame(
-                shard_id, push[0], push[1], kind=SHARD_KIND_HEAL)
-            framed_shard, framed_device, kind, inner = \
-                decode_shard_frame(frame)
-            assert kind == SHARD_KIND_HEAL and framed_shard == shard_id
-            pushes.append((framed_device, inner))
-        return pushes
+        pushes = (self.begin_heal(device_id, now)
+                  for device_id in self.policy.quarantined_devices())
+        return [push for push in pushes if push is not None]
 
     def resume_heals(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
         """Re-issue standing heal orders after a restart, each at its
         owning shard (no new decisions are minted)."""
         if self.policy is None:
             return []
-        pushes: List[Tuple[str, bytes]] = []
-        for device_id in self.policy.healing_devices():
-            shard_id = self.ring.route(device_id)
-            push = self.shards[shard_id].resume_heal(device_id, now)
-            if push is None:
-                continue
-            frame = encode_shard_frame(
-                shard_id, push[0], push[1], kind=SHARD_KIND_HEAL)
-            framed_shard, framed_device, kind, inner = \
-                decode_shard_frame(frame)
-            assert kind == SHARD_KIND_HEAL and framed_shard == shard_id
-            pushes.append((framed_device, inner))
-        return pushes
+        pushes = (self.shards[self.ring.route(device_id)].resume_heal(
+            device_id, now) for device_id in self.policy.healing_devices())
+        return [push for push in pushes if push is not None]
 
     def policy_pushes(self) -> List[Tuple[str, bytes]]:
-        """Drain pending lifecycle notices fleet-wide (kind ``PLCY``
-        handoff frames; each notice is MAC'd by the owning shard under
-        the device's key)."""
+        """Drain pending lifecycle notices fleet-wide as ``(device_id,
+        PLCY frame)`` pairs; each notice is MAC'd by the owning shard
+        under the device's key."""
         if self.policy is None:
             return []
         pushes: List[Tuple[str, bytes]] = []
         for device_id, state, reason, epoch in self.policy.take_notices():
-            shard_id = self.ring.route(device_id)
-            payload = self.shards[shard_id].policy_notice_frame(
-                device_id, state, reason, epoch)
-            if payload is None:
-                continue
-            frame = encode_shard_frame(
-                shard_id, device_id, payload, kind=SHARD_KIND_PLCY)
-            framed_shard, framed_device, kind, inner = \
-                decode_shard_frame(frame)
-            assert kind == SHARD_KIND_PLCY and framed_shard == shard_id
-            pushes.append((framed_device, inner))
+            frame = self.shards[self.ring.route(device_id)] \
+                .policy_notice_frame(device_id, state, reason, epoch)
+            if frame is not None:
+                pushes.append((device_id, frame))
         return pushes
 
     def drain(self) -> FleetMetrics:

@@ -371,7 +371,7 @@ def _decode_policy_body(reader: Reader, body: bytes,
 
 
 def _record_mac(key: bytes, prev_digest: bytes, body: bytes) -> bytes:
-    return hmac.new(key, prev_digest + body, hashlib.sha256).digest()
+    return hmac.digest(key, prev_digest + body, "sha256")
 
 
 def _parse(data: bytes, key: bytes
@@ -513,12 +513,32 @@ class EvidenceStore:
         """
         device_id = verdict.device_id
         seq, prev_digest = self._heads.get(device_id, (0, GENESIS))
+        version = self.version
         body = _encode_body(verdict, challenge, chain, expired, seq,
-                            epoch=epoch, version=self.version,
+                            epoch=epoch, version=version,
                             measurement=measurement, healing=healing)
-        self._append_frame(device_id, seq, prev_digest, body)
-        mac = _record_mac(self.key, prev_digest, body)
-        return _decode_body(body, prev_digest, mac, self.version)
+        mac, digest = self._append_frame(device_id, seq, prev_digest, body)
+        # what _decode_body would read back from these bytes, built from
+        # the values just encoded under this file's version
+        return EvidenceRecord(
+            device_id=device_id, workload=verdict.profile.workload,
+            method=verdict.profile.method, challenge=bytes(challenge),
+            chain_digest=bytes(chain),
+            epoch=epoch if version >= 2 else 0,
+            accepted=bool(verdict.accepted),
+            authenticated=bool(verdict.authenticated),
+            lossless=bool(verdict.lossless), cache_hit=False,
+            expired=bool(expired), reason=verdict.reason,
+            reports=verdict.reports, records=verdict.records,
+            path_len=verdict.path_len, path_digest=verdict.path_digest,
+            records_digest=verdict.records_digest if version >= 2 else "",
+            violations=tuple((kind, address & 0xFFFFFFFF, detail)
+                             for kind, address, detail
+                             in verdict.violations),
+            seq=seq, prev_digest=prev_digest, mac=mac, digest=digest,
+            measurement=bytes(measurement) if version >= 3 else b"",
+            healing=bool(healing) and version >= 3,
+        )
 
     def append_decision(self, decision) -> PolicyRecord:
         """Persist one policy decision into its device's hash chain.
@@ -539,14 +559,20 @@ class EvidenceStore:
         device_id = decision.device_id
         seq, prev_digest = self._heads.get(device_id, (0, GENESIS))
         body = _encode_policy_body(decision, seq)
-        self._append_frame(device_id, seq, prev_digest, body)
-        mac = _record_mac(self.key, prev_digest, body)
-        record = _decode_body(body, prev_digest, mac, self.version)
-        assert isinstance(record, PolicyRecord)
-        return record
+        mac, digest = self._append_frame(device_id, seq, prev_digest, body)
+        return PolicyRecord(
+            device_id=device_id, workload=decision.workload,
+            method=decision.method, from_state=decision.from_state,
+            to_state=decision.to_state, action=decision.action,
+            reason=decision.reason, score=decision.score,
+            heal_attempt=decision.heal_attempt,
+            policy_epoch=decision.policy_epoch,
+            measurement=bytes(decision.measurement), seq=seq,
+            prev_digest=prev_digest, mac=mac, digest=digest)
 
-    def _append_frame(self, device_id: str, seq: int,
-                      prev_digest: bytes, body: bytes) -> None:
+    def _append_frame(self, device_id: str, seq: int, prev_digest: bytes,
+                      body: bytes) -> Tuple[bytes, bytes]:
+        """Write one frame durably; returns its ``(mac, digest)``."""
         mac = _record_mac(self.key, prev_digest, body)
         frame = prev_digest + mac + body
         try:
@@ -569,6 +595,7 @@ class EvidenceStore:
         self._heads[device_id] = (seq + 1, digest)
         self.records_appended += 1
         self.bytes_appended += 4 + len(frame)
+        return mac, digest
 
     # -- reading ------------------------------------------------------------
 

@@ -92,6 +92,10 @@ class _ReplaySummary:
 REPLAY_CACHE_ENTRIES = 16384
 
 
+#: the expander of a session with no dictionary: every token is unknown
+_PLAIN = PackedExpander({})
+
+
 class ReplayCache:
     """Memoizes the replay of identical ``(profile, CFLog)`` chains.
 
@@ -131,7 +135,7 @@ class ReplayCache:
         does, on a token whose path id the expander does not know
         (every token, without one).
         """
-        expander = expander or PackedExpander({})
+        expander = expander or _PLAIN
         digest = hashlib.sha256()
         for span in spans:
             digest.update(expander.expand_span(span))
@@ -178,7 +182,7 @@ def _summarize(outcome: ReplayDigest) -> _ReplaySummary:
 _Template = Union[Verifier, NaiveVerifier, None]
 
 # per-process memo of Vrf-side offline artifacts: profile -> template,
-# its replay compiled once and shared by every session's copy
+# its replay compiled once and shared by every session
 _ARTIFACTS: Dict[DeviceProfile, _Template] = {}
 
 
@@ -197,12 +201,17 @@ def _template(profile: DeviceProfile) -> _Template:
     return _ARTIFACTS[profile]
 
 
-def build_verifier(profile: DeviceProfile, key: bytes):
-    """(Re)build the Vrf for a profile; offline artifacts are memoized."""
+def _attestable(profile: DeviceProfile):
+    """The profile's keyless template; raises if it has none."""
     template = _template(profile)
     if template is None:
         raise ValueError(f"method {profile.method!r} is not attestable")
-    verifier = copy.copy(template)
+    return template
+
+
+def build_verifier(profile: DeviceProfile, key: bytes):
+    """(Re)build the Vrf for a profile; offline artifacts are memoized."""
+    verifier = copy.copy(_attestable(profile))
     verifier.key = key
     return verifier
 
@@ -243,12 +252,14 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     on it: evidence records the verdict, not which cache served it.
     """
     try:
-        verifier = build_verifier(profile, key)
+        verifier = _attestable(profile)
     except Exception as exc:  # unknown workload/method in the profile
         return SessionVerdict(
             device_id=device_id, profile=profile, accepted=False,
             reason=f"no verifier for profile {profile}: {exc}")
+    # the shared template replays; the session key authenticates
     stream = StreamingVerifier(verifier, challenge)
+    stream.key = key
     try:
         if reports is not None:
             for report in reports:

@@ -33,7 +33,6 @@ loop in the fleet service (``heal_pushes`` / ``policy_pushes``).
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import struct
 from typing import Optional, Tuple
@@ -53,23 +52,23 @@ def heal_mac(key: bytes, device_id: str, attempt: int,
              policy_epoch: int, measurement: bytes,
              nonce: bytes) -> bytes:
     """The MAC a Vrf puts on a healing order (device attestation key)."""
-    return hmac.new(
+    return hmac.digest(
         key,
         b"heal-order|" + device_id.encode()
         + struct.pack("<II", attempt, policy_epoch)
         + lp(measurement)
         + nonce,
-        hashlib.sha256).digest()
+        "sha256")
 
 
 def policy_notice_mac(key: bytes, device_id: str, state: str,
                       reason: str, policy_epoch: int) -> bytes:
     """The MAC a Vrf puts on a lifecycle notice (device key)."""
-    return hmac.new(
+    return hmac.digest(
         key,
         b"policy-notice|" + device_id.encode() + b"|" + state.encode()
         + b"|" + reason.encode() + struct.pack("<I", policy_epoch),
-        hashlib.sha256).digest()
+        "sha256")
 
 
 def build_heal_frame(key: bytes, device_id: str, attempt: int,

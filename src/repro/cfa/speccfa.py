@@ -26,7 +26,7 @@ import struct
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cfa.cflog import (
     AddressRecord,
@@ -213,9 +213,26 @@ def expand(records: Sequence[Record],
 _PACKED = struct.Struct("<BII")
 #: a token's tag in that layout
 _TOKEN_TAG = 4
-#: byte budget of one :class:`PackedExpander`'s memo; past it the
-#: memo restarts, so hostile repeat counts cannot pin memory
+#: record tag -> the wire size (``size_bytes``) a claim charges it
+_TAG_SIZES = {tag: cls.size_bytes for tag, cls in _PATTERN_RECORDS.items()}
+_TAG_SIZES[_TOKEN_TAG] = SpecRecord.size_bytes
+#: byte budget of one :class:`PackedExpander`'s record and span
+#: expansion memos together; past it both restart, so hostile repeat
+#: counts cannot pin memory
 EXPANSION_MEMO_BYTES = 1 << 20
+#: most record spans each of a :class:`PackedExpander`'s span memos
+#: (claims, expansions) keeps before it restarts
+SPAN_MEMO_ENTRIES = 4096
+#: byte budget of the span keys one claim memo holds
+CLAIM_MEMO_BYTES = 1 << 20
+
+
+def span_claim(span: bytes) -> Tuple[int, int]:
+    """``(records, log bytes)`` of a run of packed records, each token
+    counted as itself: C-level counts over the tag bytes."""
+    tags = span[::_PACKED.size]
+    return len(tags), sum(size * tags.count(tag)
+                          for tag, size in _TAG_SIZES.items())
 
 
 class PackedExpander:
@@ -228,24 +245,101 @@ class PackedExpander:
     unpacked record, so a span of known records expands in one
     C-level sweep. Raises ``ValueError`` on an unknown path id, as
     :func:`expand` does.
+
+    Devices running one firmware send the same spans session after
+    session, so two more memos are keyed by a span's bytes:
+    :meth:`claim` (the span's expanded size, counted without
+    expanding) and the expansion itself. Neither memo holds a span
+    without a token: such a span is its own expansion, and its claim
+    is a count over its tag bytes.
     """
 
     def __init__(self, dictionary: SubPathDict):
         self.patterns = {path_id: b"".join(r.pack() for r in pattern)
                          for path_id, pattern in dictionary.items()}
+        self._reset()
+
+    def _reset(self) -> None:
+        #: path id -> the claim of one copy of its sub-path
+        self._pattern_claims = {path_id: span_claim(pattern)
+                                for path_id, pattern
+                                in self.patterns.items()}
         self._memo: Dict[Tuple[int, ...], bytes] = {}
         self._memo_bytes = 0
+        #: span -> its expansion (shares the record memo's budget)
+        self._spans: Dict[bytes, bytes] = {}
+        self._span_bytes = 0
+        #: span -> its claim
+        self._claims: Dict[bytes, Optional[Tuple[int, int]]] = {}
+        self._claim_bytes = 0
         self._lock = threading.Lock()
+
+    def claim(self, span: bytes) -> Optional[Tuple[int, int]]:
+        """``(records, log bytes)`` the span claims once expanded,
+        counted without expanding it: a token's repeat count stays a
+        number, so this is safe before the span's MAC is checked.
+        ``None`` when a token names an unknown path id."""
+        tags = span[::_PACKED.size]
+        if tags.find(_TOKEN_TAG) < 0:
+            return span_claim(span)
+        try:
+            return self._claims[span]
+        except KeyError:
+            pass
+        count, size = span_claim(span)
+        claim: Optional[Tuple[int, int]] = None
+        for tag, path_id, repeats in _PACKED.iter_unpack(span):
+            if tag != _TOKEN_TAG:
+                continue
+            one = self._pattern_claims.get(path_id)
+            if one is None:
+                break
+            # the token stands for ``repeats`` copies of its sub-path
+            count += one[0] * repeats - 1
+            size += one[1] * repeats - _TAG_SIZES[_TOKEN_TAG]
+        else:
+            claim = (count, size)
+        with self._lock:
+            if len(span) <= CLAIM_MEMO_BYTES:
+                if (len(self._claims) >= SPAN_MEMO_ENTRIES
+                        or self._claim_bytes + len(span) > CLAIM_MEMO_BYTES):
+                    self._claims.clear()
+                    self._claim_bytes = 0
+                self._claims[span] = claim
+                self._claim_bytes += len(span)
+        return claim
 
     def expand_span(self, span: bytes) -> bytes:
         if span[::_PACKED.size].find(_TOKEN_TAG) < 0:
             return span  # no token: the span is its own expansion
+        expanded = self._spans.get(span)
+        if expanded is not None:
+            return expanded
         try:
             pieces = list(map(self._memo.__getitem__,
                               _PACKED.iter_unpack(span)))
         except KeyError:
             pieces = [self._piece(r) for r in _PACKED.iter_unpack(span)]
-        return b"".join(pieces)
+        expanded = b"".join(pieces)
+        cost = len(span) + len(expanded)
+        with self._lock:
+            if cost <= EXPANSION_MEMO_BYTES:
+                if len(self._spans) >= SPAN_MEMO_ENTRIES:
+                    self._spans.clear()
+                    self._span_bytes = 0
+                self._make_room(cost)
+                self._spans[span] = expanded
+                self._span_bytes += cost
+        return expanded
+
+    def _make_room(self, cost: int) -> None:
+        """Restart both expansion memos if ``cost`` more bytes would
+        overflow their shared budget (caller holds ``_lock``)."""
+        if (self._memo_bytes + self._span_bytes + cost
+                > EXPANSION_MEMO_BYTES):
+            self._memo.clear()
+            self._spans.clear()
+            self._memo_bytes = self._span_bytes = 0
 
     def _piece(self, record: Tuple[int, ...]) -> bytes:
         with self._lock:
@@ -260,22 +354,18 @@ class PackedExpander:
                     raise ValueError(
                         f"unknown speculated sub-path id {a}")
                 if len(piece) <= EXPANSION_MEMO_BYTES:
-                    if self._memo_bytes + len(piece) > EXPANSION_MEMO_BYTES:
-                        self._memo.clear()
-                        self._memo_bytes = 0
+                    self._make_room(len(piece))
                     self._memo[record] = piece
                     self._memo_bytes += len(piece)
             return piece
 
     def __getstate__(self) -> dict:
-        # the lock cannot cross a process boundary; the memo need not
+        # the lock cannot cross a process boundary; the memos need not
         return {"patterns": self.patterns}
 
     def __setstate__(self, state: dict) -> None:
         self.patterns = state["patterns"]
-        self._memo = {}
-        self._memo_bytes = 0
-        self._lock = threading.Lock()
+        self._reset()
 
 
 def speculate_result(result: AttestationResult, dictionary: SubPathDict,

@@ -28,6 +28,10 @@ class StreamingVerifier:
     def __init__(self, verifier: Verifier, challenge: bytes):
         self.verifier = verifier
         self.challenge = challenge
+        #: what every report's MAC must verify under: the verifier's
+        #: key unless the caller rebinds it, which lets one keyless
+        #: verifier serve every device's session
+        self.key = verifier.key
         self._records: List[Record] = []
         self._next_seq = 0
         self._finished = False
@@ -61,7 +65,7 @@ class StreamingVerifier:
             raise StreamError("stream already finished")
         if self.rejected:
             raise StreamError(f"stream already rejected: {self.rejected}")
-        if not report.verify(self.verifier.key):
+        if not report.verify(self.key):
             self.rejected = f"bad MAC on report #{report.seq}"
         elif report.challenge != self.challenge:
             self.rejected = f"challenge mismatch on report #{report.seq}"

@@ -145,10 +145,10 @@ def decode_report(data: bytes) -> Tuple[Report, int]:
 
 # -- shard handoff framing --------------------------------------------------
 #
-# The sharded fleet router hands device traffic to the shard that owns
-# the device over its own envelope, so a shard can run in another
-# process (or on another host) and still receive exactly the bytes the
-# device transmitted, attributed to the right session.
+# A shard in another process (or on another host) receives device
+# traffic in this envelope, so it still gets exactly the bytes the
+# device transmitted, attributed to the right session. The in-process
+# router calls its shards directly and frames nothing.
 
 SHARD_MAGIC = b"RSHD"
 SHARD_VERSION = 1

@@ -100,7 +100,7 @@ def pack_certificate(cert: BoundsCertificate) -> bytes:
 def sign_certificate(cert: BoundsCertificate, key: bytes) -> bytes:
     """Canonical payload + MAC: the on-disk/wire blob."""
     payload = pack_certificate(cert)
-    mac = hmac.new(key, payload, hashlib.sha256).digest()
+    mac = hmac.digest(key, payload, "sha256")
     return payload + lp16(mac)
 
 
@@ -150,8 +150,7 @@ def decode_certificate(blob: bytes) -> Tuple[BoundsCertificate, bytes]:
 def verify_certificate(blob: bytes, key: bytes) -> BoundsCertificate:
     """Parse + authenticate; raises ``ValueError`` on any failure."""
     cert, mac = decode_certificate(blob)
-    expected = hmac.new(key, pack_certificate(cert),
-                        hashlib.sha256).digest()
+    expected = hmac.digest(key, pack_certificate(cert), "sha256")
     if not hmac.compare_digest(mac, expected):
         raise ValueError("certificate MAC mismatch")
     return cert

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from typing import Iterable
 
@@ -17,7 +16,7 @@ def _fold(fields: Iterable[bytes]) -> bytes:
 
 def mac_report(key: bytes, *fields: bytes) -> bytes:
     """HMAC over length-prefixed report fields (prevents splicing)."""
-    return hmac.new(key, _fold(fields), hashlib.sha256).digest()
+    return hmac.digest(key, _fold(fields), "sha256")
 
 
 def verify_mac(key: bytes, tag: bytes, *fields: bytes) -> bool:

@@ -8,6 +8,7 @@ certificate's record bound, fast, without expanding a single token
 and without raising out of ``submit``.
 """
 
+import resource
 import time
 from unittest import mock
 
@@ -23,7 +24,7 @@ from repro.cfa.fleet import (
     device_key,
 )
 from repro.cfa.fleet import session as session_mod
-from repro.cfa.speccfa import SpecRecord, mine_subpaths
+from repro.cfa.speccfa import PackedExpander, SpecRecord, mine_subpaths
 from repro.cfa.wire import decode_report, encode_dack_frame, encode_report
 from repro.core.analysis.certificate import BoundsRegistry, certify_workload
 
@@ -102,4 +103,44 @@ def test_forged_repeat_count_rejected_without_expansion(
     assert not verdict.accepted
     assert verdict.reason.startswith("bounds: ")
     assert verdict.reason.endswith(
+        f"records exceed the certified maximum {cert.max_log_records}")
+
+
+def test_forged_count_rejected_alike_with_a_warm_memo(factory, registry):
+    """The epoch's span memos warmed by honest sessions change nothing:
+    a forged 2^31 count is still counted, never expanded, and rejected
+    with the same verdict, fast and without growing the heap."""
+    service, entry = pinned_service(factory, registry)
+    cert = registry.get(PROFILE.workload, PROFILE.method)
+    for _ in range(2):  # honest compressed sessions warm both memos
+        challenge = service.open_session(DEVICE, PROFILE, device_key(DEVICE))
+        for chunk in factory.chain(DeviceSpec(DEVICE, PROFILE),
+                                   challenge.nonce, entry):
+            service.submit(DEVICE, chunk)
+        assert service.verdicts[DEVICE].accepted
+    assert entry.expander._claims and entry.expander._spans
+    verdicts, settle_s = [], []
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with mock.patch.object(session_mod, "expand",
+                           side_effect=AssertionError("expanded")), \
+            mock.patch.object(PackedExpander, "expand_span",
+                              side_effect=AssertionError("expanded")):
+        for _ in range(3):  # the forged span itself is memoized after one
+            challenge = service.open_session(
+                DEVICE, PROFILE, device_key(DEVICE))
+            chunks = forge_count(factory.chain(
+                DeviceSpec(DEVICE, PROFILE), challenge.nonce, entry), 1 << 31)
+            for chunk in chunks[:-1]:
+                service.submit(DEVICE, chunk)
+            start = time.perf_counter()
+            service.submit(DEVICE, chunks[-1])  # completes: the screen runs
+            settle_s.append(time.perf_counter() - start)
+            verdicts.append(service.verdicts[DEVICE])
+    rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    service.close()
+    assert min(settle_s) <= 1e-3
+    assert rss_after - rss_before < 8 * 1024  # KiB: no expansion happened
+    assert len(set(verdicts)) == 1
+    assert not verdicts[0].accepted
+    assert verdicts[0].reason.endswith(
         f"records exceed the certified maximum {cert.max_log_records}")

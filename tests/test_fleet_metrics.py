@@ -1,0 +1,61 @@
+"""The fleet's latency sample is a fixed window, per shard and fleet-wide.
+
+A long-lived service keeps only the newest ``LATENCY_WINDOW``
+verification latencies, and the router's aggregate (what every
+``drain()`` returns) is bounded by the same window, so neither memory
+nor the cost of reading the metrics grows with the sessions served.
+"""
+
+from repro.cfa.fleet import (
+    ChainFactory,
+    FleetService,
+    FleetSimulator,
+    ShardedFleetService,
+    build_fleet_specs,
+)
+from repro.cfa.fleet import metrics as metrics_mod
+from repro.cfa.fleet.metrics import FleetMetrics, aggregate_metrics
+
+WINDOW = 5
+
+
+def run_fleet(service, devices=16):
+    specs = build_fleet_specs(devices, workloads=("fibcall",), seed=3)
+    result = FleetSimulator(specs, seed=7,
+                            factory=ChainFactory(watermark=256)).run(service)
+    assert result.ok
+    return service.drain()
+
+
+def test_a_service_keeps_the_newest_window(monkeypatch):
+    monkeypatch.setattr(metrics_mod, "LATENCY_WINDOW", WINDOW)
+    with FleetService() as service:
+        metrics = run_fleet(service)
+    assert metrics.sessions_settled > WINDOW
+    assert len(metrics.verify_latencies_s) == WINDOW
+    pct = metrics.latency_percentiles()
+    assert 0 < pct["p50"] <= pct["p95"] <= pct["p99"]
+    assert "verify p50/p95/p99" in metrics.summary()
+
+
+def test_the_fleet_wide_aggregate_has_the_same_bound(monkeypatch):
+    monkeypatch.setattr(metrics_mod, "LATENCY_WINDOW", WINDOW)
+    with ShardedFleetService(shards=2) as service:
+        metrics = run_fleet(service)
+        per_shard = [s.metrics.verify_latencies_s for s in service.shards]
+    assert all(len(window) == WINDOW for window in per_shard)
+    assert len(metrics.verify_latencies_s) == WINDOW
+    # the aggregate is the concatenation's newest window
+    assert list(metrics.verify_latencies_s) == [
+        t for window in per_shard for t in window][-WINDOW:]
+    assert metrics.latency_percentiles()["p99"] > 0
+
+
+def test_the_window_slides():
+    shard = FleetMetrics()
+    total = metrics_mod.LATENCY_WINDOW + 10
+    shard.verify_latencies_s.extend(float(i) for i in range(total))
+    assert list(shard.verify_latencies_s) == [
+        float(i) for i in range(10, total)]
+    merged = aggregate_metrics([shard, FleetMetrics()])
+    assert len(merged.verify_latencies_s) == metrics_mod.LATENCY_WINDOW

@@ -9,8 +9,8 @@ heads independent of how devices interleave inside shard logs.
 
 Plus the consistent-hashing contract that makes resharding cheap
 (growing the ring remaps only ~1/(n+1) of devices, all onto the new
-shard) and the wire-level shard handoff framing every routed report
-crosses.
+shard) and the wire-level shard handoff frame, the codec for a shard
+that runs in another process.
 """
 
 import hypothesis.strategies as st

@@ -13,8 +13,8 @@ The second half pins shard-invariance for the new protocol traffic: a
 1-shard and a 2-shard fleet — with a dictionary push landing
 *mid-stream* between the halves of every open session — settle
 byte-identical verdicts and byte-identical per-device evidence chain
-heads, because DICT/DACK frames cross the shard handoff exactly like
-reports do.
+heads, because DICT/DACK frames are routed to the owning shard exactly
+like reports are.
 """
 
 import pytest
