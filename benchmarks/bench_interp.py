@@ -14,7 +14,7 @@ Usage::
 Full mode benchmarks all workloads (sustained throughput: one warm
 MCU, reset+rerun for ``--min-time`` seconds per tier) and writes the
 table to ``benchmarks/results/interp.txt``.  Smoke mode
-(the CI gate) runs a three-workload subset with the differential check
+(the CI gate) runs a five-workload subset with the differential check
 on and fails (exit 1) if the JIT is less than ``--min-speedup`` (2x)
 over the interpreter on any of them.
 
@@ -40,7 +40,7 @@ from repro.asm import link
 
 RESULTS = pathlib.Path(__file__).parent / "results" / "interp.txt"
 
-SMOKE_WORKLOADS = ["prime", "crc32", "temperature"]
+SMOKE_WORKLOADS = ["prime", "crc32", "temperature", "geiger", "ultrasonic"]
 
 #: Interpreter throughput of the pre-JIT tree (cycles/sec, measured on
 #: the CI container with this script's sustained-throughput loop; the

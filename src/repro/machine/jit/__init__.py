@@ -5,8 +5,9 @@ straight-line regions need no per-instruction observation.  Hot
 single-entry straight-line superblocks are compiled once into
 specialized Python functions that execute the whole block with cycle
 counts pre-summed and the per-instruction DWT/MTB/tracer observation
-hoisted to the block boundary; everything else (indirect control flow,
-SVC gateway calls, faults, unknown hooks) falls back to the
+hoisted to the block boundary, and a register-only loop back to the
+block's own entry iterates inside its compiled function; everything
+else (SVC gateway calls, faults, unknown hooks) falls back to the
 one-instruction-at-a-time interpreter, so trace semantics stay
 bit-identical.
 

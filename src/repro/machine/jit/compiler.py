@@ -27,7 +27,15 @@ order.
 A block's terminating control transfer (direct/conditional branch, call,
 ``bx``/``blx``, ``cbz``/``cbnz``, PC-destined pop/load) is *inlined* with
 real per-instruction hook calls — only the sequential body has its
-observation hoisted.
+observation hoisted.  A direct terminator hands its retire hooks one of
+two prebuilt events (taken / fall-through) instead of building one per
+dispatch.
+
+*Loop-resident* blocks — no memory operation anywhere, terminated by a
+conditional direct branch or ``cbz``/``cbnz`` back to the block's own
+entry — get a second function, ``_loop``, that keeps iterating in place
+(see :func:`compile_superblock`); the run loop uses it when the pre-hook
+batch handlers accept the whole loop at once.
 """
 
 from __future__ import annotations
@@ -81,17 +89,23 @@ class JitCompileError(Exception):
 class CompiledBlock:
     """One compiled superblock plus its dispatch metadata."""
 
-    __slots__ = ("entry", "end", "pcs", "body_pcs", "fn", "max_extra",
-                 "n_instr")
+    __slots__ = ("entry", "end", "pcs", "body_pcs", "fn", "loop",
+                 "max_extra", "n_instr")
 
     def __init__(self, entry: int, end: int, pcs: Tuple[int, ...],
                  body_pcs: Tuple[int, ...], fn, max_extra: int,
-                 n_instr: int):
+                 n_instr: int, loop=None):
         self.entry = entry
         self.end = end
         self.pcs = pcs
         self.body_pcs = body_pcs
+        #: one iteration: ``fn(cpu, ret_batch)``
         self.fn = fn
+        #: loop-resident blocks only (else None): ``loop(cpu, ret_batch,
+        #: retire_limit, pending, pre_hooks, pre_len, retire_hooks,
+        #: retire_len)`` iterates until the back-edge falls through or
+        #: the run loop would act between iterations
+        self.loop = loop
         #: retires beyond the first — the run-loop dispatches this block
         #: only when ``retired_so_far + max_extra < limit``, so the
         #: execution-limit guard fires on exactly the same instruction
@@ -118,6 +132,10 @@ class _Codegen:
         self.retd_at: Dict[int, int] = {}
         self._cyc = 0  # running pre-sum over completed body instructions
         self._retd = 0
+        #: constant target of a direct terminator (None if indirect) and
+        #: whether it may also fall through
+        self.direct_target: Optional[int] = None
+        self.conditional = False
 
     def emit(self, line: str) -> None:
         self.lines.append(line)
@@ -324,18 +342,20 @@ class _Codegen:
     # -- terminator generation --------------------------------------------
 
     def gen_terminator(self, tpc: int, instr: Instr) -> None:
-        """Inline the final transfer with *real* per-instruction hooks."""
+        """Inline the final transfer and its *real* retire hooks.
+
+        The terminator's pre-hook call is left to the caller: the
+        single-iteration function makes it, the loop function hoists it.
+        """
         kind = instr.kind
         emit = self.emit
         next_pc = (tpc + instr.size) & M32
         base_cycles = instr.spec.cycles
 
-        emit("for _h in cpu.pre_hooks:")
-        emit(f"    _h({hex(tpc)})")
-
         if kind is InstrKind.BRANCH:
             (target,) = instr.operands
             tgt = self._target_expr(target, tpc)
+            self.conditional = instr.cond is not None
             if instr.cond is not None:
                 self.uses_flags = True
                 cond = _COND_EXPRS[normalise_cond(instr.cond)]
@@ -359,6 +379,7 @@ class _Codegen:
         elif kind is InstrKind.COMPARE_BRANCH:
             reg, target = instr.operands
             test = "==" if instr.mnemonic == "cbz" else "!="
+            self.conditional = True
             emit(f"if {self.reg_expr(reg.num, tpc)} {test} 0:")
             emit(f"    _n = {self._target_expr(target, tpc)}")
             emit("else:")
@@ -389,19 +410,44 @@ class _Codegen:
         emit(f"cpu.cycles += {base_cycles + TAKEN_BRANCH_PENALTY} - _sq")
         emit("cpu.retired += 1")
         emit("if cpu.retire_hooks:")
-        emit(f"    _e = _Ev({hex(tpc)}, _n, _sq, _TI)")
+        if self.direct_target is not None:
+            emit("    _e = _EVS[_n]")  # prebuilt per outcome
+        else:
+            emit(f"    _e = _Ev({hex(tpc)}, _n, _sq, _TI)")
         emit("    for _h in cpu.retire_hooks:")
         emit("        _h(_e)")
 
+    def retire_events(self, tpc: int, instr: Instr,
+                      taken: int) -> Dict[int, RetireEvent]:
+        """A direct terminator's retire event per outcome, keyed by ``_n``."""
+        next_pc = (tpc + instr.size) & M32
+        outcomes = [taken, next_pc] if self.conditional else [taken]
+        return {n: RetireEvent(tpc, n, n == next_pc, instr) for n in outcomes}
+
     def _target_expr(self, target, pc: int) -> str:
-        """Branch-target value with the interpreter's ``& ~1`` applied."""
+        """Branch-target value with the interpreter's ``& ~1`` applied.
+
+        A constant target is recorded as the block's ``direct_target``.
+        """
         if isinstance(target, (Label, Imm)):
             value = (self.image.addr_of(target.name)
                      if isinstance(target, Label) else target.value & M32)
+            self.direct_target = value & ~1
             return hex(value & ~1)
         if isinstance(target, Reg):
             return f"{self.reg_expr(target.num, pc)} & 0xFFFFFFFE"
         raise JitCompileError(f"bad branch target {target!r}")
+
+
+def _loop_resident(block: Superblock, gen: _Codegen) -> bool:
+    """True if ``block`` may iterate inside its generated function.
+
+    The body must not touch memory (so nothing but the retire hooks can
+    run between iterations) and the terminator must be a conditional
+    direct branch or ``cbz``/``cbnz`` back to the block's own entry.
+    """
+    return (block.terminator is not None and not gen.uses_mem
+            and gen.conditional and gen.direct_target == block.entry)
 
 
 def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
@@ -410,6 +456,19 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
     Raises :class:`JitCompileError` (or ``KeyError`` for unresolved
     labels) when the block cannot be specialized; callers treat any
     exception as a permanent "interpret this address" decision.
+
+    A loop-resident block also gets ``_loop``: the same body, commit,
+    body retire batch and terminator inside a ``while``, without the
+    terminator's pre-hook call (the run loop has asked the pre batch
+    handlers about the whole loop).  Cycles, retires, PC and flags are
+    committed every iteration, so the retire hooks observe exactly what
+    they do one dispatch at a time.  It returns when the back-edge falls
+    through, when ``cpu.retired`` reaches ``_lim`` (the last retire
+    count at which the run loop would still dispatch the block), and —
+    if any retire hook is attached, the only code that can run between
+    iterations — when an IRQ is pending, the CPU halted, or either hook
+    list changed: everything the run loop would act on between two
+    dispatches.
     """
     gen = _Codegen(image, block)
     for pc, instr in block.body:
@@ -431,8 +490,14 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
         gen.emit(f"regs[15] = {hex(block.end & M32)}")
 
     gen.lines = []
+    term_pre: List[str] = []
+    events = None
     if block.terminator is not None:
         gen.gen_terminator(*block.terminator)
+        term_pre = ["for _h in cpu.pre_hooks:",
+                    f"    _h({hex(block.terminator[0])})"]
+        if gen.direct_target is not None:
+            events = gen.retire_events(*block.terminator, gen.direct_target)
     term_lines = gen.lines
 
     # flag handling decided now that every part has been generated
@@ -450,6 +515,7 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
                      "mem_write = cpu.memory.write",
                      "world = cpu.world"]
     preamble += flag_load
+    ret_batch = ["for _h in _ret:", "    _h(_PCS)"] if n_body else []
 
     out: List[str] = ["def _block(cpu, _ret):"]
 
@@ -472,9 +538,22 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
         indent(body_lines)
         indent(commit)
         indent(flag_commit)
-    if n_body:
-        indent(["for _h in _ret:", "    _h(_PCS)"])
+    indent(ret_batch)
+    indent(term_pre)
     indent(term_lines)
+
+    loop_resident = _loop_resident(block, gen)
+    if loop_resident:
+        out.append("def _loop(cpu, _ret, _lim, _pend, _hp, _hpl, _hr, _hrl):")
+        indent(preamble)
+        indent(["while True:"])
+        indent(body_lines + commit + flag_commit + ret_batch + term_lines, 2)
+        indent([f"if _n != {hex(block.entry)} or cpu.retired >= _lim:",
+                "    return",
+                "if _hrl and (_pend or cpu.halted or cpu.pre_hooks is not _hp",
+                "             or len(_hp) != _hpl or cpu.retire_hooks is not _hr",
+                "             or len(_hr) != _hrl):",
+                "    return"], 2)
 
     source = "\n".join(out) + "\n"
     namespace = {
@@ -482,6 +561,7 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
         "_RETD": gen.retd_at,
         "_Ev": RetireEvent,
         "_TI": block.terminator[1] if block.terminator is not None else None,
+        "_EVS": events,
         "_PCS": body_pcs,
         "_udiv": alu.udiv,
         "_sdiv": alu.sdiv,
@@ -502,4 +582,5 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
         fn=namespace["_block"],
         max_extra=n_total - 1,
         n_instr=n_total,
+        loop=namespace["_loop"] if loop_resident else None,
     )

@@ -32,6 +32,11 @@ method) and providing the batch counterpart (``jit_block_pre(pcs)`` /
 ``jit_block_retire(pcs)``).  Any unrecognized hook — a test lambda, an
 experiment's closure — disables block dispatch entirely until the hook
 lists change, and execution falls back to per-instruction stepping.
+``jit_block_pre`` returns False (with no side effects) to refuse a
+batch, and must be idempotent under repetition: for a loop-resident
+block the run loop calls it once with the whole loop's PCs and then
+runs every iteration without pre-hooks, while the retire hooks still
+run per iteration.  Batch handlers must not change the hook lists.
 """
 
 from __future__ import annotations

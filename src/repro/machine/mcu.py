@@ -28,6 +28,15 @@ def _jit_default() -> bool:
         "0", "off", "no", "false")
 
 
+def _accepts(pre_batch, pcs) -> bool:
+    """Ask each pre batch handler to observe ``pcs`` at once; stops at
+    the first refusal (a refusing handler has no side effects)."""
+    for handler in pre_batch:
+        if not handler(pcs):
+            return False
+    return True
+
+
 @dataclass
 class RunResult:
     """Outcome of one program execution."""
@@ -103,7 +112,11 @@ class MCU:
         under the instruction limit) or interprets one instruction.  The
         NVIC poll, MMIO tick, and the EXC_RETURN/EXIT_PC checks then run
         once per iteration — per *block* under the JIT, which is what
-        makes the guard loop overhead amortized.
+        makes the guard loop overhead amortized.  A loop-resident block
+        (a register-only self-loop) whose whole loop the pre batch
+        handlers accept runs all its iterations in one dispatch when no
+        device ticks; it returns whenever this loop would act between
+        two iterations.
         """
         limit = max_instructions or self.max_instructions
         cpu = self.cpu
@@ -111,7 +124,7 @@ class MCU:
         regs = cpu.regs
         step = cpu.step_fast
         pending = nvic.pending  # list identity is stable for an NVIC
-        tick = self.mmio.tick if self.mmio.has_devices else None
+        tick = self.mmio.tick if self.mmio.ticking else None
         start_cycles = cpu.cycles
         base = cpu.retired
         exit_reason = "halted"
@@ -152,16 +165,17 @@ class MCU:
                     if blk is None:
                         blk = consider(pc)
                     if blk is not NOJIT and done + blk.max_extra < limit:
-                        ok = True
-                        body_pcs = blk.body_pcs
-                        if body_pcs:
-                            for handler in pre_batch:
-                                if not handler(body_pcs):
-                                    ok = False  # non-uniform: interpret
-                                    break
-                        if ok:
-                            blk.fn(cpu, ret_batch)
+                        loop = blk.loop
+                        if (loop is not None and tick is None
+                                and _accepts(pre_batch, blk.pcs)):
+                            loop(cpu, ret_batch, base + limit - blk.max_extra,
+                                 pending, hp, hp_len, hr, hr_len)
                             stepped = False
+                        elif (not blk.body_pcs
+                              or _accepts(pre_batch, blk.body_pcs)):
+                            blk.fn(cpu, ret_batch)  # one iteration
+                            stepped = False
+                        # else non-uniform observation: interpret
             if stepped:
                 step()
             if tick is not None:

@@ -39,6 +39,8 @@ class MMIOBus:
     def __init__(self):
         self._devices: List[Tuple[int, int, MMIODevice]] = []
         self._by_name: Dict[str, MMIODevice] = {}
+        #: devices whose ``tick`` is not the base-class no-op
+        self._tickers: List[MMIODevice] = []
 
     def register(self, base: int, device: MMIODevice, name: Optional[str] = None):
         """Attach ``device`` at absolute address ``base``."""
@@ -47,6 +49,8 @@ class MMIOBus:
             if base < other_base + other_window and other_base < base + window:
                 raise ValueError(f"MMIO window overlap at {base:#x}")
         self._devices.append((base, window, device))
+        if getattr(device.tick, "__func__", None) is not MMIODevice.tick:
+            self._tickers.append(device)
         if name:
             self._by_name[name] = device
         return device
@@ -55,10 +59,10 @@ class MMIOBus:
         return self._by_name[name]
 
     @property
-    def has_devices(self) -> bool:
-        """True if any peripheral is registered (the run loop skips
-        per-iteration ticking entirely when the bus is empty)."""
-        return bool(self._devices)
+    def ticking(self) -> bool:
+        """True if any registered device overrides ``tick`` (the run
+        loop skips per-iteration ticking entirely otherwise)."""
+        return bool(self._tickers)
 
     def _find(self, address: int) -> Tuple[int, MMIODevice]:
         for base, window, device in self._devices:
@@ -75,7 +79,7 @@ class MMIOBus:
         device.write(address - base, value & ((1 << (8 * size)) - 1), size)
 
     def tick(self, cycles: int) -> None:
-        for _, _, device in self._devices:
+        for device in self._tickers:
             device.tick(cycles)
 
     def reset(self) -> None:

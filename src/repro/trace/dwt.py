@@ -72,22 +72,38 @@ class DWT:
                     self.mtb.stop()
 
     def jit_block_pre(self, pcs) -> bool:
-        """Hoisted pre-hook for a straight-line block of ``pcs``.
+        """Hoisted pre-hook for a straight-line block or a self-loop.
 
-        Sound only when every comparator sees the block *uniformly*
-        (matches all of its PCs or none): start/stop are idempotent, so
-        N identical evaluations collapse to one.  ``pcs`` is contiguous
-        and ascending, so uniformity reduces to checking the endpoints.
+        One call must be observably equivalent to :meth:`evaluate`
+        before every instruction of ``pcs`` — *idempotent under
+        repetition*: also before every instruction of any number of
+        back-to-back passes over ``pcs``, interleaved with the retire
+        hooks.  That holds when the comparators covering ``pcs`` share
+        one action and every other comparator misses all of ``pcs``:
+        the first evaluation then leaves the MTB started (or stopped),
+        every later one repeats a no-op, and no retire hook starts or
+        stops the MTB.  ``pcs`` is contiguous and ascending, so a
+        comparator's relation to it reduces to the endpoints.
+
         Returns False — with no side effects — when some comparator
-        splits the block; the caller then falls back to per-instruction
-        stepping.
+        splits ``pcs``, or when both a start and a stop range cover it
+        (per instruction, stop-then-start re-arms the activation warmup
+        before every instruction; one hoisted evaluation would not).
+        The caller then falls back: a loop to one iteration per
+        dispatch, a straight-line block to per-instruction stepping.
         """
         first = pcs[0]
         last = pcs[-1]
+        action = None
         for comparator in self.ranges:
-            covers = comparator.lo <= first and last < comparator.hi
-            disjoint = comparator.hi <= first or comparator.lo > last
-            if not (covers or disjoint):
+            if comparator.lo <= first and last < comparator.hi:
+                if action is not None and comparator.action != action:
+                    return False
+                action = comparator.action
+            elif not (comparator.hi <= first or comparator.lo > last):
                 return False
-        self.evaluate(first)
+        if action == "start":
+            self.mtb.start()
+        elif action == "stop":
+            self.mtb.stop()
         return True

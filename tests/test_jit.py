@@ -17,12 +17,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.asm.assembler import assemble_and_link
-from repro.machine.faults import MemFault
-from repro.machine.jit import NOJIT, discover_superblock
-from repro.machine.jit.runtime import HOT_THRESHOLD, clear_shared_caches
+from repro.machine.faults import ExecutionLimitExceeded, MemFault
+from repro.machine.jit import NOJIT, compile_superblock, discover_superblock
+from repro.machine.jit.runtime import (
+    HOT_THRESHOLD,
+    clear_shared_caches,
+    shared_cache_for,
+)
 from repro.machine.mcu import MCU
-from repro.machine.memmap import NS_RAM_BASE, RODATA_BASE
+from repro.machine.memmap import MMIO_BASE, NS_RAM_BASE, RODATA_BASE
+from repro.machine.mmio import MMIODevice
+from repro.trace.dwt import DWT
 from repro.trace.groundtruth import GroundTruthTracer
+from repro.trace.mtb import MTB
 
 
 @pytest.fixture(autouse=True)
@@ -354,6 +361,313 @@ helper:
         mcu.reset()
         mcu.run()
         assert mcu.jit.blocks  # warms up and recompiles after the flush
+
+
+# -- loop-resident blocks ---------------------------------------------------
+
+#: geiger's delay-loop shape: a register-only body and a conditional
+#: branch back to the block's own entry
+DELAY = """.entry main
+main:
+    mov r7, #{n}
+loop:
+    sub r7, r7, #1
+    cmp r7, #0
+    bgt loop
+    bkpt
+"""
+
+#: a 4-instruction body ahead of ``blt loop``, for the DWT cases
+COUNT_UP = """.entry main
+main:
+    mov r7, #0
+loop:
+    add r7, r7, #1
+    add r0, r0, r7
+    eor r1, r0, r7
+    cmp r7, #20
+    blt loop
+    bkpt
+"""
+
+
+def spy_loops(image):
+    """Warm ``image``'s shared block table with one JIT run, then wrap
+    every loop-resident block's loop function with a call counter.
+    Later MCUs on ``image`` reuse these blocks; returns the counter."""
+    MCU(image, enable_jit=True).run()
+    calls = []
+    blocks = shared_cache_for(image).blocks
+    for blk in blocks.values():
+        if blk is not NOJIT and blk.loop is not None:
+            def spy(*args, _inner=blk.loop):
+                calls.append(args[0].retired)
+                return _inner(*args)
+            blk.loop = spy
+    assert calls == [] and any(b is not NOJIT and b.loop is not None
+                               for b in blocks.values())
+    return calls
+
+
+def run_pair(image, setup, max_instructions=1_000_000):
+    """Run ``image`` under both tiers after ``setup(mcu)``; return the
+    two (mcu, result, error, setup value) tuples."""
+    out = []
+    for enable_jit in (False, True):
+        mcu = MCU(image, max_instructions=max_instructions,
+                  enable_jit=enable_jit)
+        extra = setup(mcu)
+        try:
+            result, error = mcu.run(), None
+        except Exception as exc:  # noqa: BLE001 — compared across tiers
+            result, error = None, exc
+        out.append((mcu, result, error, extra))
+    return out
+
+
+def dwt_setup(ranges, activation_latency=3):
+    """A ``run_pair`` setup wiring an MTB behind a DWT.
+
+    ``ranges`` holds ``(action, first, stop)``: the range covers the
+    loop block's ``pcs[first:stop]`` (body, then the terminator).
+    """
+    def setup(mcu):
+        image = mcu.image
+        block = discover_superblock(image, image.addr_of("loop"))
+        bounds = list(block.pcs) + [block.end]
+        mtb = MTB(mcu.memory, activation_latency=activation_latency)
+        dwt = DWT(mtb)
+        for action, first, stop in ranges:
+            dwt.configure_range(action, bounds[first], bounds[stop])
+        mcu.cpu.pre_hooks.append(dwt.evaluate)
+        mcu.cpu.retire_hooks.append(mtb.on_retire)
+        return mtb
+    return setup
+
+
+class TestLoopMode:
+    def test_store_in_body_is_not_loop_resident(self):
+        image = assemble_and_link(f""".entry main
+main:
+    mov r7, #9
+    mov32 r1, #{NS_RAM_BASE:#x}
+loop:
+    str r7, [r1]
+    sub r7, r7, #1
+    cmp r7, #0
+    bgt loop
+    bkpt
+""")
+        block = discover_superblock(image, image.addr_of("loop"))
+        assert compile_superblock(image, block).loop is None
+        delay = assemble_and_link(DELAY.format(n=9))
+        block = discover_superblock(delay, delay.addr_of("loop"))
+        assert compile_superblock(delay, block).loop is not None
+
+    def test_groundtruth_pc_stream_identical(self):
+        image = assemble_and_link(DELAY.format(n=40))
+        calls = spy_loops(image)
+        (m0, _, _, t0), (m1, _, _, t1) = run_pair(
+            image, lambda mcu: _tracer(mcu))
+        assert calls, "loop mode never engaged"
+        assert t0.pcs == t1.pcs
+        assert t0.transfers == t1.transfers
+        assert (m0.cpu.cycles, m0.cpu.retired) == \
+               (m1.cpu.cycles, m1.cpu.retired)
+
+    @pytest.mark.parametrize("slack", [0, 1, 2])
+    def test_limit_lands_mid_loop(self, slack):
+        """Exhausting the limit on each of the loop's three positions:
+        same retired count, registers and exception as interpreting."""
+        image = assemble_and_link(DELAY.format(n=200))
+        calls = spy_loops(image)
+        limit = 301 + slack
+        (m0, r0, e0, _), (m1, r1, e1, _) = run_pair(
+            image, lambda mcu: None, max_instructions=limit)
+        assert calls, "loop mode never engaged"
+        assert isinstance(e0, ExecutionLimitExceeded)
+        assert type(e0) is type(e1) and str(e0) == str(e1)
+        assert m0.cpu.retired == m1.cpu.retired == limit
+        assert m0.cpu.regs == m1.cpu.regs
+        assert m0.cpu.cycles == m1.cpu.cycles
+        assert m0.cpu.flags.as_tuple() == m1.cpu.flags.as_tuple()
+
+    def test_irq_pended_mid_loop_is_serviced_at_same_boundary(self):
+        image = assemble_and_link(""".entry main
+main:
+    mov r7, #60
+loop:
+    sub r7, r7, #1
+    cmp r7, #0
+    bgt loop
+    bkpt
+isr:
+    add r6, r6, #1
+    mov r5, r7
+    bx lr
+""")
+        calls = spy_loops(image)
+
+        def setup(mcu):
+            mcu.nvic.register_vector(3, image.addr_of("isr"))
+            pend = _OnTaken(mcu.nvic, lambda nvic: nvic.raise_irq(3), 25)
+            mcu.cpu.retire_hooks.append(pend.on_retire)
+            return _tracer(mcu)
+
+        (m0, r0, _, t0), (m1, r1, _, t1) = run_pair(image, setup)
+        assert len(calls) >= 2, "loop mode must exit for the IRQ"
+        assert m0.nvic.serviced == m1.nvic.serviced == [3]
+        assert m0.cpu.regs[5] == m1.cpu.regs[5] != 0  # same r7 at entry
+        assert t0.pcs == t1.pcs
+        assert (r0.cycles, r0.instructions) == (r1.cycles, r1.instructions)
+
+    def test_hook_change_and_halt_mid_loop(self):
+        """A retire hook that, on the 25th taken branch, adds a plain
+        closure retire hook (no batch protocol) or halts the CPU: the
+        loop must return so the next instruction is observed, or the run
+        ends, exactly where interpreting would."""
+        image = assemble_and_link(DELAY.format(n=60))
+        calls = spy_loops(image)
+        for action in ("hook", "halt"):
+            def setup(mcu, action=action):
+                seen = []
+
+                def act(cpu):
+                    if action == "halt":
+                        cpu.halted = True
+                    else:
+                        cpu.retire_hooks.append(
+                            lambda event: seen.append(event.src))
+
+                hook = _OnTaken(mcu.cpu, act, 25)
+                mcu.cpu.retire_hooks.append(hook.on_retire)
+                return seen
+
+            before = len(calls)
+            (m0, r0, _, s0), (m1, r1, _, s1) = run_pair(image, setup)
+            assert len(calls) > before, "loop mode never engaged"
+            assert s0 == s1 and (s1 or action == "halt")
+            assert (r0.cycles, r0.instructions, r0.exit_reason) == \
+                   (r1.cycles, r1.instructions, r1.exit_reason)
+            assert m0.cpu.regs == m1.cpu.regs
+        assert r1.exit_reason == "bkpt" and r1.instructions < 100
+
+    def test_ticking_device_disables_loop_mode(self):
+        """With a device that ticks, each dispatch stays one iteration.
+        On the warm table that is 51 ticks — the entry block plus one
+        per iteration, as before loop mode — summing to 201 cycles."""
+        image = assemble_and_link(DELAY.format(n=50))
+        calls = spy_loops(image)
+
+        def setup(mcu):
+            return mcu.attach_device(MMIO_BASE, _Ticker())
+
+        (m0, r0, _, d0), (m1, r1, _, d1) = run_pair(image, setup)
+        assert calls == []
+        assert sum(d0.ticks) == sum(d1.ticks) == r0.cycles == r1.cycles == 201
+        assert len(d1.ticks) == 51
+        assert m0.cpu.regs == m1.cpu.regs
+
+    def test_silent_device_keeps_loop_mode(self):
+        image = assemble_and_link(DELAY.format(n=50))
+        calls = spy_loops(image)
+        (m0, r0, _, _), (m1, r1, _, _) = run_pair(
+            image, lambda mcu: mcu.attach_device(MMIO_BASE, _Silent()))
+        assert not m1.mmio.ticking
+        assert calls
+        assert (r0.cycles, r0.instructions) == (r1.cycles, r1.instructions)
+
+    def test_dwt_range_splitting_the_loop_falls_back(self):
+        """A start range over the loop's last three instructions splits
+        it: no loop mode, and the MTB records the same packets as when
+        interpreting.  A range over the whole loop is hoisted."""
+        image = assemble_and_link(COUNT_UP)
+        calls = spy_loops(image)
+        (_, _, _, whole0), (_, _, _, whole1) = run_pair(
+            image, dwt_setup([("start", 0, 5)], activation_latency=1))
+        assert calls
+        entries = len(calls)
+        (_, _, _, split0), (_, _, _, split1) = run_pair(
+            image, dwt_setup([("start", 2, 5)], activation_latency=1))
+        assert len(calls) == entries
+        for mtb0, mtb1 in ((whole0, whole1), (split0, split1)):
+            assert mtb0.total_packets == mtb1.total_packets > 0
+            assert mtb0.drain() == mtb1.drain()
+
+    def test_stop_then_start_cover_is_not_hoisted(self):
+        """Regression: a stop range over the body only, configured before
+        a start range over body and terminator.  Per instruction,
+        stop-then-start re-arms the 3-retire warmup before every body
+        instruction, so nothing is ever recorded; a single hoisted
+        evaluation let the warmup run out and recorded 18 packets."""
+        image = assemble_and_link(COUNT_UP)
+        (_, r0, _, mtb0), (m1, r1, _, mtb1) = run_pair(
+            image, dwt_setup([("stop", 0, 4), ("start", 0, 5)]))
+        assert m1.jit.compiles > 0
+        assert mtb0.total_packets == mtb1.total_packets == 0
+        assert (r0.cycles, r0.instructions) == (r1.cycles, r1.instructions)
+
+    def test_jit_block_pre_refuses_mixed_cover_without_side_effects(self):
+        image = assemble_and_link(COUNT_UP)
+        mcu = MCU(image, enable_jit=False)
+        mtb = MTB(mcu.memory, activation_latency=3)
+        dwt = DWT(mtb)
+        lo = image.addr_of("loop")
+        dwt.configure_range("stop", lo, lo + 8)
+        dwt.configure_range("start", lo, lo + 10)
+        assert dwt.jit_block_pre((lo, lo + 2, lo + 4, lo + 6)) is False
+        assert not mtb.enabled
+        dwt.clear()
+        dwt.configure_range("start", lo, lo + 10)
+        dwt.configure_range("start", lo - 2, lo + 12)
+        assert dwt.jit_block_pre((lo, lo + 2, lo + 4, lo + 6, lo + 8))
+        assert mtb.enabled
+
+
+def _tracer(mcu):
+    tracer = GroundTruthTracer(record_all=True)
+    mcu.cpu.retire_hooks.append(tracer.on_retire)
+    return tracer
+
+
+class _OnTaken:
+    """Retire observer that calls ``action(target)`` on the ``at``-th
+    taken branch.
+
+    Batch-capable: a block's body retires are all sequential, so the
+    hoisted counterpart has nothing to do.
+    """
+
+    JIT_RETIRE_HOOK = "on_retire"
+
+    def __init__(self, target, action, at):
+        self.target = target
+        self.action = action
+        self.at = at
+        self.taken = 0
+
+    def on_retire(self, event):
+        if not event.sequential:
+            self.taken += 1
+            if self.taken == self.at:
+                self.action(self.target)
+
+    def jit_block_retire(self, pcs):
+        pass
+
+
+class _Ticker(MMIODevice):
+    WINDOW = 0x10
+
+    def __init__(self):
+        self.ticks = []
+
+    def tick(self, cycles):
+        self.ticks.append(cycles)
+
+
+class _Silent(MMIODevice):
+    WINDOW = 0x10
 
 
 # -- hypothesis: cycle pre-summing == per-instruction accounting ---------

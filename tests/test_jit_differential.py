@@ -21,14 +21,16 @@ import pytest
 
 from repro.cfa.engine import EngineConfig
 from repro.cfa.wire import encode_report
+from repro.eval.figures import EVAL_WORKLOADS
 from repro.eval.runner import run_method
+from repro.machine.jit import NOJIT
 from repro.workloads import load_workload, vulnerable
 from conftest import naive_setup, rap_setup, traces_setup
 
 CHALLENGE = b"jit-diff-chal"
 SETUPS = {"rap-track": rap_setup, "traces": traces_setup,
           "naive-mtb": naive_setup}
-WORKLOADS = ["fibcall", "prime", "crc32", "gps", "temperature"]
+WORKLOADS = list(EVAL_WORKLOADS)
 
 
 @contextmanager
@@ -120,6 +122,15 @@ class TestTierEngagement:
         assert mcu.jit.compiles > 0 or mcu.jit.blocks
         assert result.instructions > 0
 
+    @pytest.mark.parametrize("method", sorted(SETUPS))
+    def test_geiger_delay_loop_is_loop_resident(self, method):
+        """geiger's register-only delay loop must compile to a
+        loop-resident block under every method, so the grid above
+        covers loop mode (naive-mtb's partial reports included)."""
+        mcu, _, _, _ = attest_once("geiger", method, True)
+        assert any(b is not NOJIT and b.loop is not None
+                   for b in mcu.jit.blocks.values())
+
     def test_interpreter_tier_has_no_runtime(self):
         mcu, _, _, _ = attest_once("prime", "rap-track", False)
         assert mcu.jit is None
@@ -133,4 +144,13 @@ class TestEvalRunnerEquivalence:
         tier-independent (explicit kwarg path, no env var)."""
         off = run_method("prime", method, enable_jit=False)
         on = run_method("prime", method, enable_jit=True)
+        assert off == on
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_baseline_runs_match(self, workload):
+        """The unattested baseline (no hooks at all, so loop-resident
+        blocks exit only on fall-through or the limit) on every
+        workload."""
+        off = run_method(workload, "baseline", enable_jit=False)
+        on = run_method(workload, "baseline", enable_jit=True)
         assert off == on
