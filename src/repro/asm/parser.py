@@ -32,7 +32,7 @@ from repro.isa.conditions import ALIASES as COND_ALIASES
 from repro.isa.conditions import CONDITIONS
 from repro.isa.instructions import MNEMONICS, Instr, make_instr
 from repro.isa.operands import Imm, Label, Mem, Reg, RegList
-from repro.isa.registers import parse_reg
+from repro.isa.registers import REG_NUMBERS, parse_reg
 from repro.asm.program import DataBytes, DataWord, Module, Space
 
 
@@ -47,6 +47,7 @@ class AsmSyntaxError(Exception):
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _IDENT_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
+_BRACKETS = frozenset("[]{}")
 
 
 def _strip_comment(line: str) -> str:
@@ -67,6 +68,11 @@ def parse_int(text: str) -> int:
 
 def _split_operands(text: str) -> List[str]:
     """Split an operand string on top-level commas."""
+    if not _BRACKETS.intersection(text):
+        parts = [part.strip() for part in text.split(",")]
+        if not parts[-1]:
+            parts.pop()
+        return parts
     parts: List[str] = []
     depth = 0
     current = []
@@ -87,10 +93,10 @@ def _split_operands(text: str) -> List[str]:
 
 
 def _try_reg(token: str) -> Optional[Reg]:
-    try:
-        return Reg(parse_reg(token))
-    except ValueError:
-        return None
+    """The register ``token`` names, exactly as :func:`parse_reg`
+    accepts it, or None."""
+    num = REG_NUMBERS.get(token.strip().lower())
+    return None if num is None else Reg(num)
 
 
 def _parse_reglist(token: str) -> RegList:
@@ -180,7 +186,7 @@ def parse_statement(line: str) -> Tuple[str, Optional[str], List]:
     """Parse 'mnemonic op, op, ...' into (mnemonic, cond, operands)."""
     stripped = line.strip()
     if " " in stripped or "\t" in stripped:
-        word, rest = re.split(r"\s+", stripped, maxsplit=1)
+        word, rest = stripped.split(None, 1)
     else:
         word, rest = stripped, ""
     mnemonic, cond = split_mnemonic(word)

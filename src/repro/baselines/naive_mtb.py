@@ -9,11 +9,12 @@ frequent partial-report pauses under the 4 KB MTB limit.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.cfa.cflog import BranchRecord, Record
+from repro.cfa.cflog import CFLog
 from repro.cfa.engine import AttestationEngineBase, EngineConfig
 from repro.cfa.report import AttestationResult
+from repro.cfa.wire import decode_records, pack_branch_packets
 from repro.machine.mcu import MCU
 from repro.trace.mtb import MTB
 from repro.tz.keystore import KeyStore
@@ -32,22 +33,20 @@ class NaiveMtbEngine(AttestationEngineBase):
             buffer_size=self.config.mtb_buffer_size,
             activation_latency=self.config.activation_latency,
         )
-        self._drained_packets = 0
 
-    def _records(self) -> List[Record]:
+    def _log(self) -> CFLog:
+        """Drain the MTB into a log packed straight from its bytes."""
         if self.mtb.wrapped:
             raise RuntimeError("MTB wrapped before drain: packets lost")
-        packets = self.mtb.drain()
-        self._drained_packets += len(packets)
-        return [BranchRecord(p.src, p.dst) for p in packets]
+        packed = pack_branch_packets(self.mtb.drain_bytes())
+        return CFLog(decode_records(packed), packed=packed)
 
     def _on_watermark(self, _mtb: MTB) -> None:
-        self._emit_report(self._records(), final=False)
+        self._emit_report(self._log(), final=False)
         self.report_cycles += self.config.sign_cycles
 
     def attest(self, challenge: bytes) -> AttestationResult:
         self._begin(challenge)
-        self._drained_packets = 0
         self.mtb.total_packets = 0
         self.mtb.configure(
             watermark=self.config.watermark or self.config.mtb_buffer_size,
@@ -64,7 +63,7 @@ class NaiveMtbEngine(AttestationEngineBase):
         self.mtb._warmup = 0
         try:
             run = self.mcu.run()
-            self._emit_report(self._records(), final=True)
+            self._emit_report(self._log(), final=True)
         finally:
             self.mtb.stop()
             self._end()

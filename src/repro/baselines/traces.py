@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.program import Module, Space
-from repro.cfa.cflog import AddressRecord, LoopRecord, Record
+from repro.cfa.cflog import AddressRecord, CFLog, LoopRecord, Record
 from repro.cfa.engine import AttestationEngineBase, EngineConfig
 from repro.cfa.report import AttestationResult
 from repro.cfa.services import (
@@ -226,7 +226,7 @@ class TracesEngine(AttestationEngineBase):
             self._emit_partial()
 
     def _emit_partial(self) -> None:
-        self._emit_report(self._records, final=False)
+        self._emit_report(CFLog(self._records), final=False)
         self._records = []
         self._pending_bytes = 0
         self.report_cycles += self.config.sign_cycles
@@ -301,7 +301,7 @@ class TracesEngine(AttestationEngineBase):
         self.mcu.reset()
         try:
             run = self.mcu.run()
-            self._emit_report(self._records, final=True)
+            self._emit_report(CFLog(self._records), final=True)
             self._records = []
         finally:
             self._end()

@@ -21,9 +21,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.asm.program import MTBAR, TEXT, Image
-from repro.cfa.cflog import BranchRecord, CFLog, LoopRecord, Record
+from repro.cfa.cflog import CFLog, LoopRecord
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.services import SVC_LOG_LOOP
+from repro.cfa.wire import (
+    RECORD_BYTES,
+    decode_records,
+    pack_branch_packets,
+)
 from repro.core.rewrite_map import BoundRewriteMap
 from repro.crypto.hashing import hash_bytes
 from repro.machine.cpu import CPU
@@ -90,7 +95,7 @@ class AttestationEngineBase:
         self.ns_interrupts_enabled = True
         self.mcu.nvic.ns_enabled = True
 
-    def _emit_report(self, records: List[Record], final: bool) -> Report:
+    def _emit_report(self, cflog: CFLog, final: bool) -> Report:
         report = Report(
             device_id=self.keystore.device_id,
             method=self.method,
@@ -98,7 +103,7 @@ class AttestationEngineBase:
             h_mem=self._h_mem,
             seq=self._seq,
             final=final,
-            cflog=CFLog(records),
+            cflog=cflog,
         ).sign(self.keystore.attestation_key)
         self._seq += 1
         self.reports.append(report)
@@ -166,29 +171,33 @@ class RapTrackEngine(AttestationEngineBase):
             cpu.retire_hooks.append(self.mtb.on_retire)
         self.gateway.install(cpu)
 
-    def _merged_records(self) -> List[Record]:
-        """Drain the MTB and interleave loop records in program order."""
+    def _merged_log(self) -> CFLog:
+        """Drain the MTB and interleave loop records in program order.
+
+        The log is packed straight from the trace SRAM bytes, each loop
+        record spliced in before the first packet recorded after it was
+        logged; the records are that packing, decoded.
+        """
         if self.mtb.wrapped:
             raise RuntimeError("MTB wrapped before drain: packets lost")
-        packets = self.mtb.drain()
-        merged: List[Record] = []
-        pending = self._loop_records
-        cursor = 0
-        for global_index, packet in enumerate(packets, start=self._drained_packets):
-            while cursor < len(pending) and pending[cursor][0] <= global_index:
-                merged.append(pending[cursor][1])
-                cursor += 1
-            merged.append(BranchRecord(packet.src, packet.dst))
-        while cursor < len(pending):
-            merged.append(pending[cursor][1])
-            cursor += 1
+        branches = pack_branch_packets(self.mtb.drain_bytes())
+        first = self._drained_packets
+        parts: List[bytes] = []
+        done = 0  # byte offset into ``branches`` already spliced
+        for at, loop in self._loop_records:
+            cut = (at - first) * RECORD_BYTES
+            parts.append(branches[done:cut])
+            parts.append(loop.pack())
+            done = cut
+        parts.append(branches[done:])
+        packed = b"".join(parts)
         self._loop_records = []
-        self._drained_packets += len(packets)
-        return merged
+        self._drained_packets += len(branches) // RECORD_BYTES
+        return CFLog(decode_records(packed), packed=packed)
 
     def _on_watermark(self, _mtb: MTB) -> None:
         """MTB_FLOW debug exception: emit a partial report and resume."""
-        self._emit_report(self._merged_records(), final=False)
+        self._emit_report(self._merged_log(), final=False)
         self.report_cycles += self.config.sign_cycles
 
     # -- main entry ------------------------------------------------------------
@@ -203,7 +212,7 @@ class RapTrackEngine(AttestationEngineBase):
         self.mcu.reset()
         try:
             run = self.mcu.run()
-            self._emit_report(self._merged_records(), final=True)
+            self._emit_report(self._merged_log(), final=True)
         finally:
             self._end()
         return AttestationResult(

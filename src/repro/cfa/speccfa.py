@@ -300,7 +300,8 @@ class PackedExpander:
         else:
             claim = (count, size)
         with self._lock:
-            if len(span) <= CLAIM_MEMO_BYTES:
+            # another thread may have memoized the span since the miss
+            if len(span) <= CLAIM_MEMO_BYTES and span not in self._claims:
                 if (len(self._claims) >= SPAN_MEMO_ENTRIES
                         or self._claim_bytes + len(span) > CLAIM_MEMO_BYTES):
                     self._claims.clear()
@@ -323,7 +324,7 @@ class PackedExpander:
         expanded = b"".join(pieces)
         cost = len(span) + len(expanded)
         with self._lock:
-            if cost <= EXPANSION_MEMO_BYTES:
+            if cost <= EXPANSION_MEMO_BYTES and span not in self._spans:
                 if len(self._spans) >= SPAN_MEMO_ENTRIES:
                     self._spans.clear()
                     self._span_bytes = 0

@@ -42,9 +42,18 @@ _RECORD_TYPES: Dict[int, type] = {
     4: SpecRecord,
 }
 
-#: most distinct records the decoder keeps interned; a fleet's firmware
-#: emits a few hundred (77 on a shared fleet, 198 on distinct sensor
-#: fleets), and hostile traffic past the cap only restarts the table
+#: record class -> its tag byte
+_RECORD_TAGS: Dict[type, bytes] = {
+    cls: bytes([tag]) for tag, cls in _RECORD_TYPES.items()}
+
+#: most distinct records the decoder keeps interned. The table is
+#: shared by the verifier's report decoding and the device engines'
+#: MTB readout in the same process. A fleet's firmware emits a few
+#: hundred (77 on a shared fleet, 198 on distinct sensor fleets), and
+#: one attest-sweep sweep of the 15 evaluation workloads adds 183 (109
+#: naive-MTB branches, 74 RAP-Track branch and loop records), so the
+#: cap holds both with room; hostile traffic past it only restarts the
+#: table
 INTERN_CAP = 4096
 
 #: ``(tag, a, b)`` -- the record's 9 wire bytes, unpacked -> its one
@@ -76,7 +85,7 @@ def _intern(fields: Tuple[int, ...]) -> Record:
         return record
 
 
-def _decode_records(span: bytes) -> List[Record]:
+def decode_records(span: bytes) -> List[Record]:
     """Decode a run of packed records in one pass.
 
     Equal records decode to one shared frozen value. Once the fleet's
@@ -88,6 +97,19 @@ def _decode_records(span: bytes) -> List[Record]:
         return list(map(_interned.__getitem__, _RECORD.iter_unpack(span)))
     except KeyError:
         return [_intern(t) for t in _RECORD.iter_unpack(span)]
+
+
+def pack_branch_packets(raw: bytes) -> bytes:
+    """Raw MTB packets (little-endian ``(source, destination)`` word
+    pairs) as the packed :class:`BranchRecord` log they make: the tag
+    byte interleaved before every packet, one slice copy per lane."""
+    width = RECORD_BYTES - 1  # one packet: the record without its tag
+    count = len(raw) // width
+    packed = bytearray(RECORD_BYTES * count)
+    packed[0::RECORD_BYTES] = _RECORD_TAGS[BranchRecord] * count
+    for lane in range(width):
+        packed[1 + lane::RECORD_BYTES] = raw[lane::width]
+    return bytes(packed)
 
 
 def record_span(chunk: bytes, report: Report) -> bytes:
@@ -131,7 +153,7 @@ def decode_report(data: bytes) -> Tuple[Report, int]:
         raise WireError(
             f"record count {count} exceeds the remaining body")
     span = body.take(count * RECORD_BYTES)
-    records = _decode_records(span)
+    records = decode_records(span)
     mac = body.lp()
     body.end("trailing bytes inside report body")
     report = Report(

@@ -35,10 +35,8 @@ from repro.core.dataflow.lattice import (
     ValueSet,
     lift_binary,
     lift_unary,
-    state_clobber,
     state_get,
     state_join,
-    state_set,
     vs,
     vs_addr,
     vs_const,
@@ -51,6 +49,5 @@ __all__ = [
     "analyse_liveness", "analyse_lr_validity", "analyse_module",
     "analyse_reaching_defs", "analyse_value_sets", "def_use",
     "lift_binary", "lift_unary", "reverse_graph", "solve",
-    "state_clobber", "state_get", "state_join", "state_set",
-    "vs", "vs_addr", "vs_const",
+    "state_get", "state_join", "vs", "vs_addr", "vs_const",
 ]

@@ -28,6 +28,7 @@ analysed under an unsound assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.asm.program import DataWord, Module
@@ -41,15 +42,13 @@ from repro.core.dataflow.lattice import (
     Value,
     ValueSet,
     lift_binary,
-    state_clobber,
     state_get,
     state_join,
-    state_set,
     vs,
 )
 from repro.core.flat import FlatProgram
 from repro.isa import alu
-from repro.isa.instructions import Instr, InstrKind
+from repro.isa.instructions import MNEMONICS, Instr, InstrKind
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.registers import LR, PC
 
@@ -143,8 +142,44 @@ def _fold_alu(mnemonic: str) -> Callable[[Value, Value], Optional[Value]]:
     return op
 
 
+#: one fold per ALU mnemonic, built once
+_FOLDS = {mnemonic: _fold_alu(mnemonic)
+          for mnemonic, spec in MNEMONICS.items()
+          if spec.kind is InstrKind.ALU}
+
+
+def _negate(v: Value, _unused: Value) -> Optional[Value]:
+    if isinstance(v, Const):
+        return Const((~v.value) & alu.MASK32)
+    return None
+
+
+_ZERO = vs(Const(0))
+
+#: instruction kinds whose transfer can change the register state
+_STATE_KINDS = frozenset({
+    InstrKind.MOVE, InstrKind.ALU, InstrKind.LOAD, InstrKind.POP,
+    InstrKind.CALL, InstrKind.INDIRECT_CALL,
+})
+
+
+def _changes_state(instr: Instr) -> bool:
+    kind = instr.kind
+    if kind is InstrKind.SYSTEM:
+        return instr.mnemonic == "svc"
+    if kind is InstrKind.LOAD:
+        dest = instr.operands[0]
+        return isinstance(dest, Reg) and dest.num != PC
+    return kind in _STATE_KINDS
+
+
 class _ValueAnalysis:
-    """Forward value-set propagation over basic blocks."""
+    """Forward value-set propagation over basic blocks.
+
+    Each block's state-changing instructions are picked out once; a
+    block transfer copies the entry state once and applies them in
+    place.
+    """
 
     def __init__(self, flat: FlatProgram, cfg: CFG,
                  memory: ConstMemory) -> None:
@@ -152,6 +187,16 @@ class _ValueAnalysis:
         self.cfg = cfg
         self.memory = memory
         self.equates = flat.module.equates
+
+    @cached_property
+    def _effects(self) -> List[Tuple[Instr, ...]]:
+        """Per block: its state-changing instructions, in order."""
+        instrs = self.flat.instrs
+        return [
+            tuple(instrs[idx] for idx in range(block.start, block.end)
+                  if _changes_state(instrs[idx]))
+            for block in self.cfg.blocks
+        ]
 
     def _operand_set(self, op: object, state: RegState) -> ValueSet:
         if isinstance(op, Imm):
@@ -170,14 +215,14 @@ class _ValueAnalysis:
         address = state_get(state, mem.base.num)
         if mem.offset:
             address = lift_binary(
-                _fold_alu("add"), address, vs(Const(mem.offset & alu.MASK32)))
+                _FOLDS["add"], address, vs(Const(mem.offset & alu.MASK32)))
         if mem.index is not None:
             scaled = lift_binary(
-                _fold_alu("lsl"),
+                _FOLDS["lsl"],
                 state_get(state, mem.index.num),
                 vs(Const(mem.shift)),
             )
-            address = lift_binary(_fold_alu("add"), address, scaled)
+            address = lift_binary(_FOLDS["add"], address, scaled)
         return address
 
     def load_set(self, mem: Mem, state: RegState) -> ValueSet:
@@ -195,47 +240,60 @@ class _ValueAnalysis:
             loaded.add(word)
         return ValueSet(frozenset(loaded))
 
-    def transfer_instr(self, instr: Instr, state: RegState) -> RegState:
+    def _apply(self, instr: Instr, state: RegState) -> None:
+        """Update ``state`` in place across one instruction, which must
+        pass :func:`_changes_state` (that filter is the one rule for
+        which instructions reach here)."""
         kind = instr.kind
         if kind is InstrKind.MOVE:
             dest, src = instr.operands
             value = self._operand_set(src, state)
             if instr.mnemonic == "mvn":
-                def negate(v: Value) -> Optional[Value]:
-                    if isinstance(v, Const):
-                        return Const((~v.value) & alu.MASK32)
-                    return None
-                value = lift_binary(lambda a, _b: negate(a), value,
-                                    vs(Const(0)))
-            return state_set(state, dest.num, value)
-        if kind is InstrKind.ALU:
+                value = lift_binary(_negate, value, _ZERO)
+        elif kind is InstrKind.ALU:
             dest, lhs, rhs = instr.operands
             value = lift_binary(
-                _fold_alu(instr.mnemonic),
+                _FOLDS[instr.mnemonic],
                 self._operand_set(lhs, state),
                 self._operand_set(rhs, state),
             )
-            return state_set(state, dest.num, value)
-        if kind is InstrKind.LOAD:
+        elif kind is InstrKind.LOAD:
             dest, mem = instr.operands
-            if not isinstance(dest, Reg) or dest.num == PC:
-                return state
             if instr.mnemonic != "ldr" or not isinstance(mem, Mem):
-                return state_set(state, dest.num, TOP)
-            return state_set(state, dest.num, self.load_set(mem, state))
-        if kind is InstrKind.POP:
+                value = TOP
+            else:
+                value = self.load_set(mem, state)
+        elif kind is InstrKind.POP:
             (reglist,) = instr.operands
-            return state_clobber(state, (r for r in reglist if r != PC))
-        if kind in (InstrKind.CALL, InstrKind.INDIRECT_CALL):
-            return {}  # callee may write anything (no ABI contract)
-        if kind is InstrKind.SYSTEM and instr.mnemonic == "svc":
-            return {}  # secure-world handler: assume full clobber
+            for reg in reglist:
+                if reg != PC:
+                    state.pop(reg, None)
+            return
+        else:
+            # a call or svc: the callee or secure-world handler may
+            # write anything (no ABI contract)
+            state.clear()
+            return
+        if value.is_top:
+            state.pop(dest.num, None)
+        else:
+            state[dest.num] = value
+
+    def transfer_instr(self, instr: Instr, state: RegState) -> RegState:
+        """The state after ``instr`` (``state`` itself when unchanged)."""
+        if not _changes_state(instr):
+            return state
+        state = dict(state)
+        self._apply(instr, state)
         return state
 
     def transfer_block(self, bid: int, state: RegState) -> RegState:
-        block = self.cfg.blocks[bid]
-        for idx in range(block.start, block.end):
-            state = self.transfer_instr(self.flat.instrs[idx], state)
+        effects = self._effects[bid]
+        if not effects:
+            return state
+        state = dict(state)
+        for instr in effects:
+            self._apply(instr, state)
         return state
 
 

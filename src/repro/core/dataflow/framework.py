@@ -14,8 +14,8 @@ operation over real facts.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import (
     Callable,
     Dict,
@@ -25,6 +25,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     TypeVar,
 )
 
@@ -49,6 +50,32 @@ class Solution(Generic[N, F]):
         return self.in_facts.get(node)
 
 
+def _reverse_postorder(graph: Mapping[N, Iterable[N]],
+                       roots: Iterable[N]) -> List[N]:
+    """Every node reachable from ``roots`` in reverse postorder of a
+    depth-first search (roots in the order given): along every edge
+    that is not a loop's back edge, the source comes first."""
+    seen: Set[N] = set()
+    post: List[N] = []
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(graph.get(root, ())))]
+        while stack:
+            node, succs = stack[-1]
+            for succ in succs:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(graph.get(succ, ()))))
+                    break
+            else:
+                stack.pop()
+                post.append(node)
+    post.reverse()
+    return post
+
+
 def solve(graph: Mapping[N, Iterable[N]],
           roots: Mapping[N, F],
           transfer: Callable[[N, F], F],
@@ -63,34 +90,46 @@ def solve(graph: Mapping[N, Iterable[N]],
     ``join`` merges facts flowing into a shared node. ``max_passes``
     bounds how many times any single node may be re-processed before
     the solver declares divergence.
+
+    The worklist is a priority queue in reverse postorder of the nodes
+    reachable from the roots: a node waits for its forward
+    predecessors, and each round walks a loop body once, in order. A
+    monotone transfer reaches the same least fixpoint in any order;
+    this one usually takes fewer visits than first-in-first-out.
+    ``Solution.iterations`` counts the visits.
     """
     same = eq or (lambda a, b: bool(a == b))
     sol: Solution[N, F] = Solution()
-    sol.in_facts.update(roots)
-    visits: Dict[N, int] = {}
-    work = deque(roots)
-    queued = set(roots)
+    facts = sol.in_facts
+    facts.update(roots)
+    order = _reverse_postorder(graph, roots)
+    rank = {node: index for index, node in enumerate(order)}
+    visits = [0] * len(order)
+    work = sorted(rank[root] for root in roots)
+    queued = set(work)
     while work:
-        node = work.popleft()
-        queued.discard(node)
-        visits[node] = visits.get(node, 0) + 1
-        if visits[node] > max_passes:
+        index = heappop(work)
+        queued.discard(index)
+        node = order[index]
+        visits[index] += 1
+        if visits[index] > max_passes:
             raise FixpointDiverged(
                 f"node {node!r} re-processed more than {max_passes} times"
             )
-        sol.iterations += 1
-        out = transfer(node, sol.in_facts[node])
+        out = transfer(node, facts[node])
         for succ in graph.get(node, ()):
-            if succ not in sol.in_facts:
-                sol.in_facts[succ] = out
+            if succ not in facts:
+                facts[succ] = out
             else:
-                merged = join(sol.in_facts[succ], out)
-                if same(merged, sol.in_facts[succ]):
+                merged = join(facts[succ], out)
+                if same(merged, facts[succ]):
                     continue
-                sol.in_facts[succ] = merged
-            if succ not in queued:
-                queued.add(succ)
-                work.append(succ)
+                facts[succ] = merged
+            succ_index = rank[succ]
+            if succ_index not in queued:
+                queued.add(succ_index)
+                heappush(work, succ_index)
+    sol.iterations = sum(visits)
     return sol
 
 

@@ -17,7 +17,7 @@ in the set iff some path can produce it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Union
+from typing import Callable, Dict, FrozenSet, Optional, Union
 
 #: widest tracked value set; wider joins collapse to TOP
 MAX_WIDTH = 8
@@ -163,16 +163,6 @@ def state_get(state: RegState, reg: int) -> ValueSet:
     return state.get(reg, TOP)
 
 
-def state_set(state: RegState, reg: int, value: ValueSet) -> RegState:
-    """Functional update (states are shared between worklist entries)."""
-    new = dict(state)
-    if value.is_top:
-        new.pop(reg, None)
-    else:
-        new[reg] = value
-    return new
-
-
 def state_join(a: RegState, b: RegState) -> RegState:
     out: RegState = {}
     for reg in a.keys() & b.keys():
@@ -181,9 +171,3 @@ def state_join(a: RegState, b: RegState) -> RegState:
             out[reg] = joined
     return out
 
-
-def state_clobber(state: RegState, regs: Iterable[int]) -> RegState:
-    new = dict(state)
-    for reg in regs:
-        new.pop(reg, None)
-    return new

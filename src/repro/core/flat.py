@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from bisect import bisect_right
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.asm.program import DataWord, Module, Space
 from repro.isa.instructions import Instr, InstrKind
@@ -15,7 +17,8 @@ class FlatProgram:
 
     Static analysis works on *indices* into this list (stable under
     re-linking); the rewriter turns index-based decisions back into a
-    Module.
+    Module. The module is not changed after the view is built, so its
+    whole-module facts are computed once.
     """
 
     def __init__(self, module: Module, section: str = "text"):
@@ -68,6 +71,10 @@ class FlatProgram:
         entries), and form the indirect-branch policy the Verifier
         checks consumed CFLog targets against.
         """
+        return set(self._address_taken)
+
+    @cached_property
+    def _address_taken(self) -> FrozenSet[str]:
         taken: Set[str] = set()
         for sec in self.module.sections.values():
             for item in sec.items:
@@ -78,11 +85,15 @@ class FlatProgram:
                     operand = payload.operands[1]
                     if isinstance(operand, Label):
                         taken.add(operand.name)
-        return taken
+        return frozenset(taken)
 
     def function_starts(self) -> List[int]:
         """Indices that start functions: the entry, every ``bl`` target,
         and every address-taken label that is called indirectly."""
+        return list(self._starts)
+
+    @cached_property
+    def _starts(self) -> Tuple[int, ...]:
         starts: Set[int] = set()
         entry = self.label_index.get(self.module.entry)
         if entry is not None:
@@ -92,11 +103,11 @@ class FlatProgram:
                 idx = self.target_index(instr)
                 if idx is not None:
                     starts.add(idx)
-        for label in self.address_taken_labels():
+        for label in self._address_taken:
             idx = self.label_index.get(label)
             if idx is not None:
                 starts.add(idx)
-        return sorted(starts)
+        return tuple(sorted(starts))
 
     def function_extent(self, index: int) -> Tuple[int, int]:
         """(start, end) indices of the function containing ``index``.
@@ -105,14 +116,11 @@ class FlatProgram:
         assembler layout discipline), delimited by the next function
         start.
         """
-        starts = self.function_starts()
-        start = 0
-        for s in starts:
-            if s <= index:
-                start = s
-            else:
-                return (start, s)
-        return (start, len(self.instrs))
+        starts = self._starts
+        pos = bisect_right(starts, index)
+        start = starts[pos - 1] if pos else 0
+        end = starts[pos] if pos < len(starts) else len(self.instrs)
+        return (start, end)
 
     def function_writes_lr(self, index: int) -> bool:
         """Does the function containing ``index`` clobber LR before a

@@ -11,6 +11,10 @@ PC = 15
 
 _ALIASES = {"sp": SP, "lr": LR, "pc": PC, "fp": 11, "ip": 12}
 
+#: every register spelling :func:`parse_reg` accepts (after strip and
+#: lower-casing) -> the register number
+REG_NUMBERS = {**{f"r{num}": num for num in range(REG_COUNT)}, **_ALIASES}
+
 
 def parse_reg(name: str) -> int:
     """Parse a register name (``r0``..``r15``, ``sp``, ``lr``, ``pc``).
@@ -19,17 +23,10 @@ def parse_reg(name: str) -> int:
     identifiers (labels), not registers — so everything the instruction
     printer emits parses back to the same operand it printed.
     """
-    low = name.strip().lower()
-    if low in _ALIASES:
-        return _ALIASES[low]
-    if low.startswith("r"):
-        digits = low[1:]
-        if (digits.isascii() and digits.isdigit()
-                and (len(digits) == 1 or digits[0] != "0")):
-            num = int(digits)
-            if 0 <= num < REG_COUNT:
-                return num
-    raise ValueError(f"not a register: {name!r}")
+    num = REG_NUMBERS.get(name.strip().lower())
+    if num is None:
+        raise ValueError(f"not a register: {name!r}")
+    return num
 
 
 def reg_name(num: int) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, List, Optional
 
 from repro.machine.faults import MemFault
@@ -68,21 +69,24 @@ class Memory:
         for i in range(size):
             self._bytes[address + i] = (value >> (8 * i)) & 0xFF
 
-    def peek_word(self, address: int) -> int:
-        """Word-wise :meth:`peek` (``size=4``) for secure-world readout."""
-        b = self._bytes
-        return (b.get(address, 0)
-                | b.get(address + 1, 0) << 8
-                | b.get(address + 2, 0) << 16
-                | b.get(address + 3, 0) << 24)
+    def peek_bytes(self, address: int, length: int) -> bytes:
+        """``length`` raw bytes from ``address`` in one pass (unwritten
+        bytes read 0): the secure-world readout of a trace buffer."""
+        return bytes(map(self._bytes.get, range(address, address + length),
+                         repeat(0, length)))
 
-    def poke_word(self, address: int, value: int) -> None:
-        """Word-wise :meth:`poke` (``size=4``) for trace-unit writes."""
+    def poke_pair(self, address: int, first: int, second: int) -> None:
+        """Two little-endian words at ``address`` in one call: a trace
+        unit's 8-byte packet."""
         b = self._bytes
-        b[address] = value & 0xFF
-        b[address + 1] = (value >> 8) & 0xFF
-        b[address + 2] = (value >> 16) & 0xFF
-        b[address + 3] = (value >> 24) & 0xFF
+        b[address] = first & 0xFF
+        b[address + 1] = (first >> 8) & 0xFF
+        b[address + 2] = (first >> 16) & 0xFF
+        b[address + 3] = (first >> 24) & 0xFF
+        b[address + 4] = second & 0xFF
+        b[address + 5] = (second >> 8) & 0xFF
+        b[address + 6] = (second >> 16) & 0xFF
+        b[address + 7] = (second >> 24) & 0xFF
 
     # -- checked access ----------------------------------------------------
 

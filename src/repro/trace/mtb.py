@@ -19,6 +19,7 @@ itself lives in a Secure region, so Non-Secure stores to it fault.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -27,7 +28,8 @@ from repro.machine.memmap import MTB_SRAM_BASE, MTB_SRAM_SIZE
 from repro.machine.memory import Memory
 
 #: One trace packet is two 32-bit words (source, destination).
-PACKET_BYTES = 8
+_PACKET = struct.Struct("<II")
+PACKET_BYTES = _PACKET.size
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,7 @@ class MTB:
         if offset + PACKET_BYTES > self.buffer_size:
             offset = 0
             self.wrapped = True
-        address = self.base + offset
-        self.memory.poke_word(address, src)
-        self.memory.poke_word(address + 4, dst)
+        self.memory.poke_pair(self.base + offset, src, dst)
         self.position = offset + PACKET_BYTES
         self.total_packets += 1
         if self.watermark is not None and self.position >= self.watermark:
@@ -136,18 +136,22 @@ class MTB:
 
     # -- Secure World readout ------------------------------------------------
 
-    def drain(self) -> List[MTBPacket]:
-        """Read and clear the current buffer contents (Secure World only).
+    def drain_bytes(self) -> bytes:
+        """Read and clear the current buffer contents (Secure World only)
+        as raw trace SRAM: one little-endian ``(source, destination)``
+        word pair per packet, oldest first.
 
         Reads go through the memory system to stay faithful to the real
         flow (the engine copies the trace SRAM into its report).
         """
-        peek_word = self.memory.peek_word
-        packets = [MTBPacket(peek_word(address), peek_word(address + 4))
-                   for address in range(self.base, self.base + self.position,
-                                        PACKET_BYTES)]
+        data = self.memory.peek_bytes(self.base, self.position)
         self.reset_position()
-        return packets
+        return data
+
+    def drain(self) -> List[MTBPacket]:
+        """:meth:`drain_bytes`, one :class:`MTBPacket` per packet."""
+        return [MTBPacket(src, dst)
+                for src, dst in _PACKET.iter_unpack(self.drain_bytes())]
 
     @property
     def bytes_used(self) -> int:

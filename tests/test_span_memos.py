@@ -13,6 +13,7 @@ fleet-shared benchmark.
 
 import hashlib
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -163,6 +164,51 @@ def test_threads_sharing_one_expander_keep_the_books(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(results) and len(results) == 16
+    assert_within_bounds(expander)
+
+
+class _MissTogether(dict):
+    """A span memo whose misses wait for each other, so two threads
+    both miss one span before either of them memoizes it."""
+
+    def __init__(self, barrier):
+        super().__init__()
+        self.barrier = barrier
+
+    def __getitem__(self, span):
+        try:
+            return super().__getitem__(span)
+        except KeyError:
+            self.barrier.wait(timeout=10)
+            raise
+
+    def get(self, span, default=None):
+        if span in self:
+            return super().get(span)
+        self.barrier.wait(timeout=10)
+        return default
+
+
+def test_two_threads_missing_one_span_count_it_once():
+    """The span-memo race, made deterministic: both threads miss the
+    same span, then each inserts it under the lock. Only the first
+    insert may add the span's bytes to the memo's budget."""
+    expander = PackedExpander(DICTIONARY)
+    records = [SpecRecord(0, 3), BranchRecord(7, 8)]
+    span = packed(records)
+    barrier = threading.Barrier(2)
+    expander._claims = _MissTogether(barrier)
+    expander._spans = _MissTogether(barrier)
+
+    def settle(_):
+        return expander.claim(span), expander.expand_span(span)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        answers = list(pool.map(settle, range(2), timeout=30))
+    expected = (cold_claim(records, DICTIONARY),
+                packed(expand(records, DICTIONARY)))
+    assert answers == [expected, expected]
+    assert len(expander._claims) == len(expander._spans) == 1
     assert_within_bounds(expander)
 
 
