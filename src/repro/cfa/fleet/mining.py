@@ -33,6 +33,7 @@ dictionary *epochs* content-addressable in the first place.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,6 +61,10 @@ class ProfileSample:
     #: cold digests — and their exemplars — are evicted deterministically
     #: when the bound is hit)
     counts: Counter = field(default_factory=Counter)
+    #: min-heap of (count, digest), one entry per counted digest; an
+    #: entry's count may lag the digest's (see
+    #: :meth:`TrafficSampler._evict_coldest`)
+    heap: List[Tuple[int, bytes]] = field(default_factory=list)
     sessions: int = 0
     bytes_observed: int = 0
 
@@ -81,6 +86,14 @@ class TrafficSampler:
     (:attr:`evictions`, surfaced as ``sampler_evictions`` in
     :class:`~repro.cfa.fleet.metrics.FleetMetrics`); an evicted hot
     path that stays hot simply re-enters with a fresh count.
+
+    The coldest digest is found through a per-profile min-heap of
+    ``(count, digest)`` with one entry per counted digest, so it never
+    outgrows the count map. A new digest pushes its entry; a repeat
+    only bumps its count, and an entry popped with a count behind the
+    digest's is pushed back with the current one (counts only grow, so
+    the first current entry popped is the minimum). Eviction costs
+    O(log n) per count change since the digest was last pushed.
     """
 
     def __init__(self, max_streams: int = 64,
@@ -96,13 +109,24 @@ class TrafficSampler:
         self._profiles: Dict[DeviceProfile, ProfileSample] = {}
 
     def _evict_coldest(self, sample: ProfileSample,
-                       keep: bytes) -> None:
-        """Deterministically evict the coldest digest (never ``keep``)."""
-        victim = min(
-            (d for d in sample.counts if d != keep),
-            key=lambda d: (sample.counts[d], d))
-        del sample.counts[victim]
-        sample.streams.pop(victim, None)
+                       keep: Optional[bytes] = None) -> None:
+        """Deterministically evict the coldest digest (never ``keep``):
+        the minimum ``(count, digest)``."""
+        heap, counts = sample.heap, sample.counts
+        kept = None
+        while True:
+            count, digest = heapq.heappop(heap)
+            if counts[digest] != count:
+                # counted again since it was pushed: its key is larger
+                heapq.heappush(heap, (counts[digest], digest))
+                continue
+            if digest != keep:
+                break
+            kept = (count, digest)
+        if kept is not None:
+            heapq.heappush(heap, kept)
+        del counts[digest]
+        sample.streams.pop(digest, None)
         self.evictions += 1
 
     def observe(self, profile: DeviceProfile,
@@ -124,12 +148,18 @@ class TrafficSampler:
             if size_bytes is None:
                 size_bytes = _stream_bytes(records)
         with self._lock:
-            sample = self._profiles.setdefault(profile, ProfileSample())
+            sample = self._profiles.get(profile)
+            if sample is None:
+                sample = self._profiles[profile] = ProfileSample()
             sample.sessions += 1
             sample.bytes_observed += size_bytes
-            sample.counts[digest] += 1
-            while len(sample.counts) > self.max_digests:
-                self._evict_coldest(sample, digest)
+            if digest in sample.counts:
+                sample.counts[digest] += 1
+            else:
+                sample.counts[digest] = 1
+                heapq.heappush(sample.heap, (1, digest))
+                while len(sample.counts) > self.max_digests:
+                    self._evict_coldest(sample, digest)
             if (digest in sample.counts
                     and digest not in sample.streams
                     and len(sample.streams) < self.max_streams):
@@ -179,12 +209,11 @@ class TrafficSampler:
                             and len(out.streams) < merged.max_streams):
                         out.streams[digest] = sample.streams[digest]
         for out in merged._profiles.values():
+            out.heap = [(count, digest)
+                        for digest, count in out.counts.items()]
+            heapq.heapify(out.heap)
             while len(out.counts) > merged.max_digests:
-                coldest = min(out.counts,
-                              key=lambda d: (out.counts[d], d))
-                del out.counts[coldest]
-                out.streams.pop(coldest, None)
-                merged.evictions += 1
+                merged._evict_coldest(out)
         return merged
 
 

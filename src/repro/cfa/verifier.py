@@ -28,12 +28,12 @@ import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.asm.program import Image
 from repro.cfa.cflog import AddressRecord, BranchRecord, LoopRecord, Record
 from repro.cfa.report import AttestationResult
-from repro.core.loops import trip_count
+from repro.core.loops import exit_ranges, trip_count
 from repro.core.rewrite_map import BoundRewriteMap
 from repro.crypto.hashing import measure_image
 from repro.isa.instructions import InstrKind
@@ -46,6 +46,9 @@ EXIT_SENTINEL = 0xFFFF_FFFE
 
 #: packed path bytes a compiled replay buffers before hashing them
 _HASH_CHUNK = 1 << 16
+#: replay steps between two hashes of the buffer (a step appends at
+#: most three pcs)
+_DRAIN_STEPS = _HASH_CHUNK // 12
 
 _PACK_PC = struct.Struct("<I").pack
 
@@ -356,11 +359,11 @@ def call_resume(image: Image, site: int) -> int:
     return site + instr.size
 
 
-def _loop_trips(info, entry: LoopRecord) -> int:
+def _loop_trips(info, entry: LoopRecord, ranges=None) -> int:
     """Body executions a logged loop condition stands for; a value that
     never terminates the loop makes the log unreplayable."""
     try:
-        return trip_count(info, entry.value)
+        return trip_count(info, entry.value, ranges)
     except ValueError:
         raise ReplayError(
             f"logged loop condition {entry.value:#x} at "
@@ -389,8 +392,7 @@ class ReplayDigest:
                    len(result.path), hashlib.sha256(packed).hexdigest())
 
 
-@dataclass(frozen=True)
-class _Run:
+class _Run(NamedTuple):
     """A maximal straight-line run of untracked pcs."""
 
     packed: bytes  # the run's pcs, ``<I``-packed
@@ -414,18 +416,21 @@ def _build_runs(successor: Dict[int, int]) -> Dict[int, _Run]:
 
 
 class _PathHash:
-    """SHA-256 over a stream of ``<I``-packed pcs, without the path."""
+    """SHA-256 over a stream of ``<I``-packed pcs, without the path.
+
+    A compiled replay appends packed pcs to :attr:`buf` itself and
+    hashes them through :meth:`drain`; :meth:`repeat` appends a
+    collapsed loop and :attr:`length` counts every pc appended.
+    """
 
     def __init__(self):
         self._sha = hashlib.sha256()
-        self._buf = bytearray()
-        self.length = 0
+        self._hashed = 0
+        self.buf = bytearray()
 
-    def add(self, packed: bytes, count: int) -> None:
-        self._buf += packed
-        self.length += count
-        if len(self._buf) >= _HASH_CHUNK:
-            self._flush()
+    @property
+    def length(self) -> int:
+        return (self._hashed + len(self.buf)) // 4
 
     def repeat(self, body: bytes, count: int, entries: int) -> None:
         """Append the first ``entries`` pcs of ``body`` (``count`` pcs)
@@ -437,12 +442,24 @@ class _PathHash:
             block = body * batch
             for _ in range(whole // batch):
                 self._sha.update(block)
+            self._hashed += len(block) * (whole // batch)
             whole %= batch
-        self.add(body * whole + body[:4 * part], entries)
+        self.buf += body * whole + body[:4 * part]
+        if len(self.buf) >= _HASH_CHUNK:
+            self._flush()
+
+    def drain(self, steps: int, max_steps: int) -> int:
+        """Hash what :attr:`buf` holds; return the step count past which
+        the replay drains next (never past ``max_steps``). A step
+        appends at most three pcs, so :attr:`buf` stays near
+        :data:`_HASH_CHUNK` bytes however long the path."""
+        self._flush()
+        return min(max_steps, steps + _DRAIN_STEPS)
 
     def _flush(self) -> None:
-        self._sha.update(self._buf)
-        self._buf.clear()
+        self._sha.update(self.buf)
+        self._hashed += len(self.buf)
+        self.buf.clear()
 
     def hexdigest(self) -> str:
         self._flush()
@@ -481,6 +498,33 @@ class _CompiledReplay:
         raise NotImplementedError
 
 
+# ReplayProgram's op table: each entry is a tuple whose first field is
+# one of these opcodes and whose second (sites only) is the packed pc
+_RUN = 0  # (op, packed run, length, exit pc, exit pc's op or None)
+_COND = 1  # (op, packed, rec_addr, packed on a match, pc on a match,
+#            pc on no match or None: the record is mandatory)
+_INDIRECT = 2  # (op, packed, packed with the svc pair, rec_addr,
+#                _IND_* kind, call_resume or None)
+_CALL = 3  # (op, packed, return address, direct target or None)
+_LATCH = 4  # (op, packed, next pc, taken target or None,
+#             (packed pure body, its length) or None, trips left when
+#             first reached (None: loop-opt, set by its loop record),
+#             whether the latch is a fixed loop's)
+_LOOP = 5  # (op, packed, next pc, latch pc, loop info, exit ranges)
+_RET = 6  # (op, packed): an untracked bx lr
+_EXIT = 7  # (op, packed): bkpt
+_FAIL = 8  # (op, packed, ReplayError message or None: the direct
+#            target does not resolve)
+
+_IND_CALL, _IND_RETURN, _IND_JUMP = range(3)
+
+_TRANSFER = (BranchRecord, AddressRecord)
+
+#: the kinds whose instructions may name a direct target
+_DIRECT_KINDS = frozenset({InstrKind.BRANCH, InstrKind.CALL,
+                           InstrKind.COMPARE_BRANCH})
+
+
 class ReplayProgram(_CompiledReplay):
     """:meth:`Verifier.replay` compiled once per (image, bound map).
 
@@ -491,242 +535,328 @@ class ReplayProgram(_CompiledReplay):
     followed, stopping before a pc would repeat), emitted as one
     pre-packed chunk. A fixed or loop-opt latch whose taken target's
     run ends exactly at the latch has a pure *body*: reaching it with
-    ``r`` trips left emits the body ``r`` times at once. Everything
-    else steps exactly like :meth:`Verifier._replay`: the same record
-    matching, shadow stack, violations and errors, and the step guard
-    fires at the identical step with the identical partial path, which
-    is computed arithmetically inside runs and collapsed loops.
+    ``r`` trips left emits the body ``r`` times at once.
+
+    Every code pc has one entry in an op table: a run, or a site
+    decoded into an opcode and the fields fixed once the program is
+    built. A run's entry carries the op of the site it ends at, so a
+    run and that site are one dispatch. The site steps exactly like
+    :meth:`Verifier._replay`: the same record matching, shadow stack,
+    violations and errors, and the step guard fires at the identical
+    step with the identical partial path, which is computed
+    arithmetically inside runs and collapsed loops. Where the guard
+    could fire inside a fused run and site, where a run ends at the
+    start of a run (a cycle) and where it leaves the code, the run is
+    dispatched alone.
     """
 
     def __init__(self, image: Image, bound_map: BoundRewriteMap):
         self.image = image
         self.map = bound_map
         rmap = bound_map
-        sites = (rmap.loop_at.keys() | rmap.indirect_at.keys()
-                 | rmap.cond_at.keys() | rmap.fixed_trip_at.keys()
-                 | rmap.loop_latches)
+        instr_at = image.instr_at
+        loop_at, indirect_at, cond_at = (
+            rmap.loop_at, rmap.indirect_at, rmap.cond_at)
+        latches = rmap.fixed_trip_at.keys() | rmap.loop_latches
+        sites = (loop_at.keys() | indirect_at.keys() | cond_at.keys()
+                 | latches)
         targets: Dict[int, int] = {}
         successor: Dict[int, int] = {}
-        for pc, instr in image.instr_at.items():
-            target = instr.direct_target()
-            if target is not None and (target.name in image.symbols
-                                       or target.name in image.equates):
-                targets[pc] = image.addr_of(target.name)
-            if pc in sites:
-                continue
+        ops: Dict[int, tuple] = {}
+        for pc, instr in instr_at.items():
             kind = instr.kind
-            if kind is InstrKind.BRANCH:
-                if instr.cond is None and pc in targets:
-                    successor[pc] = targets[pc]
-            elif not (kind is InstrKind.CALL
-                      or kind is InstrKind.INDIRECT_BRANCH
-                      or instr.mnemonic in ("bkpt", "svc")
-                      or instr.writes_pc()):
-                successor[pc] = pc + instr.size
+            if kind in _DIRECT_KINDS:
+                target = instr.direct_target()
+                if target is not None and (target.name in image.symbols
+                                           or target.name in image.equates):
+                    targets[pc] = image.addr_of(target.name)
+            if pc in sites:
+                if pc in loop_at:
+                    info = loop_at[pc]
+                    ops[pc] = (_LOOP, _PACK_PC(pc), pc + instr.size,
+                               info.latch_addr, info,
+                               exit_ranges(info.cond, info.bound))
+                elif pc in indirect_at:
+                    ops[pc] = _indirect_op(image, pc, instr, indirect_at[pc])
+                elif pc in cond_at:
+                    ops[pc] = _cond_op(image, pc, instr, cond_at[pc])
+                # latches are decoded once the loop bodies are known
+            else:
+                if kind is InstrKind.BRANCH:
+                    if instr.cond is None and pc in targets:
+                        successor[pc] = targets[pc]
+                        continue
+                    ops[pc] = (_FAIL, _PACK_PC(pc), None if instr.cond is None
+                               else f"unclassified conditional at {pc:#010x}")
+                elif kind is InstrKind.CALL:
+                    ops[pc] = (_CALL, _PACK_PC(pc), pc + instr.size,
+                               targets.get(pc))
+                elif kind is InstrKind.INDIRECT_BRANCH:
+                    ops[pc] = (_RET, _PACK_PC(pc))
+                elif instr.mnemonic == "bkpt":
+                    ops[pc] = (_EXIT, _PACK_PC(pc))
+                elif instr.writes_pc():
+                    ops[pc] = (_FAIL, _PACK_PC(pc), "unclassified pc-writing "
+                               f"instruction at {pc:#010x}")
+                elif instr.mnemonic == "svc":
+                    ops[pc] = (_FAIL, _PACK_PC(pc),
+                               f"unexpected svc at {pc:#010x}")
+                else:
+                    successor[pc] = pc + instr.size
         self._runs = _build_runs(successor)
         #: latch -> (packed body incl. the latch, body length)
         self._bodies: Dict[int, Tuple[bytes, int]] = {}
-        for latch in rmap.fixed_trip_at.keys() | rmap.loop_latches:
+        for latch in latches:
             target = targets.get(latch, -1)
             run = self._runs.get(target)
             if target == latch:
-                body, count = b"", 0
+                self._bodies[latch] = (_PACK_PC(latch), 1)
             elif run is not None and run.exit == latch:
-                body, count = run.packed, run.length
-            else:
-                continue
-            self._bodies[latch] = (body + _PACK_PC(latch), count + 1)
+                self._bodies[latch] = (run.packed + _PACK_PC(latch),
+                                       run.length + 1)
+            instr = instr_at.get(latch)
+            if instr is not None and latch not in ops:
+                fixed = latch in rmap.fixed_trip_at
+                ops[latch] = (_LATCH, _PACK_PC(latch), latch + instr.size,
+                              targets.get(latch), self._bodies.get(latch),
+                              rmap.fixed_trip_at[latch] - 1 if fixed
+                              else None, fixed)
+        runs = self._runs
+        for start, (packed, length, exit_pc) in runs.items():
+            ops[start] = (_RUN, packed, length, exit_pc,
+                          None if exit_pc in runs else ops.get(exit_pc))
+        self._ops = ops
 
     def _run(self, records: Sequence[Record], max_steps: int,
              out: ReplayDigest, path: _PathHash) -> None:
-        image, rmap = self.image, self.map
-        instr_at, runs, bodies = image.instr_at, self._runs, self._bodies
-        loop_at, indirect_at, cond_at = (
-            rmap.loop_at, rmap.indirect_at, rmap.cond_at)
-        fixed_trip_at, loop_latches = rmap.fixed_trip_at, rmap.loop_latches
+        image, ops = self.image, self._ops
+        instr_at = image.instr_at
+        entries = self.map.function_entry_addrs
+        address_taken = self.map.address_taken_addrs
         violations = out.violations
-        emit = path.add
+        buf = path.buf
         pc = image.entry
         cursor, total = 0, len(records)
         shadow: List[int] = []
+        depth = 0
         fixed_state: Dict[int, int] = {}
         loop_state: Dict[int, int] = {}
         steps = 0
+        #: the guard, or the step at which ``buf`` is hashed, if earlier
+        limit = min(max_steps, _DRAIN_STEPS)
 
-        while True:
-            run = runs.get(pc)
-            if run is not None:
-                if run.exit == pc or steps + run.length > max_steps:
-                    # a cycle of untracked pcs only ends at the guard
-                    _guard_trips(path, run.packed, run.length,
-                                 max_steps - steps)
-                steps += run.length
-                emit(run.packed, run.length)
-                pc = run.exit
-                continue
-            steps += 1
-            if steps > max_steps:
-                raise ReplayError("replay exceeded the step guard")
-            instr = instr_at.get(pc)
-            if instr is None:
-                raise ReplayError(f"replay left the code image at {pc:#010x}")
-            emit(_PACK_PC(pc), 1)
-            entry = records[cursor] if cursor < total else None
-
-            # 1. loop-condition log sites
-            if pc in loop_at:
-                info = loop_at[pc]
-                if not isinstance(entry, LoopRecord) or entry.key != pc:
+        try:
+            while True:
+                op = ops.get(pc)
+                if op is None:
+                    steps += 1
+                    if steps > max_steps:
+                        raise ReplayError("replay exceeded the step guard")
                     raise ReplayError(
-                        f"missing loop-condition record at {pc:#010x}"
-                    )
-                cursor += 1
-                loop_state[info.latch_addr] = _loop_trips(info, entry) - 1
-                pc += instr.size
-                continue
+                        f"replay left the code image at {pc:#010x}")
+                code = op[0]
+                if code == _RUN:
+                    _, packed, length, exit_pc, site = op
+                    if site is None or steps + length + 1 > limit:
+                        limit = path.drain(steps, max_steps)
+                        if exit_pc == pc or steps + length > max_steps:
+                            # a cycle of untracked pcs only ends at the guard
+                            _guard_trips(path, packed, length,
+                                         max_steps - steps)
+                        steps += length
+                        buf += packed
+                        pc = exit_pc
+                        continue
+                    steps += length + 1
+                    buf += packed
+                    pc, op = exit_pc, site
+                    code = op[0]
+                else:
+                    steps += 1
+                    if steps > limit:
+                        limit = path.drain(steps, max_steps)
+                        if steps > max_steps:
+                            raise ReplayError("replay exceeded the step guard")
 
-            # 2. trampolined indirect transfers
-            if pc in indirect_at:
-                info = indirect_at[pc]
-                if (not isinstance(entry, (BranchRecord, AddressRecord))
-                        or entry.key != info.rec_addr):
-                    raise ReplayError(
-                        f"missing record for indirect transfer at {pc:#010x}"
-                    )
-                cursor += 1
-                if instr.mnemonic == "svc":
-                    emit(_PACK_PC(pc + instr.size), 1)
-                dst = entry.dst
-                if dst == EXIT_SENTINEL and not shadow:
-                    break
-                if info.kind == "call":
-                    shadow.append(call_resume(image, pc))
-                    out.max_shadow_depth = max(
-                        out.max_shadow_depth, len(shadow))
-                    if dst not in rmap.function_entry_addrs:
-                        violations.append(Violation(
-                            "jop-call", pc,
-                            f"indirect call to non-entry {dst:#010x}"))
-                elif info.kind in ("return_pop", "return_bx"):
-                    if shadow:
-                        expected = shadow.pop()
-                        if dst != expected:
+                # trampolined conditionals
+                if code == _COND:
+                    _, packed, rec, hit_packed, hit, miss = op
+                    entry = records[cursor] if cursor < total else None
+                    if isinstance(entry, _TRANSFER) and entry.key == rec:
+                        cursor += 1
+                        buf += hit_packed
+                        pc = hit
+                        continue
+                    buf += packed
+                    if miss is None:
+                        # silent-cycle latch: a record is mandatory
+                        raise ReplayError(
+                            f"missing record for latch at {pc:#010x}")
+                    pc = miss
+                    continue
+
+                # trampolined indirect transfers
+                if code == _INDIRECT:
+                    _, packed, full, rec, kind, resume = op
+                    entry = records[cursor] if cursor < total else None
+                    if not (isinstance(entry, _TRANSFER) and entry.key == rec):
+                        buf += packed
+                        raise ReplayError(
+                            f"missing record for indirect transfer at "
+                            f"{pc:#010x}")
+                    cursor += 1
+                    buf += full
+                    dst = entry.dst
+                    if dst == EXIT_SENTINEL and not shadow:
+                        break
+                    if kind == _IND_CALL:
+                        shadow.append(call_resume(image, pc) if resume is None
+                                      else resume)
+                        if len(shadow) > depth:
+                            depth = len(shadow)
+                        if dst not in entries:
+                            violations.append(Violation(
+                                "jop-call", pc,
+                                f"indirect call to non-entry {dst:#010x}"))
+                    elif kind == _IND_RETURN:
+                        if shadow:
+                            expected = shadow.pop()
+                            if dst != expected:
+                                violations.append(Violation(
+                                    "rop-return", pc,
+                                    f"return to {dst:#010x}, "
+                                    f"call site expected {expected:#010x}"))
+                        else:
                             violations.append(Violation(
                                 "rop-return", pc,
-                                f"return to {dst:#010x}, "
-                                f"call site expected {expected:#010x}"))
-                    else:
-                        violations.append(Violation(
-                            "rop-return", pc,
-                            f"return to {dst:#010x} with empty call stack"))
-                else:
-                    legal = (dst in rmap.address_taken_addrs
-                             or dst in rmap.function_entry_addrs)
-                    if not legal:
+                                f"return to {dst:#010x} with empty call "
+                                f"stack"))
+                    elif dst not in address_taken and dst not in entries:
                         violations.append(Violation(
                             "bad-jump-target", pc,
                             f"computed jump to {dst:#010x}"))
-                if instr_at.get(dst) is None:
-                    raise ReplayError(
-                        f"logged target {dst:#010x} is not code")
-                pc = dst
-                continue
-
-            # 3. trampolined conditionals
-            if pc in cond_at:
-                info = cond_at[pc]
-                match = (isinstance(entry, (BranchRecord, AddressRecord))
-                         and entry.key == info.rec_addr)
-                if info.flavor == "always":
-                    if not match:
+                    if dst not in instr_at:
                         raise ReplayError(
-                            f"missing record for latch at {pc:#010x}")
-                    cursor += 1
-                    rec = instr_at.get(info.rec_addr)
-                    if rec is not None and rec.mnemonic == "svc":
-                        emit(_PACK_PC(info.rec_addr)
-                             + _PACK_PC(info.rec_addr + rec.size), 2)
-                    pc = info.taken_addr
-                elif info.flavor == "taken":
-                    if match:
-                        cursor += 1
-                        rec = instr_at.get(info.rec_addr)
-                        if rec is not None and rec.mnemonic == "svc":
-                            emit(_PACK_PC(info.rec_addr)
-                                 + _PACK_PC(info.rec_addr + rec.size), 2)
-                        pc = info.taken_addr
-                    else:
-                        pc += instr.size
-                else:
-                    if match:
-                        cursor += 1
-                        emit(_PACK_PC(pc + instr.size), 1)
-                        pc = info.cont_addr
-                    else:
-                        pc = info.taken_addr
-                continue
+                            f"logged target {dst:#010x} is not code")
+                    pc = dst
+                    continue
 
-            # 4-5. fixed and loop-opt latches: a pure body is emitted
-            # for all remaining trips at once, any other body stepped
-            if pc in fixed_trip_at or pc in loop_latches:
-                if pc in fixed_trip_at:
-                    remaining = fixed_state.pop(pc, None)
-                    if remaining is None:
-                        remaining = fixed_trip_at[pc] - 1
-                    state = fixed_state
-                else:
-                    remaining = loop_state.pop(pc, None)
+                # untracked direct calls
+                if code == _CALL:
+                    _, packed, resume, target = op
+                    buf += packed
+                    shadow.append(resume)
+                    if len(shadow) > depth:
+                        depth = len(shadow)
+                    pc = (_taken_target(image, pc, instr_at[pc])
+                          if target is None else target)
+                    continue
+
+                # fixed and loop-opt latches: a pure body is emitted for
+                # all remaining trips at once, any other body stepped
+                if code == _LATCH:
+                    _, packed, nxt, target, body, first, fixed = op
+                    buf += packed
+                    state = fixed_state if fixed else loop_state
+                    remaining = state.pop(pc, first)
                     if remaining is None:
                         raise ReplayError(
                             f"loop latch at {pc:#010x} reached without "
                             f"a logged loop condition")
-                    state = loop_state
-                if remaining > 0:
-                    body = bodies.get(pc)
-                    if body is None:
-                        state[pc] = remaining - 1
-                        pc = _taken_target(image, pc, instr)
-                        continue
-                    packed, count = body
-                    trips = remaining * count
-                    if steps + trips > max_steps:
-                        _guard_trips(path, packed, count, max_steps - steps)
-                    steps += trips
-                    path.repeat(packed, count, trips)
-                pc += instr.size
-                continue
+                    if remaining > 0:
+                        if body is None:
+                            state[pc] = remaining - 1
+                            pc = (_taken_target(image, pc, instr_at[pc])
+                                  if target is None else target)
+                            continue
+                        packed, count = body
+                        trips = remaining * count
+                        if steps + trips > limit:
+                            limit = path.drain(steps, max_steps)
+                            if steps + trips > max_steps:
+                                _guard_trips(path, packed, count,
+                                             max_steps - steps)
+                        steps += trips
+                        if remaining * len(packed) < _HASH_CHUNK:
+                            buf += packed * remaining
+                        else:
+                            path.repeat(packed, count, trips)
+                    pc = nxt
+                    continue
 
-            # 6. untracked instructions that end a run
-            kind = instr.kind
-            if kind is InstrKind.BRANCH:
-                if instr.cond is not None:
-                    raise ReplayError(
-                        f"unclassified conditional at {pc:#010x}")
-                pc = _taken_target(image, pc, instr)
-            elif kind is InstrKind.CALL:
-                shadow.append(pc + instr.size)
-                out.max_shadow_depth = max(
-                    out.max_shadow_depth, len(shadow))
-                pc = _taken_target(image, pc, instr)
-            elif kind is InstrKind.INDIRECT_BRANCH:
-                if not shadow:
+                # loop-condition log sites
+                if code == _LOOP:
+                    _, packed, nxt, latch, info, ranges = op
+                    buf += packed
+                    entry = records[cursor] if cursor < total else None
+                    if not isinstance(entry, LoopRecord) or entry.key != pc:
+                        raise ReplayError(
+                            f"missing loop-condition record at {pc:#010x}")
+                    cursor += 1
+                    loop_state[latch] = _loop_trips(info, entry, ranges) - 1
+                    pc = nxt
+                    continue
+
+                buf += op[1]
+                if code == _RET:
+                    # untracked bx lr: a leaf return through an unspilled LR
+                    if not shadow:
+                        break
+                    pc = shadow.pop()
+                    continue
+                if code == _EXIT:
                     break
-                pc = shadow.pop()
-            elif instr.mnemonic == "bkpt":
-                break
-            elif instr.writes_pc():
-                raise ReplayError(
-                    f"unclassified pc-writing instruction at {pc:#010x}")
-            elif instr.mnemonic == "svc":
-                raise ReplayError(f"unexpected svc at {pc:#010x}")
-            else:
-                pc += instr.size
+                if op[2] is None:  # _FAIL
+                    _taken_target(image, pc, instr_at[pc])
+                raise ReplayError(op[2])
+        finally:
+            out.max_shadow_depth = depth
 
         out.consumed = cursor
         if cursor != total:
             raise ReplayError(
                 f"{total - cursor} CFLog records left after "
                 f"execution reached its end")
+
+
+def _indirect_op(image: Image, pc: int, instr, info) -> tuple:
+    """The op of a trampolined indirect transfer: the TRACES shape
+    (an ``svc`` followed by the instrumented branch) appends both."""
+    packed = _PACK_PC(pc)
+    full = (packed + _PACK_PC(pc + instr.size) if instr.mnemonic == "svc"
+            else packed)
+    resume = None
+    if info.kind == "call":
+        kind = _IND_CALL
+        try:
+            resume = call_resume(image, pc)
+        except KeyError:
+            pass  # replay raises it like the stepping replay
+    elif info.kind in ("return_pop", "return_bx"):
+        kind = _IND_RETURN
+    else:  # ldr / bx computed jumps
+        kind = _IND_JUMP
+    return (_INDIRECT, packed, full, info.rec_addr, kind, resume)
+
+
+def _cond_op(image: Image, pc: int, instr, info) -> tuple:
+    """The op of a trampolined conditional, by flavor: ``always`` (a
+    silent-cycle latch: a record is mandatory), ``taken`` (a record
+    means taken; the TRACES in-text thunk is an ``svc`` + direct
+    branch) and forward-exit (a record means "stayed in the loop",
+    consumed at the in-text site right after the branch)."""
+    packed = _PACK_PC(pc)
+    if info.flavor in ("always", "taken"):
+        rec = image.instr_at.get(info.rec_addr)
+        hit_packed = packed
+        if rec is not None and rec.mnemonic == "svc":
+            hit_packed += (_PACK_PC(info.rec_addr)
+                           + _PACK_PC(info.rec_addr + rec.size))
+        miss = None if info.flavor == "always" else pc + instr.size
+        return (_COND, packed, info.rec_addr, hit_packed, info.taken_addr,
+                miss)
+    return (_COND, packed, info.rec_addr, packed + _PACK_PC(pc + instr.size),
+            info.cont_addr, info.taken_addr)
 
 
 class NaiveVerifier(_ReplayVerifier):
@@ -905,29 +1035,35 @@ class NaiveReplayProgram(_CompiledReplay):
              out: ReplayDigest, path: _PathHash) -> None:
         image, runs, sites = self.image, self._runs, self._sites
         violations = out.violations
-        emit = path.add
+        buf = path.buf
         pc = image.entry
         cursor, total = 0, len(records)
         shadow: List[int] = []
         steps = 0
+        #: the guard, or the step at which ``buf`` is hashed, if earlier
+        limit = min(max_steps, _DRAIN_STEPS)
 
         while True:
             run = runs.get(pc)
             if run is not None:
-                if steps + run.length > max_steps:
-                    _guard_trips(path, run.packed, run.length,
-                                 max_steps - steps)
+                if steps + run.length > limit:
+                    limit = path.drain(steps, max_steps)
+                    if steps + run.length > max_steps:
+                        _guard_trips(path, run.packed, run.length,
+                                     max_steps - steps)
                 steps += run.length
-                emit(run.packed, run.length)
+                buf += run.packed
                 pc = run.exit  # never a run start: step it right away
             steps += 1
-            if steps > max_steps:
-                raise ReplayError("replay exceeded the step guard")
+            if steps > limit:
+                limit = path.drain(steps, max_steps)
+                if steps > max_steps:
+                    raise ReplayError("replay exceeded the step guard")
             site = sites.get(pc)
             if site is None:
                 raise ReplayError(f"replay left the code image at {pc:#010x}")
             op, target, packed, nxt = site
-            emit(packed, 1)
+            buf += packed
 
             if op == "cond":
                 entry = records[cursor] if cursor < total else None

@@ -249,28 +249,48 @@ TRIP_GUARD = 10_000_000
 _WORD = 1 << 32
 
 
-def trip_count(shape: SimpleLoopShape, init: int) -> int:
+def trip_count(shape: SimpleLoopShape, init: int,
+               ranges: Optional[Tuple[Tuple[int, int], ...]] = None) -> int:
     """Number of body executions of a simple loop entered with ``init``.
 
     The latch branch is taken ``trip_count - 1`` times and falls through
     on the final evaluation, when the updated counter first makes the
     latch condition fail against ``bound``. The answer is computed in
     closed form: the condition's failing counter values form a few
-    intervals of the 32-bit ring, and the first iteration whose counter
-    lands in one of them is a modular linear congruence. It equals
+    intervals of the 32-bit ring (``ranges``, computed by
+    :func:`exit_ranges` when not given), and the first iteration whose
+    counter lands in one of them is a modular linear congruence. A
+    step of +1 or -1 reaches an interval's near end directly. It equals
     stepping the counter with hardware flag semantics, up to the same
     :data:`TRIP_GUARD`, past which ``ValueError`` is raised.
     """
+    if ranges is None:
+        ranges = exit_ranges(shape.cond, shape.bound)
     step = shape.step % _WORD
     first = (init + shape.step) % _WORD  # counter at the first latch test
     taken = None  # latch-taken count before the first failing test
-    for lo, hi in _exit_ranges(shape.cond, shape.bound % _WORD):
-        hit = _first_hit(first, step, lo, hi)
-        if hit is not None and (taken is None or hit < taken):
-            taken = hit
+    if step == 1 or step == _WORD - 1:
+        for lo, hi in ranges:
+            if lo <= first <= hi:
+                taken = 0
+                break
+            hit = (lo - first) % _WORD if step == 1 else (first - hi) % _WORD
+            if taken is None or hit < taken:
+                taken = hit
+    else:
+        for lo, hi in ranges:
+            hit = _first_hit(first, step, lo, hi)
+            if hit is not None and (taken is None or hit < taken):
+                taken = hit
     if taken is None or taken > TRIP_GUARD:
         raise ValueError("non-terminating simple loop")
     return taken + 1
+
+
+def exit_ranges(cond: str, bound: int) -> Tuple[Tuple[int, int], ...]:
+    """The counter intervals on which a latch ``cond`` against ``bound``
+    falls through (what :func:`trip_count` searches)."""
+    return _exit_ranges(cond, bound % _WORD)
 
 
 @functools.lru_cache(maxsize=1024)
