@@ -17,9 +17,9 @@ per-record decoder, then ``expand`` and a hash over every re-packed
 record). Every session is also verified end to end through
 :func:`verify_session_chain` on a cold and a warm cache and checked
 against the stepping reference: authenticate, ``expand``, the
-stepping :meth:`Verifier.replay`, and the digest of the re-packed
-expanded stream. Any difference in acceptance, violations, replay
-length or ``records_digest`` is a hard failure.
+stepping replay (``tests/replay_oracle.py``), and the digest of the
+re-packed expanded stream. Any difference in acceptance, violations,
+replay length or ``records_digest`` is a hard failure.
 
 Usage::
 
@@ -51,6 +51,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 RESULTS = pathlib.Path(__file__).parent / "results" / "ingest.txt"
+#: the stepping oracle lives with the tests
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "tests"))
 
 #: (workload, attacked) rows: the fleet-shared firmware mix
 FULL = [("fibcall", False), ("prime", False), ("bitcount", False),
@@ -166,7 +169,8 @@ def reference_key(reports, dict_epoch) -> bytes:
 
 def stepping_reference(session: Captured):
     """(accepted, violations, consumed, path_len, records_digest) from
-    the stepping verifier, over the reference decode."""
+    the stepping oracle, over the reference decode."""
+    import replay_oracle
     from repro.cfa.fleet.verify import build_verifier
     from repro.cfa.report import AttestationResult
     from repro.cfa.speccfa import expand
@@ -178,7 +182,7 @@ def stepping_reference(session: Captured):
     records = result.cflog.records
     if session.dict_epoch is not None:
         records = expand(records, session.dict_epoch.dictionary)
-    outcome = verifier.replay(records)
+    outcome = replay_oracle.replay(verifier, records)
     digest = hashlib.sha256(b"".join(r.pack() for r in records)).hexdigest()
     return (authenticated and outcome.lossless and not outcome.violations,
             tuple((v.kind, v.address, v.detail)

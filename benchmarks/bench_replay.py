@@ -2,12 +2,13 @@
 
 Attests seeded executions (each device reads its own sensor, as in a
 fleet of distinct devices) under RAP-Track, TRACES and naive MTB, and
-replays every CFLog twice: with the stepping reference
-(:meth:`Verifier.replay` / :meth:`NaiveVerifier.replay`) and with the
-compiled program every production verifier runs (``verifier.program``:
-:class:`ReplayProgram` / :class:`NaiveReplayProgram`). The two must
-agree on every field the fleet records (lossless, violations, error,
-consumed, shadow-stack high-water mark, path length and digest); any
+replays every CFLog twice: with the stepping oracle
+(``tests/replay_oracle.py``) and with the compiled program every
+verifier runs (``verifier.program``: :class:`ReplayProgram` /
+:class:`NaiveReplayProgram`). The two must agree on every field the
+fleet records (lossless, violations, error, consumed, shadow-stack
+high-water mark, path length and digest), and the verifier's
+``replay`` must return the oracle's whole result, path included; any
 divergence is a hard failure.
 
 Usage::
@@ -40,6 +41,9 @@ import time
 from typing import List, Optional
 
 RESULTS = pathlib.Path(__file__).parent / "results" / "replay.txt"
+#: the stepping oracle lives with the tests
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "tests"))
 
 #: the firmwares whose CFLogs differ per device (their sensor's seed)
 SENSOR_WORKLOADS = ["temperature", "ultrasonic", "fir", "geiger"]
@@ -113,10 +117,11 @@ def floor(name: str, method: str) -> Optional[float]:
 
 def bench_workload(name: str, method: str, seeds: List[Optional[int]],
                    repeats: int):
+    import replay_oracle
     from repro.baselines.naive_mtb import NaiveMtbEngine
     from repro.baselines.traces import TracesEngine
     from repro.cfa.engine import EngineConfig, RapTrackEngine
-    from repro.cfa.verifier import NaiveVerifier, ReplayDigest, Verifier
+    from repro.cfa.verifier import NaiveVerifier, Verifier
     from repro.eval.runner import prepare
     from repro.tz.keystore import KeyStore
     from repro.workloads.base import make_mcu
@@ -135,10 +140,13 @@ def bench_workload(name: str, method: str, seeds: List[Optional[int]],
         mcu = make_mcu(image, seeded_workload(name, seed))
         records = engines[method](mcu, KeyStore.provision(), *maps,
                                   EngineConfig()).attest(b"b").cflog.records
-        ref = verifier.replay(records)
-        if ReplayDigest.of(ref) != program.run(records):
+        ref = replay_oracle.replay(verifier, records)
+        if replay_oracle.digest(ref) != program.run(records):
             mismatches.append(f"seed {seed}: compiled != stepping")
-        ref_s.append(_timed(lambda: verifier.replay(records), repeats))
+        if verifier.replay(records) != ref:
+            mismatches.append(f"seed {seed}: replay result != stepping")
+        ref_s.append(_timed(lambda: replay_oracle.replay(verifier, records),
+                            repeats))
         out_s.append(_timed(lambda: program.run(records), 5 * repeats))
         path_len.append(len(ref.path))
     ref_ms = 1e3 * statistics.mean(ref_s)

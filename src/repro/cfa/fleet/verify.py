@@ -288,7 +288,8 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
             records = stream.records
             if dict_epoch is not None:
                 records = expand(records, dict_epoch.dictionary)
-            summary = _replay(verifier, records)
+            summary = _summarize(
+                verifier.program.run(records, verifier.max_steps))
             if cache is not None:
                 cache.store(profile, key_digest, summary)
     except (WireError, StreamError) as exc:
@@ -310,11 +311,6 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
         path_digest=summary.path_digest,
         records_digest=key_digest.hex(),
     )
-
-
-def _replay(verifier, records) -> _ReplaySummary:
-    """Replay an authenticated (and expanded) record stream."""
-    return _summarize(verifier.program.run(records, verifier.max_steps))
 
 
 # the worker-side replay cache (one per process, like _ARTIFACTS)

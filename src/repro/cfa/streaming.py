@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cfa.cflog import Record
-from repro.cfa.report import AttestationResult, Report
+from repro.cfa.report import Report
 from repro.cfa.verifier import VerificationResult, Verifier
 from repro.cfa.wire import decode_report
 
@@ -88,12 +88,3 @@ class StreamingVerifier:
         outcome = self.verifier.replay(self._records)
         outcome.authenticated = True  # each report was checked on feed
         return outcome
-
-
-def stream_attestation(result: AttestationResult, verifier: Verifier,
-                       challenge: bytes) -> VerificationResult:
-    """Convenience: push a whole chain through a StreamingVerifier."""
-    stream = StreamingVerifier(verifier, challenge)
-    for report in result.reports:
-        stream.feed(report)
-    return stream.finish()

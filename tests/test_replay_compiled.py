@@ -1,22 +1,25 @@
-"""Differential battery: the compiled replays against the stepping ones.
+"""Differential battery: the compiled replays against the stepping oracle.
 
 :class:`~repro.cfa.verifier.ReplayProgram` (RAP-Track, TRACES) and
-:class:`~repro.cfa.verifier.NaiveReplayProgram` (naive MTB) replay a
-CFLog without building the path; :meth:`Verifier.replay` and
-:meth:`NaiveVerifier.replay` step it one pc at a time and stay the
+:class:`~repro.cfa.verifier.NaiveReplayProgram` (naive MTB) are the
+only replay engine: ``program.run`` folds the path into its length and
+digest, :meth:`Verifier.replay` and :meth:`NaiveVerifier.replay` keep
+it. ``replay_oracle`` steps the path one pc at a time and is the
 reference. On every stream — honest runs of all workloads under all
 three methods, attack chains, hypothesis-mutated streams, hand-broken
 rewrite maps — the compiled digest (lossless, violations, error,
-consumed, shadow-stack high-water mark, path length and digest) must
-equal the reference's, including where the step guard cuts a replay
+consumed, shadow-stack high-water mark, path length and digest) and
+the whole :class:`VerificationResult` of ``replay``, path included,
+must equal the oracle's, including where the step guard cuts a replay
 short inside a run or a collapsed loop. ``run_method``, which verifies
-with the compiled program, must reach the stepping ``verify``'s
-verdict and failure message. The closed-form loop trip count is pinned
-against the stepping counter simulation it replaced.
+with ``program.run``, must reach the oracle's verdict and failure
+message. The closed-form loop trip count is pinned against the
+stepping counter simulation it replaced.
 """
 
 import copy
 import dataclasses
+import functools
 import time
 from unittest import mock
 
@@ -33,7 +36,6 @@ from repro.cfa.report import Report
 from repro.cfa.verifier import (
     NaiveReplayProgram,
     NaiveVerifier,
-    ReplayDigest,
     ReplayProgram,
     Verifier,
 )
@@ -51,6 +53,7 @@ from repro.tz.keystore import KeyStore
 from repro.workloads import WORKLOADS, load_workload, vulnerable
 from repro.workloads.base import make_mcu
 
+import replay_oracle
 from conftest import naive_setup, rap_setup
 
 METHODS = ("rap-track", "traces", "naive-mtb")
@@ -82,22 +85,20 @@ def build(name, method, attack=False):
 
 
 def reference(image, bound, max_steps=20_000_000):
-    """The stepping verifier (naive-MTB when ``bound`` is None)."""
+    """The verifier (naive-MTB when ``bound`` is None)."""
     if bound is None:
         return NaiveVerifier(image, KEY, max_steps=max_steps)
     return Verifier(image, bound, KEY, max_steps=max_steps)
 
 
-def both(image, bound, records, max_steps=20_000_000):
-    """(reference, compiled) replay digests."""
-    verifier = reference(image, bound, max_steps)
-    return (ReplayDigest.of(verifier.replay(records)),
-            verifier.program.run(records, max_steps))
-
-
 def assert_same(image, bound, records, max_steps=20_000_000):
-    ref, out = both(image, bound, records, max_steps)
-    assert out == ref
+    """The compiled digest and ``replay``'s whole result, path
+    included, equal the oracle's; returns the oracle's digest."""
+    verifier = reference(image, bound, max_steps)
+    want = replay_oracle.replay(verifier, records)
+    ref = replay_oracle.digest(want)
+    assert verifier.program.run(records, max_steps) == ref
+    assert verifier.replay(records) == want  # path included
     return ref
 
 
@@ -344,7 +345,7 @@ class TestMutatedStreams:
 
 
     def test_naive_unresolvable_direct_target(self):
-        """A call whose label the image lost raises alike on both paths
+        """A call whose label the image lost raises alike on every path
         (the program cannot decode its target, so it steps it)."""
         image, _, records = build("gps", "naive-mtb")
         call = next(r.key for r in records
@@ -354,9 +355,10 @@ class TestMutatedStreams:
         broken.symbols = {k: v for k, v in image.symbols.items()
                           if k != label}
         assert NaiveReplayProgram(broken)._sites[call][0] == "opaque"
-        stepping = reference(image, None)  # measured on the intact image
-        stepping.image = broken
-        for replay in (stepping.replay, NaiveReplayProgram(broken).run):
+        verifier = reference(image, None)  # measured on the intact image
+        verifier.image = broken
+        for replay in (functools.partial(replay_oracle.replay, verifier),
+                       verifier.replay, NaiveReplayProgram(broken).run):
             with pytest.raises(KeyError, match=label):
                 replay(records)
 
@@ -462,7 +464,7 @@ class TestStepGuard:
         bound = without(bound, "cond_at", image.symbols["spin"] + 2)
         program = ReplayProgram(image, bound)
         assert any(run.exit == pc for pc, run in program._runs.items())
-        for max_steps in (1, 2, 3, 4, 5, 1_000, 4_097):
+        for max_steps in (1, 2, 3, 4, 5, 1_000, 4_097, 100_000):
             assert_same(image, bound, [], max_steps)
         start = time.perf_counter()
         out = program.run([])
@@ -568,7 +570,7 @@ TAMPERS = {
 
 def run_both(name, method, tamper=None):
     """``run_method``'s (verified, failure message) next to what the
-    stepping ``verify`` makes of the very chain ``run_method`` saw."""
+    oracle's ``verify`` makes of the very chain ``run_method`` saw."""
     build("vulnerable", method, attack=True)  # attested before patching
     seen = []
     engine = ENGINES[method]
@@ -587,7 +589,9 @@ def run_both(name, method, tamper=None):
         except RuntimeError as exc:
             got = (False, str(exc))
     image, bound = prepare(load_workload(name), method)
-    ref = reference(image, bound).verify(seen[0], b"eval-challenge")
+    verifier = reference(image, bound)
+    ref = replay_oracle.verify(verifier, seen[0], b"eval-challenge")
+    assert verifier.verify(seen[0], b"eval-challenge") == ref
     want = (ref.ok, None if ref.ok else (
         f"{method} verification failed on {name}: "
         f"{ref.error or ref.violations[:3]}"))

@@ -6,15 +6,17 @@ run and that site are one dispatch. The run is dispatched alone where
 fusing could change what the stepping replay reports: the step guard
 landing on the run's end or its site, a run whose exit starts another
 run (a cycle in the middle of a run) and a run that leaves the code.
-Each case here is compared with the stepping :meth:`Verifier.replay`,
-field by field, at the guard positions around it.
+Each case here is compared with the stepping oracle
+(``replay_oracle``), field by field and path by path, at the guard
+positions around it.
 """
 
 import copy
 
-from repro.cfa.verifier import ReplayDigest, ReplayProgram, Verifier
+from repro.cfa.verifier import ReplayProgram, Verifier
 from repro.tz.keystore import KeyStore
 
+import replay_oracle
 from conftest import rap_setup
 
 KEY = KeyStore.provision().attestation_key
@@ -44,12 +46,14 @@ spin:
 
 
 def assert_same(image, bound, records, max_steps, program=None):
-    """The compiled digest equals the stepping replay's, on ``image``
-    (which may differ from the image the verifier measured)."""
+    """The compiled digest and the verifier's whole ``replay`` result
+    equal the oracle's, on ``image`` (which may differ from the image
+    the verifier measured)."""
     verifier = Verifier(image, bound, KEY, max_steps=max_steps)
-    ref = ReplayDigest.of(verifier.replay(records))
+    want = replay_oracle.replay(verifier, records)
     out = (program or ReplayProgram(image, bound)).run(records, max_steps)
-    assert out == ref
+    assert out == replay_oracle.digest(want)
+    assert verifier.replay(records) == want
     return out
 
 

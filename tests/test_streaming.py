@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cfa.engine import EngineConfig
-from repro.cfa.streaming import StreamError, StreamingVerifier, stream_attestation
+from repro.cfa.streaming import StreamError, StreamingVerifier
 from repro.cfa.wire import encode_report
 from repro.trace.mtb import PACKET_BYTES
 from conftest import rap_setup, text_path
@@ -33,7 +33,10 @@ class TestStreaming:
     def test_full_stream_verifies(self, keystore):
         image, result, verifier, tracer = attested(keystore)
         assert result.partial_report_count >= 2
-        outcome = stream_attestation(result, verifier, b"stream-chal")
+        stream = StreamingVerifier(verifier, b"stream-chal")
+        for report in result.reports:
+            stream.feed(report)
+        outcome = stream.finish()
         assert outcome.authenticated and outcome.lossless
         assert outcome.path == text_path(image, tracer)
 
