@@ -1,13 +1,13 @@
 """Fleet verification throughput: serial Vrf vs the fleet service.
 
 One 200-session honest fleet (fibcall/prime under RAP-Track) transmits
-the same report stream to every configuration: the serial baseline
+the same report stream to both configurations: the serial baseline
 verifies one session at a time through ``verify_session_chain`` with
-no sharing; the fleet service runs the identical stream inline with
-the replay cache and through a 4-worker pool. The service must reach
-at least 2x the baseline's reports/sec with 4 workers while producing
-byte-identical per-session verdicts — concurrency and caching are only
-allowed to move the clock, never the verdict.
+no sharing; one fleet shard (``FleetService``) runs the identical
+interleaved stream, verifying inline with the replay cache. The shard
+must reach at least 2x the baseline's reports/sec while producing
+byte-identical per-session verdicts — caching is only allowed to move
+the clock, never the verdict.
 
 Chain generation (the Prv side) happens before the timed window; the
 measurement is ingest + verification only.
@@ -23,12 +23,12 @@ import pytest
 
 from repro.cfa.fleet import (
     ChainFactory,
-    FleetService,
     ShardedFleetService,
     build_fleet_specs,
     device_key,
     verify_session_chain,
 )
+from repro.cfa.fleet.service import FleetService
 from conftest import save_table
 
 SESSIONS = 200
@@ -52,7 +52,7 @@ def factory(artifact_cache):
 @pytest.fixture(scope="module")
 def baseline(specs, factory):
     """Serial verification: per-session, uncached, one at a time."""
-    service = FleetService(workers=0, replay_cache=False)
+    service = FleetService(replay_cache=False)
     sessions = []
     for spec in specs:
         challenge = service.open_session(
@@ -71,9 +71,9 @@ def baseline(specs, factory):
     return verdicts, wall, reports
 
 
-def run_fleet(specs, factory, **service_kwargs):
-    """Drive the same interleaved stream through a fleet service."""
-    service = FleetService(**service_kwargs)
+def run_fleet(specs, factory):
+    """Drive the same interleaved stream through one fleet shard."""
+    service = FleetService()
     chains = {}
     order = []
     for spec in specs:
@@ -97,20 +97,13 @@ def run_fleet(specs, factory, **service_kwargs):
 def test_fleet_throughput(specs, factory, baseline, results_dir):
     base_verdicts, base_wall, reports = baseline
     base_rps = reports / base_wall
-    rows = [("serial baseline", base_wall, base_rps, 1.0, "-")]
-    speedups = {}
-    for label, kwargs in (
-        ("fleet inline + cache", dict(workers=0)),
-        ("fleet 4 workers + cache", dict(workers=4)),
-        ("fleet 4 process workers", dict(workers=4, executor="process")),
-    ):
-        verdicts, wall, metrics = run_fleet(specs, factory, **kwargs)
-        assert verdicts == base_verdicts, f"{label}: verdicts diverged"
-        assert all(v.accepted for v in verdicts.values())
-        speedups[label] = base_rps and (reports / wall) / base_rps
-        rows.append((f"{label} ({metrics.executor})", wall,
-                     reports / wall, speedups[label],
-                     f"{metrics.replay_cache_hits}/{SESSIONS}"))
+    verdicts, wall, metrics = run_fleet(specs, factory)
+    assert verdicts == base_verdicts, "fleet: verdicts diverged"
+    assert all(v.accepted for v in verdicts.values())
+    speedup = base_rps and (reports / wall) / base_rps
+    rows = [("serial baseline", base_wall, base_rps, 1.0, "-"),
+            ("fleet inline + cache", wall, reports / wall, speedup,
+             f"{metrics.replay_cache_hits}/{SESSIONS}")]
     lines = [f"Fleet verification throughput "
              f"({SESSIONS} sessions, {reports} reports)",
              f"{'configuration':38s} {'wall':>7s} {'rps':>7s} "
@@ -119,8 +112,8 @@ def test_fleet_throughput(specs, factory, baseline, results_dir):
               f"{cache:>9s}"
               for label, wall, rps, speedup, cache in rows]
     save_table(results_dir, "fleet_throughput", "\n".join(lines))
-    # the headline claim: 4 pool workers at >= 2x serial reports/sec
-    assert speedups["fleet 4 workers + cache"] >= 2.0
+    # the headline claim: inline + cache at >= 2x serial reports/sec
+    assert speedup >= 2.0
 
 
 def run_sharded_scale(specs, factory, shards, store_dir):
@@ -199,7 +192,7 @@ def test_fleet_sharded_scale(factory, results_dir, tmp_path):
 def test_bench_session_verify_latency(benchmark, specs, factory):
     """Time one end-to-end session verification (no cache)."""
     spec = specs[0]
-    service = FleetService(workers=0, replay_cache=False)
+    service = FleetService(replay_cache=False)
     challenge = service.open_session(
         spec.device_id, spec.profile, device_key(spec.device_id))
     chunks = factory.chain(spec, challenge.nonce)

@@ -86,12 +86,12 @@ def capture(rows, devices: int) -> List[Captured]:
         ChainFactory,
         DeviceProfile,
         DeviceSpec,
-        FleetService,
         FleetSimulator,
         device_key,
         learn_dictionaries,
         spec_challenge,
     )
+    from repro.cfa.fleet.service import FleetService
 
     specs = [DeviceSpec(f"dev-{name}{'-atk' if attacked else ''}-{i}",
                         DeviceProfile(name),

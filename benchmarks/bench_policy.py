@@ -24,12 +24,12 @@ import time
 from repro.cfa.fleet import (
     CampaignSimulator,
     ChainFactory,
-    FleetService,
     ShardedFleetService,
     build_campaign_specs,
     build_fleet_specs,
     device_key,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.policy import PolicyEngine, PolicyRegistry, policy_key
 from conftest import save_table
 

@@ -31,11 +31,11 @@ import pytest
 from repro.cfa.fleet import (
     DeviceProfile,
     DeviceSpec,
-    FleetService,
     FleetSimulator,
     learn_dictionaries,
     mine_fleet_dictionary,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.speccfa import compress, expand, mine_subpaths
 from repro.eval.figures import EVAL_WORKLOADS, format_table
 from conftest import save_table

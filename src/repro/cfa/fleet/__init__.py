@@ -5,17 +5,18 @@ The package splits along the cost structure of fleet CFA:
 * :mod:`~repro.cfa.fleet.session` — cheap per-report protocol state
   (challenges, replay protection, sequencing, expiry/retry);
 * :mod:`~repro.cfa.fleet.verify` — the expensive chain-verification
-  primitive shared verbatim by the serial and pooled paths;
-* :mod:`~repro.cfa.fleet.service` — the multiplexing front end with a
-  worker-pool fan-out, bounded-queue backpressure, and metrics;
+  primitive every shard runs inline;
+* :mod:`~repro.cfa.fleet.service` — one shard's session-multiplexing
+  worker: ingest, inline verification, evidence, and metrics;
 * :mod:`~repro.cfa.fleet.simulator` — the load generator / adversary
   model used by the tests, the ``fleet`` CLI, and the benchmarks;
 * :mod:`~repro.cfa.fleet.store` — the durable hash-chained evidence
   log (fsync-before-release) and the content-addressed persistent
   replay cache;
-* :mod:`~repro.cfa.fleet.shard` — the consistent-hash router that
-  partitions the fleet across per-shard services, with crash-restart
-  recovery from the evidence logs;
+* :mod:`~repro.cfa.fleet.shard` — :class:`ShardedFleetService`, the
+  public service: a consistent-hash router that partitions the fleet
+  across per-shard workers (``shards=1`` is the plain case), with
+  crash-restart recovery from the evidence logs;
 * :mod:`~repro.cfa.fleet.dictver` — versioned speculation
   dictionaries and the cryptographic epoch handshake (DICT/DACK);
 * :mod:`~repro.cfa.fleet.mining` — the live-traffic sampler and the
@@ -40,7 +41,6 @@ from repro.cfa.fleet.mining import (
     mine_fleet_dictionary,
     mining_gain,
 )
-from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.session import FleetOverloadError, Session, SessionManager
 from repro.cfa.fleet.shard import HashRing, ShardedFleetService
 from repro.cfa.fleet.store import (
@@ -89,7 +89,6 @@ __all__ = [
     "EvidenceStore",
     "FleetMetrics",
     "FleetOverloadError",
-    "FleetService",
     "FleetSimulator",
     "HONEST_BEHAVIORS",
     "HOSTILE_BEHAVIORS",

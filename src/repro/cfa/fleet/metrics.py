@@ -54,10 +54,6 @@ class FleetMetrics:
     #: the last :data:`LATENCY_WINDOW` verification latencies
     verify_latencies_s: Deque[float] = field(
         default_factory=_latency_window, repr=False)
-    queue_depth: int = 0
-    queue_depth_max: int = 0
-    workers: int = 0
-    executor: str = "inline"
     replay_cache_hits: int = 0
     replay_cache_misses: int = 0
     #: entries the bounded in-memory replay cache dropped (a dropped
@@ -69,7 +65,7 @@ class FleetMetrics:
     evidence_bytes: int = 0
     evidence_fsyncs: int = 0
     sessions_recovered: int = 0  # verdicts restored from the evidence log
-    shards: int = 0              # 0 = unsharded single service
+    shards: int = 0              # 0 on one shard's own metrics
     recovery_s: float = 0.0      # wall time replaying evidence at restart
     # adaptive speculation (dictionary epoch handshake)
     dict_pushes: int = 0         # DICT frames offered to lagging devices
@@ -120,10 +116,8 @@ class FleetMetrics:
             f"({self.bytes_ingested} B, {self.duplicates_dropped} dup, "
             f"{self.reports_ignored} ignored) "
             f"at {self.reports_per_second:.0f} rps, "
-            f"workers={self.workers} ({self.executor}), "
             f"verify p50/p95/p99 {pct['p50'] * 1e3:.1f}/"
             f"{pct['p95'] * 1e3:.1f}/{pct['p99'] * 1e3:.1f} ms, "
-            f"queue depth max {self.queue_depth_max}, "
             f"replay cache {self.replay_cache_hits}/"
             f"{self.replay_cache_hits + self.replay_cache_misses} hits "
             f"({self.replay_cache_evictions} evicted), "
@@ -159,8 +153,7 @@ def aggregate_metrics(per_shard: Sequence[FleetMetrics],
     Counters sum; latency windows concatenate, shard by shard, into
     one window of the same bound (so the percentiles are fleet-wide,
     not a mean of per-shard percentiles, and a read copies at most one
-    window per shard); queue depth takes
-    the worst shard. ``wall_s`` is the *router's* wall clock — shards
+    window per shard). ``wall_s`` is the *router's* wall clock — shards
     run concurrently, so summing their walls would double count.
     """
     total = FleetMetrics(shards=len(per_shard))
@@ -178,9 +171,6 @@ def aggregate_metrics(per_shard: Sequence[FleetMetrics],
         total.duplicates_dropped += m.duplicates_dropped
         total.bytes_ingested += m.bytes_ingested
         total.verify_latencies_s.extend(m.verify_latencies_s)
-        total.queue_depth_max = max(total.queue_depth_max,
-                                    m.queue_depth_max)
-        total.workers += m.workers
         total.replay_cache_hits += m.replay_cache_hits
         total.replay_cache_misses += m.replay_cache_misses
         total.replay_cache_evictions += m.replay_cache_evictions
@@ -202,8 +192,6 @@ def aggregate_metrics(per_shard: Sequence[FleetMetrics],
         total.heals_failed += m.heals_failed
         total.rejoins += m.rejoins
         total.revocations += m.revocations
-    executors = {m.executor for m in per_shard}
-    total.executor = executors.pop() if len(executors) == 1 else "mixed"
     total.wall_s = wall_s or max(
         (m.wall_s for m in per_shard), default=0.0)
     total.recovery_s = recovery_s

@@ -1,33 +1,25 @@
-"""The fleet attestation service: many devices, one Vrf.
+"""One fleet shard: many device sessions, one Vrf.
 
 :class:`FleetService` multiplexes thousands of concurrent device
-sessions over the wire codec. The split of responsibilities:
+sessions over the wire codec; it is the per-shard worker behind
+:class:`~repro.cfa.fleet.shard.ShardedFleetService`, the public
+service. The split of responsibilities:
 
 * the :class:`~repro.cfa.fleet.session.SessionManager` does the cheap,
   strictly-ordered protocol bookkeeping (challenges, replay
-  protection, sequence tracking, expiry) on the caller's thread;
+  protection, sequence tracking, expiry) under the service lock;
 * the expensive part — MAC-checking and losslessly replaying a
-  completed chain — is fanned out across a worker pool
-  (``workers > 1``), or run inline for ``workers <= 1``; every path
-  executes the same :func:`~repro.cfa.fleet.verify.verify_session_chain`
-  primitive, so verdicts are identical by construction.
+  completed chain — runs inline on the thread whose ``submit``
+  completed the chain, outside the lock, through
+  :func:`~repro.cfa.fleet.verify.verify_session_chain`. Caller threads
+  may submit concurrently; each verifies its own chains and shares the
+  shard's replay cache.
 
-The pool flavour is selectable (``executor=``): ``"process"`` uses a
-``ProcessPoolExecutor`` for real multi-core parallelism but pays a
-per-session pickle/IPC toll that only extra cores can amortize;
-``"thread"`` uses a ``ThreadPoolExecutor``, which shares the replay
-cache and the in-process artifact memo and overlaps the GIL-releasing
-HMAC work, at near-zero dispatch cost. The default ``"auto"`` picks
-threads on a single-core host (where process workers are pure
-overhead) and processes otherwise.
-
-**Backpressure**: at most ``max_pending`` chains may be in flight to
-the pool; when the bound is hit, ``submit`` of a chain-completing
-report *blocks* the ingest thread until a worker frees a slot — the
-overload propagates to the transport instead of growing an unbounded
-queue. Admission control is separate: with ``max_sessions`` set,
-``open_session`` refuses new devices (``FleetOverloadError``) once
-that many sessions are active.
+``verify_session_chain`` never raises: wire damage and protocol
+violations come back as a rejected verdict, so no catch-all wraps it.
+Admission control: with ``max_sessions`` set, ``open_session`` refuses
+new devices (``FleetOverloadError``) once that many sessions are
+active.
 
 All timing used for protocol decisions is an explicit logical clock
 (``now``) supplied by the caller, so tests and the simulator are
@@ -36,15 +28,8 @@ deterministic; only the performance metrics touch the wall clock.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -68,8 +53,6 @@ from repro.cfa.fleet.verify import (
     DeviceProfile,
     ReplayCache,
     SessionVerdict,
-    local_verify,
-    pool_verify,
     verify_session_chain,
 )
 from repro.cfa.policy.engine import (
@@ -108,17 +91,13 @@ from repro.core.analysis.certificate import (
 class FleetService:
     """Session-multiplexing verification front end for a device fleet."""
 
-    def __init__(self, workers: int = 0,
-                 seed: bytes = b"fleet-vrf",
+    def __init__(self, seed: bytes = b"fleet-vrf",
                  idle_timeout: float = 30.0,
                  reorder_window: int = 8,
                  max_attempts: int = 2,
                  max_sessions: Optional[int] = None,
-                 max_pending: Optional[int] = None,
                  replay_cache: Union[bool, ReplayCache] = True,
-                 executor: str = "auto",
                  store: Optional[EvidenceStore] = None,
-                 nonce_scope: str = "counter",
                  registry: Optional[DictionaryRegistry] = None,
                  sampler: Union[bool, TrafficSampler, None] = None,
                  policy: Optional[PolicyEngine] = None,
@@ -154,44 +133,18 @@ class FleetService:
         self.manager = SessionManager(
             seed=seed, idle_timeout=idle_timeout,
             reorder_window=reorder_window, max_attempts=max_attempts,
-            max_sessions=max_sessions, nonce_scope=nonce_scope,
+            max_sessions=max_sessions,
             epoch_bindings=self.registry.bindings)
-        self.workers = max(0, workers)
         # replay_cache may be a ready-made cache instance or a bool
-        if isinstance(replay_cache, ReplayCache):
-            self.use_replay_cache = True
-            self._cache: Optional[ReplayCache] = replay_cache
-        else:
-            self.use_replay_cache = bool(replay_cache)
-            self._cache = ReplayCache() if replay_cache else None
+        self._cache: Optional[ReplayCache] = (
+            replay_cache if isinstance(replay_cache, ReplayCache)
+            else ReplayCache() if replay_cache else None)
         #: durable evidence log; when set, every verdict is fsync'd
         #: into the hash chain *before* it is released
         self.store = store
-        if executor == "auto":
-            executor = "thread" if (os.cpu_count() or 1) <= 1 else "process"
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
-        self.executor = executor
-        self.metrics = FleetMetrics(
-            workers=self.workers,
-            executor=executor if self.workers > 1 else "inline")
+        self.metrics = FleetMetrics()
         self.verdicts: Dict[str, SessionVerdict] = {}
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._inflight = 0
-        self._worker_hits = 0    # process-pool cache deltas (remote caches)
-        self._worker_misses = 0
-        self._pool: Optional[Executor] = None
-        self._slots: Optional[threading.BoundedSemaphore] = None
-        if self.workers > 1:
-            if executor == "process":
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="fleet-verify")
-            self._slots = threading.BoundedSemaphore(
-                max_pending or 4 * self.workers)
         self._started = time.perf_counter()
 
     # -- session lifecycle --------------------------------------------------
@@ -229,9 +182,9 @@ class FleetService:
     def submit(self, device_id: str, data: bytes, now: float = 0.0) -> None:
         """Ingest one wire-encoded report from a device.
 
-        Cheap protocol checks happen inline; a report that completes
-        its session's chain dispatches verification (possibly blocking
-        on backpressure — see the module docstring).
+        Cheap protocol checks run under the service lock; a report
+        that completes its session's chain is then verified on this
+        thread, outside the lock (see the module docstring).
         """
         with self._lock:
             if self.policy is not None and not self.policy.admits(device_id):
@@ -268,7 +221,7 @@ class FleetService:
                         reason=reason, reports=len(session.chunks)))
                     return
         if session.state == QUEUED:
-            self._dispatch(session)
+            self._verify(session)
 
     def tick(self, now: float) -> List[Tuple[str, Challenge]]:
         """Advance the logical clock: expire idle sessions, re-challenge
@@ -603,63 +556,16 @@ class FleetService:
             reason = screen_records(cert, session.admission_records())
         return reason
 
-    # -- verification fan-out -----------------------------------------------
+    # -- verification -------------------------------------------------------
 
-    def _dispatch(self, session: Session) -> None:
-        chunks = tuple(session.chunks)
-        args = (session.device_id, session.profile, session.key,
-                session.bound_challenge, chunks)
-        reports = tuple(session.reports)
-        dict_epoch = session.dict_epoch
-        if self._pool is None:
-            t0 = time.perf_counter()
-            verdict = verify_session_chain(
-                *args, cache=self._cache, reports=reports,
-                dict_epoch=dict_epoch)
-            self._record(session, verdict, time.perf_counter() - t0)
-            return
-        self._slots.acquire()  # backpressure: block until a slot frees
-        with self._lock:
-            self._inflight += 1
-            self.metrics.queue_depth += 1
-            self.metrics.queue_depth_max = max(
-                self.metrics.queue_depth_max, self.metrics.queue_depth)
+    def _verify(self, session: Session) -> None:
         t0 = time.perf_counter()
-        if self.executor == "process":
-            # bytes cross the process boundary; the worker decodes
-            future = self._pool.submit(
-                pool_verify, *args, self.use_replay_cache, dict_epoch)
-        else:
-            future = self._pool.submit(
-                local_verify, args, self._cache, reports, dict_epoch)
-        future.add_done_callback(
-            lambda fut: self._harvest(session, t0, fut))
-
-    def _harvest(self, session: Session, t0: float,
-                 future: Future) -> None:
-        self._slots.release()
-        hits = misses = 0
-        try:
-            verdict, hits, misses = future.result()
-        except Exception as exc:  # worker death / pickling failure
-            verdict = SessionVerdict(
-                device_id=session.device_id, profile=session.profile,
-                accepted=False,
-                reason=f"verifier worker failed: "
-                       f"{type(exc).__name__}: {exc}")
-        with self._lock:
-            self.metrics.queue_depth -= 1
-            self._inflight -= 1
-            self._worker_hits += hits
-            self._worker_misses += misses
-            self.metrics.verify_latencies_s.append(
-                time.perf_counter() - t0)
-            self._record_locked(session, verdict)
-            if self._inflight == 0:
-                self._idle.notify_all()
-
-    def _record(self, session: Session, verdict: SessionVerdict,
-                latency_s: float) -> None:
+        verdict = verify_session_chain(
+            session.device_id, session.profile, session.key,
+            session.bound_challenge, tuple(session.chunks),
+            cache=self._cache, reports=tuple(session.reports),
+            dict_epoch=session.dict_epoch)
+        latency_s = time.perf_counter() - t0
         with self._lock:
             self.metrics.verify_latencies_s.append(latency_s)
             self._record_locked(session, verdict)
@@ -718,28 +624,21 @@ class FleetService:
             session.reject_reason = session.reject_reason or verdict.reason
             self.metrics.sessions_rejected += 1
         self.verdicts[session.device_id] = verdict
-        # cache totals = the shared in-process cache plus worker deltas
-        local_hits = self._cache.hits if self._cache else 0
-        local_misses = self._cache.misses if self._cache else 0
-        self.metrics.replay_cache_hits = self._worker_hits + local_hits
-        self.metrics.replay_cache_misses = self._worker_misses + local_misses
-        self.metrics.replay_cache_evictions = (
-            self._cache.evictions if self._cache else 0)
+        if self._cache is not None:
+            self.metrics.replay_cache_hits = self._cache.hits
+            self.metrics.replay_cache_misses = self._cache.misses
+            self.metrics.replay_cache_evictions = self._cache.evictions
 
     # -- draining / shutdown ------------------------------------------------
 
     def drain(self) -> FleetMetrics:
-        """Wait for every in-flight verification; refresh wall metrics."""
-        with self._idle:
-            self._idle.wait_for(lambda: self._inflight == 0)
+        """Refresh the wall-clock metrics (verification is inline, so
+        nothing is ever in flight once ``submit`` returns)."""
         self.metrics.wall_s = time.perf_counter() - self._started
         return self.metrics
 
     def close(self) -> FleetMetrics:
         metrics = self.drain()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self.store is not None:
             self.store.close()
         return metrics

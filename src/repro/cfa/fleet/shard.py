@@ -1,23 +1,23 @@
-"""Shard the fleet Vrf: a consistent-hash router over worker shards.
+"""The fleet Vrf: a consistent-hash router over per-shard services.
 
-One :class:`FleetService` owns every session in a fleet; past a few
-hundred thousand devices that single protocol brain (and its lock)
-is the bottleneck. :class:`ShardedFleetService` partitions the fleet
-by device id: a :class:`HashRing` routes each device to exactly one
-shard, and each shard is a full ``FleetService`` owning its devices'
-sessions, nonces, reorder windows, replay cache, and evidence log —
-no state is shared across shards, so shards can run their own worker
-pools without coordination. In process the router hands each call
-straight to the owning shard; the RSHD handoff frame in
-:mod:`repro.cfa.wire` is the codec for a shard in another process.
+:class:`ShardedFleetService` is the public fleet service; ``shards=1``
+is the plain, single-shard case. It partitions the fleet by device
+id: a :class:`HashRing` routes each device to exactly one shard, and
+each shard is a :class:`~repro.cfa.fleet.service.FleetService` owning
+its devices' sessions, nonces, reorder windows, replay cache, and
+evidence log — no state is shared across shards, so shards need no
+coordination. Every shard verifies inline, on the caller's thread. In
+process the router hands each call straight to the owning shard; the
+RSHD handoff frame in :mod:`repro.cfa.wire` is the codec for a shard
+in another process.
 
 Three properties make sharding invisible to verdicts, all pinned by
 ``tests/test_fleet_sharding.py``:
 
 * **device-scoped nonces** — challenges derive from
-  ``(seed, device id, round, attempt)`` rather than a global counter,
-  so the challenge a device answers (and hence every wire byte and
-  every evidence digest) is independent of shard count;
+  ``(seed, device id, round, attempt)``, so the challenge a device
+  answers (and hence every wire byte and every evidence digest) is
+  independent of shard count;
 * **one owner per device** — the ring maps a device id to exactly one
   shard, so session state is never split or duplicated;
 * **per-device evidence chains** — each device's hash chain threads
@@ -127,11 +127,13 @@ class HashRing:
 class ShardedFleetService:
     """N fleet shards behind one consistent-hash router.
 
-    Presents the same surface as :class:`FleetService` (``open_session``
-    / ``submit`` / ``tick`` / ``drain`` / ``close`` / ``verdicts``), so
-    the simulator, the CLI, and the benchmarks drive either
-    interchangeably. Shards live in this process, so every routed call
-    is a plain method call on the owning shard: nothing is framed. The
+    Presents the per-shard :class:`FleetService` surface
+    (``open_session`` / ``submit`` / ``tick`` / ``drain`` / ``close`` /
+    ``verdicts``), so the simulator drives either interchangeably; the
+    CLI and the benchmarks build this class. ``workers`` is accepted
+    for old callers and must be 0: verification is always inline.
+    Shards live in this process, so every routed call is a plain
+    method call on the owning shard: nothing is framed. The
     RSHD handoff frame (:func:`~repro.cfa.wire.encode_shard_frame`)
     stays the codec for a shard behind a process boundary; its golden
     bytes, decoder battery and round-trip tests pin it until shards
@@ -142,7 +144,6 @@ class ShardedFleetService:
                  store_dir: Optional[Union[str, os.PathLike]] = None,
                  seed: bytes = b"fleet-vrf",
                  workers: int = 0,
-                 executor: str = "auto",
                  idle_timeout: float = 30.0,
                  reorder_window: int = 8,
                  max_attempts: int = 2,
@@ -157,6 +158,10 @@ class ShardedFleetService:
                  suspect_threshold: int = 2,
                  max_heal_attempts: int = 2,
                  bounds=None):
+        if workers != 0:
+            raise ValueError(
+                f"workers={workers}: verification runs inline; the "
+                f"only accepted value is 0")
         self.ring = HashRing(shards, vnodes=vnodes)
         self.seed = seed
         self.audit_key = audit_key(seed)
@@ -192,11 +197,10 @@ class ShardedFleetService:
                     self.store_dir / f"evidence-{shard_id:02d}.log",
                     self.audit_key, fsync=fsync)
             service = FleetService(
-                workers=workers, seed=seed, idle_timeout=idle_timeout,
+                seed=seed, idle_timeout=idle_timeout,
                 reorder_window=reorder_window, max_attempts=max_attempts,
                 max_sessions=max_sessions, replay_cache=replay_cache,
-                executor=executor, store=store, nonce_scope="device",
-                registry=self.registry, sampler=sampler,
+                store=store, registry=self.registry, sampler=sampler,
                 policy=self.policy, key_lookup=key_lookup,
                 bounds=bounds)
             if store is not None and store.recovered:

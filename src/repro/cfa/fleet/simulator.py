@@ -47,7 +47,6 @@ from repro.baselines.traces import TracesEngine
 from repro.cfa.cflog import CFLog
 from repro.cfa.engine import EngineConfig, RapTrackEngine
 from repro.cfa.fleet.dictver import DictEpoch, dack_mac, spec_challenge
-from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.policy.engine import PolicyDeniedError
 from repro.cfa.policy.heal import verify_heal_frame, verify_policy_frame
@@ -318,8 +317,7 @@ class FleetSimulator:
 
     # -- the run ------------------------------------------------------------
 
-    def run(self, service: FleetService,
-            step_s: float = 0.001) -> SimulationReport:
+    def run(self, service, step_s: float = 0.001) -> SimulationReport:
         """Open every session, interleave all deliveries, settle retries.
 
         The logical clock advances ``step_s`` per delivered report;

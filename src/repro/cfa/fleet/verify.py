@@ -4,16 +4,15 @@ One attestation *session* is a device's whole wire-encoded report
 chain; verifying it means running the exact serial machinery —
 :class:`~repro.cfa.streaming.StreamingVerifier` fed one report at a
 time — and folding the outcome into a :class:`SessionVerdict`, a pure
-picklable value. The in-process path and the worker-pool path both
-call :func:`verify_session_chain`, so serial and concurrent fleet
-verification cannot drift apart (the same discipline
-``eval/parallel.py`` applies to evaluation cells).
+comparable value. Every fleet shard calls :func:`verify_session_chain`
+inline, so a verdict does not depend on the shard count, on which
+caller thread completed the chain, or on whether the replay came from
+the cache.
 
-Worker processes rebuild the Vrf-side artifacts (linked image + bound
-rewrite map) themselves from the device *profile*; the offline phase
-is a pure function of ``(workload, method)`` (see ``eval/cache.py``),
-so worker-built verifiers are identical to main-process ones. Built
-artifacts are memoized per process in :data:`_ARTIFACTS`.
+The Vrf-side artifacts (linked image + bound rewrite map) are rebuilt
+from the device *profile*; the offline phase is a pure function of
+``(workload, method)`` (see ``eval/cache.py``), and built artifacts are
+memoized per process in :data:`_ARTIFACTS`.
 """
 
 from __future__ import annotations
@@ -49,11 +48,11 @@ if TYPE_CHECKING:
 class SessionVerdict:
     """The fleet-level outcome of one attestation session.
 
-    Pure data: picklable across the worker pool and comparable, so two
-    verification paths agreeing means their verdicts are ``==``. The
-    replayed path is carried as a SHA-256 digest (plus its length) so
-    a large fleet result stays small crossing process boundaries while
-    still pinning the reconstruction bit-for-bit.
+    Pure data and comparable, so two verification paths agreeing means
+    their verdicts are ``==``. The replayed path is carried as a
+    SHA-256 digest (plus its length), so a large fleet result stays
+    small in the verdict map and the evidence log while still pinning
+    the reconstruction bit-for-bit.
     """
 
     device_id: str
@@ -117,7 +116,7 @@ class ReplayCache:
     def __init__(self):
         #: (profile, key) -> summary, oldest first
         self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()  # shared by thread-pool workers
+        self._lock = threading.Lock()  # shared by caller threads
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -234,8 +233,8 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     per session; with a ``cache``, only the pure replay step is shared
     between identical chains — the cached and uncached paths produce
     ``==`` verdicts. Never raises: wire damage and protocol violations
-    come back as a rejected verdict so a poisoned session cannot take a
-    worker (or the service thread) down with it.
+    come back as a rejected verdict, so a poisoned session cannot take
+    the thread that submitted it down.
 
     ``dict_epoch`` is the session's pinned speculation dictionary.
     After authentication the replay-cache key is hashed from the
@@ -312,35 +311,3 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
         records_digest=key_digest.hex(),
     )
 
-
-# the worker-side replay cache (one per process, like _ARTIFACTS)
-_WORKER_CACHE = ReplayCache()
-
-
-def pool_verify(device_id: str, profile: DeviceProfile, key: bytes,
-                challenge: bytes, chunks: Sequence[bytes],
-                use_cache: bool,
-                dict_epoch: Optional["DictEpoch"] = None
-                ) -> Tuple[SessionVerdict, int, int]:
-    """Worker-pool entry point (module-level for pickling).
-
-    Returns ``(verdict, cache_hits_delta, cache_misses_delta)`` so the
-    service can aggregate worker-side cache effectiveness.
-    """
-    cache = _WORKER_CACHE if use_cache else None
-    hits0, misses0 = _WORKER_CACHE.hits, _WORKER_CACHE.misses
-    verdict = verify_session_chain(
-        device_id, profile, key, challenge, chunks, cache=cache,
-        dict_epoch=dict_epoch)
-    return (verdict, _WORKER_CACHE.hits - hits0,
-            _WORKER_CACHE.misses - misses0)
-
-
-def local_verify(args: tuple, cache: Optional[ReplayCache],
-                 reports: Optional[Sequence] = None,
-                 dict_epoch: Optional["DictEpoch"] = None
-                 ) -> Tuple[SessionVerdict, int, int]:
-    """Thread-pool entry point: shares the service's cache in-process
-    (cache deltas ride the shared object, so none are reported here)."""
-    return verify_session_chain(
-        *args, cache=cache, reports=reports, dict_epoch=dict_epoch), 0, 0

@@ -19,10 +19,10 @@ from repro.cfa.fleet import (
     ChainFactory,
     DeviceProfile,
     DeviceSpec,
-    FleetService,
     dack_mac,
     device_key,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet import session as session_mod
 from repro.cfa.speccfa import PackedExpander, SpecRecord, mine_subpaths
 from repro.cfa.wire import decode_report, encode_dack_frame, encode_report
@@ -53,7 +53,7 @@ def pinned_service(factory, registry):
     dictionary = mine_subpaths(
         [r for log in template.cflogs for r in log.records])
     assert dictionary
-    service = FleetService(workers=0, bounds=registry)
+    service = FleetService(bounds=registry)
     entry = service.publish_dictionary(PROFILE, dictionary)
     challenge = service.open_session(DEVICE, PROFILE, device_key(DEVICE))
     for chunk in factory.chain(DeviceSpec(DEVICE, PROFILE), challenge.nonce):

@@ -16,9 +16,9 @@ from repro.cfa.fleet import (
     ChainFactory,
     DeviceProfile,
     DeviceSpec,
-    FleetService,
     device_key,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.store import EvidenceStore, EvidenceRecord
 from repro.cfa.verifier import NaiveVerifier, Verifier
 from repro.core.analysis import (
@@ -127,7 +127,7 @@ class TestFleetRejection:
         registry.add(certify_workload("vulnerable", "naive-mtb"))
         store = EvidenceStore(tmp_path / "evidence.log",
                               device_key("vrf-store"))
-        service = FleetService(workers=0, bounds=registry, store=store)
+        service = FleetService(bounds=registry, store=store)
         image, bound = prepare(load_workload("vulnerable"), "naive-mtb")
         flood = synthesize_return_flood(image, bound, "naive-mtb", hops=8)
         assert flood is not None
@@ -158,7 +158,7 @@ class TestFleetRejection:
         if with_bounds:
             registry = BoundsRegistry()
             registry.add(certify_workload("vulnerable", "rap-track"))
-        service = FleetService(workers=0, bounds=registry)
+        service = FleetService(bounds=registry)
         verdict = self.submit_chain(service, chains[0], image,
                                     method="rap-track")
         service.close()
@@ -168,7 +168,7 @@ class TestFleetRejection:
     def test_honest_session_verdict_identical_with_analyzer(self, factory):
         verdicts = []
         for bounds in (None, self._fibcall_registry()):
-            service = FleetService(workers=0, bounds=bounds)
+            service = FleetService(bounds=bounds)
             challenge = service.open_session(
                 "prv-0", DeviceProfile("fibcall"), device_key("prv-0"), 0.0)
             chain = factory.chain(

@@ -21,12 +21,12 @@ from repro.cfa.fleet import (
     DeviceSpec,
     DictEpoch,
     DictionaryRegistry,
-    FleetService,
     dack_mac,
     device_key,
     spec_challenge,
     verify_dack,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.speccfa import EMPTY_DICTIONARY_DIGEST, mine_subpaths
 from repro.cfa.wire import encode_dack_frame
 
@@ -161,7 +161,7 @@ class TestSpecChallenge:
 class TestEpochStateMachine:
     def test_never_acked_device_stays_on_epoch_zero(
             self, factory, fibcall_dictionary):
-        service = FleetService(workers=0)
+        service = FleetService()
         service.publish_dictionary(FIBCALL, fibcall_dictionary)
         # the push is *offered* but the device never answers it
         verdict = run_session(service, factory, "prv-0")
@@ -174,7 +174,7 @@ class TestEpochStateMachine:
 
     def test_acked_device_attests_compressed(
             self, factory, fibcall_dictionary):
-        service = FleetService(workers=0)
+        service = FleetService()
         entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
         plain = run_session(service, factory, "prv-0")
         assert ack(service, "prv-0", entry.epoch)
@@ -192,7 +192,7 @@ class TestEpochStateMachine:
         """A device pinned to epoch 1 transmitting an epoch-0 (plain)
         chain fails the bound challenge — and the reject reason names
         the stale epoch instead of guessing at a replay."""
-        service = FleetService(workers=0)
+        service = FleetService()
         entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
         run_session(service, factory, "prv-0")
         assert ack(service, "prv-0", entry.epoch)
@@ -207,7 +207,7 @@ class TestEpochStateMachine:
         """The reverse direction: a device that never ACKed (pinned to
         0) transmitting a compressed epoch-1 chain is refused before
         any expansion is attempted."""
-        service = FleetService(workers=0)
+        service = FleetService()
         entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
         verdict = run_session(service, factory, "prv-0",
                               chain_epoch=entry.epoch)
@@ -221,7 +221,7 @@ class TestEpochStateMachine:
         """A push+ACK landing *mid-session* must not change the open
         session's epoch: the in-flight plain chain still verifies, and
         only the next session opens compressed."""
-        service = FleetService(workers=0)
+        service = FleetService()
         challenge = service.open_session("prv-0", FIBCALL,
                                          device_key("prv-0"))
         chunks = factory.chain(DeviceSpec("prv-0", FIBCALL),
@@ -242,7 +242,7 @@ class TestEpochStateMachine:
 
     def test_replayed_older_ack_cannot_roll_back(
             self, factory, fibcall_dictionary):
-        service = FleetService(workers=0)
+        service = FleetService()
         e1 = service.publish_dictionary(FIBCALL, fibcall_dictionary)
         bigger = dict(fibcall_dictionary)
         bigger[max(bigger) + 1] = (BranchRecord(4, 8), BranchRecord(8, 4))
@@ -255,7 +255,7 @@ class TestEpochStateMachine:
 
     def test_forged_dack_is_counted_and_dropped(
             self, factory, fibcall_dictionary):
-        service = FleetService(workers=0)
+        service = FleetService()
         entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
         run_session(service, factory, "prv-0")
         forged = encode_dack_frame(

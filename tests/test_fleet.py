@@ -14,10 +14,10 @@ from repro.cfa.fleet import (
     DeviceProfile,
     DeviceSpec,
     FleetOverloadError,
-    FleetService,
     ShardedFleetService,
     device_key,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet import session as session_mod
 from repro.cfa.fleet import verify as verify_mod
 from repro.cfa.fleet.session import MAX_SESSION_BYTES, MAX_SESSION_REPORTS
@@ -43,7 +43,7 @@ def open_with_chain(service, factory, device_id="prv-0", profile=FIBCALL,
 
 class TestHonestLifecycle:
     def test_in_order_chain_accepted(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks = open_with_chain(service, factory)
         assert len(chunks) >= 3  # watermark=256 forces partials
         for chunk in chunks:
@@ -59,7 +59,7 @@ class TestHonestLifecycle:
         assert metrics.bytes_ingested == sum(len(c) for c in chunks)
 
     def test_byte_identical_duplicate_dropped(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks = open_with_chain(service, factory)
         service.submit("prv-0", chunks[0])
         service.submit("prv-0", chunks[0])  # retransmission
@@ -70,7 +70,7 @@ class TestHonestLifecycle:
         assert metrics.duplicates_dropped == 1
 
     def test_reorder_within_window_accepted(self, factory):
-        service = FleetService(workers=0, reorder_window=4)
+        service = FleetService(reorder_window=4)
         chunks = open_with_chain(service, factory)
         swapped = list(chunks)
         swapped[1], swapped[2] = swapped[2], swapped[1]
@@ -82,7 +82,7 @@ class TestHonestLifecycle:
     def test_verdict_independent_of_arrival_order(self, factory):
         verdicts = []
         for order in ([0, 1, 2], [0, 2, 1]):
-            service = FleetService(workers=0, reorder_window=4)
+            service = FleetService(reorder_window=4)
             chunks = open_with_chain(service, factory)
             head = [chunks[i] for i in order]
             for chunk in head + chunks[3:]:
@@ -94,7 +94,7 @@ class TestHonestLifecycle:
 
 class TestProtocolRejections:
     def test_reorder_outside_window_rejected(self, factory):
-        service = FleetService(workers=0, reorder_window=1)
+        service = FleetService(reorder_window=1)
         chunks = open_with_chain(service, factory)
         service.submit("prv-0", chunks[0])
         service.submit("prv-0", chunks[3])  # gap of 3 > window of 1
@@ -104,7 +104,7 @@ class TestProtocolRejections:
         assert "reorder window" in verdict.reason
 
     def test_truncated_report_rejected(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks = open_with_chain(service, factory)
         service.submit("prv-0", chunks[0][:-5])
         service.close()
@@ -113,7 +113,7 @@ class TestProtocolRejections:
         assert "malformed" in verdict.reason
 
     def test_tampered_mac_rejected(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks = open_with_chain(service, factory)
         report, _ = decode_report(chunks[-1])
         report.mac = bytes(32)
@@ -126,7 +126,7 @@ class TestProtocolRejections:
         assert "bad MAC" in verdict.reason
 
     def test_equivocating_duplicate_rejected(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks = open_with_chain(service, factory)
         service.submit("prv-0", chunks[0])
         conflicting = bytearray(chunks[0])
@@ -138,7 +138,7 @@ class TestProtocolRejections:
         assert "conflicting duplicate" in verdict.reason
 
     def test_report_past_final_rejected(self, factory):
-        service = FleetService(workers=0, reorder_window=1000)
+        service = FleetService(reorder_window=1000)
         chunks = open_with_chain(service, factory)
         service.submit("prv-0", chunks[0])
         service.submit("prv-0", chunks[-1])  # final, buffered out of order
@@ -151,7 +151,7 @@ class TestProtocolRejections:
         assert "past the final" in verdict.reason
 
     def test_report_after_settled_ignored(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks = open_with_chain(service, factory)
         for chunk in chunks:
             service.submit("prv-0", chunk)
@@ -161,7 +161,7 @@ class TestProtocolRejections:
         assert metrics.reports_ignored == 1
 
     def test_wrong_device_id_rejected(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks_a = open_with_chain(service, factory, "prv-a")
         service.open_session("prv-b", FIBCALL, device_key("prv-b"))
         service.submit("prv-b", chunks_a[0])  # a's report on b's session
@@ -172,7 +172,7 @@ class TestProtocolRejections:
 
     def test_replayed_chain_rejected(self, factory):
         """A chain answering an old nonce dies at ingest."""
-        service = FleetService(workers=0)
+        service = FleetService()
         stale = open_with_chain(service, factory)
         # Vrf re-challenges (e.g. after an outage); old chain arrives late
         now = service.manager.idle_timeout + 1.0
@@ -185,7 +185,7 @@ class TestProtocolRejections:
         assert "challenge" in verdict.reason
 
     def test_unknown_device_ignored(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks = open_with_chain(service, factory)
         service.submit("prv-ghost", chunks[0])
         metrics = service.close()
@@ -195,7 +195,7 @@ class TestProtocolRejections:
 
 class TestExpiryAndRetry:
     def test_stalled_session_rechallenged_then_accepted(self, factory):
-        service = FleetService(workers=0, idle_timeout=10.0, max_attempts=2)
+        service = FleetService(idle_timeout=10.0, max_attempts=2)
         chunks = open_with_chain(service, factory)
         for chunk in chunks[:-1]:  # withhold the final report
             service.submit("prv-0", chunk)
@@ -211,7 +211,7 @@ class TestExpiryAndRetry:
         assert metrics.sessions_retried == 1
 
     def test_session_expires_after_last_attempt(self, factory):
-        service = FleetService(workers=0, idle_timeout=10.0, max_attempts=2)
+        service = FleetService(idle_timeout=10.0, max_attempts=2)
         open_with_chain(service, factory)
         assert service.tick(11.0)       # attempt 2 issued
         assert not service.tick(22.0)   # out of attempts
@@ -223,7 +223,7 @@ class TestExpiryAndRetry:
         assert metrics.sessions_retried == 1
 
     def test_queued_sessions_never_expire(self, factory):
-        service = FleetService(workers=0, idle_timeout=10.0)
+        service = FleetService(idle_timeout=10.0)
         chunks = open_with_chain(service, factory)
         for chunk in chunks:
             service.submit("prv-0", chunk)
@@ -233,7 +233,7 @@ class TestExpiryAndRetry:
 
 class TestAdmissionControl:
     def test_overload_refuses_new_sessions(self, factory):
-        service = FleetService(workers=0, max_sessions=2)
+        service = FleetService(max_sessions=2)
         service.open_session("prv-0", FIBCALL, device_key("prv-0"))
         service.open_session("prv-1", FIBCALL, device_key("prv-1"))
         with pytest.raises(FleetOverloadError):
@@ -243,7 +243,7 @@ class TestAdmissionControl:
         assert metrics.sessions_opened == 2
 
     def test_settled_sessions_free_slots(self, factory):
-        service = FleetService(workers=0, max_sessions=1)
+        service = FleetService(max_sessions=1)
         chunks = open_with_chain(service, factory)
         for chunk in chunks:
             service.submit("prv-0", chunk)
@@ -251,7 +251,7 @@ class TestAdmissionControl:
         service.open_session("prv-1", FIBCALL, device_key("prv-1"))
 
     def test_duplicate_active_session_refused(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         service.open_session("prv-0", FIBCALL, device_key("prv-0"))
         with pytest.raises(ValueError, match="active session"):
             service.open_session("prv-0", FIBCALL, device_key("prv-0"))
@@ -259,7 +259,7 @@ class TestAdmissionControl:
 
 class TestAttackDetection:
     def test_rop_attack_rejected(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         profile = DeviceProfile("vulnerable")
         chunks = open_with_chain(
             service, factory, profile=profile, behavior="attack")
@@ -289,7 +289,7 @@ class TestSessionBounds:
             self, factory):
         verdicts = {}
         for flooded in (False, True):
-            service = FleetService(workers=0)
+            service = FleetService()
             honest = {device_id: open_with_chain(service, factory,
                                                  device_id)
                       for device_id in ("prv-0", "prv-1")}
@@ -325,7 +325,7 @@ class TestSessionBounds:
     def test_report_cap_counts_buffered_reports(self, factory,
                                                 monkeypatch):
         monkeypatch.setattr(session_mod, "MAX_SESSION_REPORTS", 4)
-        service = FleetService(workers=0)
+        service = FleetService()
         chunk = open_with_chain(service, factory)[0]
         reports = list(self.flood(chunk, 6))
         # seq 0-1 accepted, seq 3-4 held in the reorder window: four
@@ -354,7 +354,7 @@ class TestReplayCache:
     def test_cache_preserves_verdicts(self, factory):
         verdicts = {}
         for cached in (False, True):
-            service = FleetService(workers=0, replay_cache=cached)
+            service = FleetService(replay_cache=cached)
             for device_id in ("prv-0", "prv-1", "prv-2"):
                 chunks = open_with_chain(service, factory, device_id)
                 for chunk in chunks:
@@ -389,7 +389,7 @@ class TestReplayCache:
 
 class TestMetrics:
     def test_summary_mentions_the_essentials(self, factory):
-        service = FleetService(workers=0)
+        service = FleetService()
         chunks = open_with_chain(service, factory)
         for chunk in chunks:
             service.submit("prv-0", chunk)
@@ -401,3 +401,17 @@ class TestMetrics:
         summary = metrics.summary()
         assert "1/1 sessions" in summary
         assert "rps" in summary and "p50" in summary
+
+
+class TestPublicSurface:
+    def test_sharded_service_is_the_one_public_service(self):
+        import repro.cfa.fleet as fleet
+
+        assert "ShardedFleetService" in fleet.__all__
+        assert "FleetService" not in fleet.__all__
+        assert not hasattr(fleet, "FleetService")
+
+    def test_only_inline_verification_is_accepted(self):
+        ShardedFleetService(shards=1, workers=0).close()
+        with pytest.raises(ValueError, match="inline"):
+            ShardedFleetService(shards=1, workers=4)

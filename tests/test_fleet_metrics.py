@@ -8,11 +8,11 @@ nor the cost of reading the metrics grows with the sessions served.
 
 from repro.cfa.fleet import (
     ChainFactory,
-    FleetService,
     FleetSimulator,
     ShardedFleetService,
     build_fleet_specs,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet import metrics as metrics_mod
 from repro.cfa.fleet.metrics import FleetMetrics, aggregate_metrics
 

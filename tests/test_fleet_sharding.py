@@ -19,7 +19,6 @@ from hypothesis import given, settings
 
 from repro.cfa.fleet import (
     ChainFactory,
-    FleetService,
     FleetSimulator,
     HashRing,
     ShardedFleetService,
@@ -27,6 +26,7 @@ from repro.cfa.fleet import (
     build_fleet_specs,
     verify_evidence_trail,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.wire import (
     SHARD_KIND_CHALLENGE,
     SHARD_KIND_REPORT,
@@ -61,7 +61,7 @@ class TestShardCountInvariance:
     def test_sharded_matches_single_and_unsharded(self, specs, factory,
                                                   tmp_path):
         """shards ∈ {1, 2, 4}: identical verdicts, identical evidence
-        heads; and the plain (storeless, counter-nonce) FleetService
+        heads; and the plain (storeless, unsharded) FleetService
         agrees on every verdict's accept/reject outcome."""
         runs = {}
         for shards in (1, 2, 4):

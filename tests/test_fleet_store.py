@@ -22,13 +22,13 @@ from repro.cfa.fleet import (
     DurableReplayCache,
     EvidenceError,
     EvidenceStore,
-    FleetService,
     ReplayCache,
     SessionVerdict,
     chain_digest,
     device_key,
     verify_evidence_trail,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.verify import _ReplaySummary
 
 AUDIT_KEY = b"\x17" * 32
@@ -71,7 +71,7 @@ class TestHonestTrailsVerify:
     def test_trail_verifies_and_reconstructs(self, factory, tmp_path,
                                              workload, behavior):
         store = make_store(tmp_path / "evidence.log")
-        service = FleetService(workers=0, store=store)
+        service = FleetService(store=store)
         profile = DeviceProfile(workload)
         tamper = None
         if behavior == "tamper":
@@ -96,8 +96,7 @@ class TestHonestTrailsVerify:
     def test_chain_links_across_device_rounds(self, factory, tmp_path):
         """Multiple sessions of one device form one linked chain."""
         store = make_store(tmp_path / "evidence.log")
-        service = FleetService(workers=0, store=store,
-                               nonce_scope="device")
+        service = FleetService(store=store)
         drive_session(service, factory, "prv-0")
         drive_session(service, factory, "prv-1")
         drive_session(service, factory, "prv-0")  # second round
@@ -114,16 +113,14 @@ class TestHonestTrailsVerify:
     def test_chain_continues_across_reopen(self, factory, tmp_path):
         path = tmp_path / "evidence.log"
         store = make_store(path)
-        service = FleetService(workers=0, store=store,
-                               nonce_scope="device")
+        service = FleetService(store=store)
         drive_session(service, factory, "prv-0")
         service.close()
         head_before = store.head("prv-0")
         # a fresh process opens the same log and appends
         store2 = make_store(path)
         assert store2.head("prv-0") == head_before
-        service2 = FleetService(workers=0, store=store2,
-                                nonce_scope="device")
+        service2 = FleetService(store=store2)
         service2.restore(store2.recovered)
         drive_session(service2, factory, "prv-0")
         service2.close()
@@ -131,12 +128,59 @@ class TestHonestTrailsVerify:
         assert [r.seq for r in records if r.device_id == "prv-0"] == [0, 1]
 
 
+
+class TestNonceFreshnessAcrossRestart:
+    """A restored service never re-issues a settled session's nonce.
+
+    The challenge is what makes a report chain fresh: if a restarted
+    Vrf issued a nonce it already issued before the crash, a recorded
+    chain answering it would verify again.
+    """
+
+    @pytest.mark.parametrize("outcome", ["verified", "expired"])
+    def test_reopened_device_gets_a_fresh_nonce(self, factory, tmp_path,
+                                                outcome):
+        path = tmp_path / "evidence.log"
+        service = FleetService(store=make_store(path), idle_timeout=5.0)
+        challenge = service.open_session("prv-0", FIBCALL,
+                                         device_key("prv-0"))
+        issued = {challenge.nonce}
+        # the chain the device computed for its first challenge
+        chunks = factory.chain(DeviceSpec("prv-0", FIBCALL),
+                               challenge.nonce)
+        if outcome == "verified":
+            for chunk in chunks:
+                service.submit("prv-0", chunk)
+        else:  # silent device: re-challenged once, then expired
+            issued.update(c.nonce for _, c in service.tick(10.0))
+            service.tick(20.0)
+        assert service.verdicts["prv-0"].accepted is (outcome == "verified")
+        assert len(issued) == (1 if outcome == "verified" else 2)
+        service.close()
+
+        store = make_store(path)  # the restarted process
+        restored = FleetService(store=store, idle_timeout=5.0)
+        assert restored.restore(store.recovered) == 1
+        fresh = restored.open_session("prv-0", FIBCALL,
+                                      device_key("prv-0"))
+        assert fresh.nonce not in issued
+        # the recorded pre-crash chain does not answer the new challenge
+        for chunk in chunks:
+            restored.submit("prv-0", chunk)
+        verdict = restored.verdicts["prv-0"]
+        assert not verdict.accepted
+        assert "outstanding challenge" in verdict.reason
+        restored.close()
+        records = verify_evidence_trail(path, AUDIT_KEY)
+        assert [r.accepted for r in records] == [outcome == "verified",
+                                                 False]
+
 @pytest.fixture(scope="module")
 def trail_bytes(factory, tmp_path_factory):
     """One honest multi-record log, as raw bytes, for mutation tests."""
     path = tmp_path_factory.mktemp("trail") / "evidence.log"
     store = make_store(path)
-    service = FleetService(workers=0, store=store, nonce_scope="device")
+    service = FleetService(store=store)
     drive_session(service, factory, "prv-0")
     drive_session(service, factory, "prv-1")
     drive_session(service, factory, "prv-0")
@@ -195,8 +239,7 @@ class TestCacheHitCoherence:
 
     def test_cache_hit_still_appends_record(self, factory, tmp_path):
         store = make_store(tmp_path / "evidence.log")
-        service = FleetService(workers=0, store=store,
-                               replay_cache=True)
+        service = FleetService(store=store, replay_cache=True)
         drive_session(service, factory, "prv-0")
         drive_session(service, factory, "prv-1")  # identical firmware
         metrics = service.close()
@@ -210,8 +253,7 @@ class TestCacheHitCoherence:
         # the same sessions with no cache: the cache-hit record's
         # bytes (flag bit 3 written 0) equal the uncached run's
         uncached_store = make_store(tmp_path / "evidence-uncached.log")
-        uncached = FleetService(workers=0, store=uncached_store,
-                                replay_cache=False)
+        uncached = FleetService(store=uncached_store, replay_cache=False)
         drive_session(uncached, factory, "prv-0")
         drive_session(uncached, factory, "prv-1")
         uncached.close()
@@ -232,9 +274,7 @@ class TestCacheHitCoherence:
         verdicts = []
         for cache in (True, False):
             store = make_store(tmp_path / f"evidence-{cache}.log")
-            service = FleetService(workers=0, store=store,
-                                   replay_cache=cache,
-                                   nonce_scope="device")
+            service = FleetService(store=store, replay_cache=cache)
             drive_session(service, factory, "prv-0")
             drive_session(service, factory, "prv-1")
             service.close()
@@ -275,7 +315,7 @@ class TestCrashTolerance:
 
         store = EvidenceStore(tmp_path / "evidence.log", AUDIT_KEY,
                               fsync_fn=flaky_fsync)
-        service = FleetService(workers=0, store=store)
+        service = FleetService(store=store)
         with pytest.raises(OSError):
             drive_session(service, factory, "prv-0")
         assert "prv-0" not in service.verdicts  # withheld, not lost
@@ -323,8 +363,7 @@ class TestDurableReplayCache:
         runs = []
         for cache in (DurableReplayCache(tmp_path / "cas"),
                       ReplayCache(), False):
-            service = FleetService(workers=0, replay_cache=cache,
-                                   nonce_scope="device")
+            service = FleetService(replay_cache=cache)
             drive_session(service, factory, "prv-0")
             drive_session(service, factory, "prv-1")
             service.close()

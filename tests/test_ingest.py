@@ -36,7 +36,6 @@ from repro.cfa.fleet import (
     DeviceSpec,
     DictEpoch,
     DurableReplayCache,
-    FleetService,
     FleetSimulator,
     ReplayCache,
     TrafficSampler,
@@ -44,6 +43,7 @@ from repro.cfa.fleet import (
     learn_dictionaries,
     verify_session_chain,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.verify import _ReplaySummary, build_verifier
 from repro.cfa.report import Report
 from repro.cfa.speccfa import (

@@ -18,11 +18,11 @@ from repro.cfa.fleet import (
     CampaignSimulator,
     ChainFactory,
     DeviceSpec,
-    FleetService,
     ShardedFleetService,
     build_campaign_specs,
     device_key,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.verify import DeviceProfile
 from repro.cfa.policy import (
     PolicyDeniedError,
@@ -188,8 +188,9 @@ class TestPolicyCli:
         assert "0 wrongful quarantine(s)" in out
 
     def test_policy_flag_validation(self, capsys):
-        assert main(["policy", "--devices", "4", "--store",
-                     "/tmp/nope"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["policy", "--devices", "4", "--shards", "0"])
+        assert exc.value.code == 2
         assert main(["policy", "--devices", "4",
                      "--smoke-restart"]) == 2
 

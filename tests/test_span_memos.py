@@ -259,7 +259,7 @@ def test_memoized_claims_equal_cold_claims(factory, workload):
     dictionary = mine_subpaths(records)
     registry = DictionaryRegistry()
     entry = registry.publish(profile, dictionary)
-    manager = SessionManager(nonce_scope="device")
+    manager = SessionManager()
     claims = []
     for device_id in ("prv-a", "prv-b", "prv-c"):
         session = manager.open(device_id, profile, device_key(device_id),

@@ -23,13 +23,13 @@ from repro.cfa.fleet import (
     ChainFactory,
     DeviceProfile,
     DeviceSpec,
-    FleetService,
     FleetSimulator,
     ShardedFleetService,
     device_key,
     learn_dictionaries,
     mine_fleet_dictionary,
 )
+from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.store import EvidenceStore
 from repro.cfa.speccfa import mine_subpaths
 
