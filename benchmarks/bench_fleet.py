@@ -10,13 +10,17 @@ byte-identical per-session verdicts — caching is only allowed to move
 the clock, never the verdict.
 
 Chain generation (the Prv side) happens before the timed window; the
-measurement is ingest + verification only.
+measurement is ingest + verification only. Each side runs the stream
+``PASSES`` times and reports its median pass: one pass lasts only
+0.05-0.2 s, short enough for host noise to move a single ratio across
+the 2x gate.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -33,6 +37,8 @@ from conftest import save_table
 
 SESSIONS = 200
 SEED = 7
+#: timed passes per side; each side reports its median pass
+PASSES = 5
 
 #: sharded scale run size — default keeps the suite quick; the
 #: benchmarks/results table was produced with FLEET_SCALE_DEVICES=100000
@@ -60,15 +66,17 @@ def baseline(specs, factory):
         sessions.append((spec, challenge.nonce,
                          factory.chain(spec, challenge.nonce)))
     reports = sum(len(chunks) for _, _, chunks in sessions)
-    t0 = time.perf_counter()
-    verdicts = {
-        spec.device_id: verify_session_chain(
-            spec.device_id, spec.profile, device_key(spec.device_id),
-            nonce, chunks)
-        for spec, nonce, chunks in sessions
-    }
-    wall = time.perf_counter() - t0
-    return verdicts, wall, reports
+    walls = []
+    for _ in range(PASSES):
+        t0 = time.perf_counter()
+        verdicts = {
+            spec.device_id: verify_session_chain(
+                spec.device_id, spec.profile, device_key(spec.device_id),
+                nonce, chunks)
+            for spec, nonce, chunks in sessions
+        }
+        walls.append(time.perf_counter() - t0)
+    return verdicts, statistics.median(walls), reports
 
 
 def run_fleet(specs, factory):
@@ -97,15 +105,19 @@ def run_fleet(specs, factory):
 def test_fleet_throughput(specs, factory, baseline, results_dir):
     base_verdicts, base_wall, reports = baseline
     base_rps = reports / base_wall
-    verdicts, wall, metrics = run_fleet(specs, factory)
-    assert verdicts == base_verdicts, "fleet: verdicts diverged"
+    runs = [run_fleet(specs, factory) for _ in range(PASSES)]
+    verdicts, _, metrics = runs[0]
+    wall = statistics.median(run_wall for _, run_wall, _ in runs)
+    assert all(run[0] == base_verdicts for run in runs), \
+        "fleet: verdicts diverged"
     assert all(v.accepted for v in verdicts.values())
     speedup = base_rps and (reports / wall) / base_rps
     rows = [("serial baseline", base_wall, base_rps, 1.0, "-"),
             ("fleet inline + cache", wall, reports / wall, speedup,
              f"{metrics.replay_cache_hits}/{SESSIONS}")]
     lines = [f"Fleet verification throughput "
-             f"({SESSIONS} sessions, {reports} reports)",
+             f"({SESSIONS} sessions, {reports} reports, "
+             f"median of {PASSES} passes)",
              f"{'configuration':38s} {'wall':>7s} {'rps':>7s} "
              f"{'speedup':>8s} {'cache':>9s}"]
     lines += [f"{label:38s} {wall:6.2f}s {rps:7.0f} {speedup:7.2f}x "

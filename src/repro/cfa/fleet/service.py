@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -259,12 +260,13 @@ class FleetService:
         records = list(records)
         session_records = [r for r in records
                            if not getattr(r, "is_policy", False)]
-        rounds: Dict[str, int] = {}
+        rounds = Counter(r.device_id for r in session_records)
+        # only each device's last session survives in the verdict map;
+        # first-seen order is the order the verdicts were first set
+        latest = {r.device_id: r for r in session_records}
         with self._lock:
-            for record in session_records:
-                self.verdicts[record.device_id] = record.to_verdict()
-                rounds[record.device_id] = rounds.get(
-                    record.device_id, 0) + 1
+            for device_id, record in latest.items():
+                self.verdicts[device_id] = record.to_verdict()
             self.manager.restore_rounds(rounds)
             self.metrics.sessions_recovered += len(session_records)
         if self.policy is not None:

@@ -67,7 +67,11 @@ chain digest, and every MAC before it. Verification
 a failure. Recovery (:meth:`EvidenceStore` opening an existing file)
 is crash-tolerant: a torn *tail* — the one partial frame an
 interrupted write or fsync can leave — is truncated away; any damage
-before the tail is tamper and raises :class:`EvidenceError`.
+before the tail is tamper and raises :class:`EvidenceError`. So is a
+length prefix that runs past the end of the file over a complete,
+MAC-valid frame: the writer finished that frame, so it is no tear.
+Bodies are read by one compiled :class:`~repro.codec.Layout` per
+record kind and format version.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ import hmac
 import os
 import pickle
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.cfa.fleet.verify import (
     DeviceProfile,
@@ -87,7 +91,7 @@ from repro.cfa.fleet.verify import (
     SessionVerdict,
     _ReplaySummary,
 )
-from repro.codec import Reader, lp
+from repro.codec import BLOB, STR, TEXT, Absent, Layout, Repeat, lp
 from repro.eval.cache import atomic_pickle
 
 EVIDENCE_MAGIC = b"EVD1"
@@ -99,6 +103,7 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 GENESIS = b"\x00" * 32
 _HEADER_LEN = 5
 _DIGEST_LEN = 32
+_U32 = struct.Struct("<I")
 #: a frame is at least prev_digest + mac + the fixed body fields
 _MIN_FRAME = 2 * _DIGEST_LEN
 
@@ -136,8 +141,7 @@ def audit_key(seed: bytes) -> bytes:
 _NON_UTF8 = "non-UTF-8 evidence field"
 
 
-@dataclass(frozen=True)
-class EvidenceRecord:
+class EvidenceRecord(NamedTuple):
     """One settled session, as persisted in the evidence log."""
 
     device_id: str
@@ -171,8 +175,10 @@ class EvidenceRecord:
     #: the session was opened by the healing protocol
     healing: bool = False
 
-    #: discriminator shared with :class:`PolicyRecord`
-    is_policy = False
+    @property
+    def is_policy(self) -> bool:
+        """Discriminator shared with :class:`PolicyRecord`."""
+        return False
 
     @property
     def profile(self) -> DeviceProfile:
@@ -198,8 +204,7 @@ class EvidenceRecord:
         )
 
 
-@dataclass(frozen=True)
-class PolicyRecord:
+class PolicyRecord(NamedTuple):
     """One policy-engine decision, as persisted in the evidence log.
 
     Field-for-field the
@@ -225,7 +230,9 @@ class PolicyRecord:
     mac: bytes
     digest: bytes
 
-    is_policy = True
+    @property
+    def is_policy(self) -> bool:
+        return True
 
     @property
     def profile(self) -> DeviceProfile:
@@ -299,75 +306,68 @@ def _encode_policy_body(decision, seq: int) -> bytes:
     ])
 
 
+def _session_layout(version: int) -> Layout:
+    """A session body of one format version; the fields a version
+    lacks read as their defaults."""
+    return Layout((
+        TEXT, TEXT, TEXT,                       # device_id, workload, method
+        BLOB, f"{_DIGEST_LEN}s",                # challenge, chain_digest
+        "I" if version >= 2 else Absent(0),     # epoch
+        "B", TEXT, "III", STR,                  # flags .. path_digest
+        STR if version >= 2 else Absent(""),    # records_digest
+        Repeat((TEXT, "I", TEXT)),              # violations
+        BLOB if version >= 3 else Absent(b""),  # measurement
+        "I",                                    # seq
+    ), EvidenceError, "evidence body",
+        "trailing bytes inside evidence body", _NON_UTF8)
+
+
+_SESSION_LAYOUTS = {version: _session_layout(version)
+                    for version in SUPPORTED_VERSIONS}
+#: a policy body's fields are the first twelve of a PolicyRecord
+_POLICY_LAYOUT = Layout(
+    (TEXT, TEXT, TEXT, "BB", TEXT, TEXT, "III", BLOB, "I"),
+    EvidenceError, "evidence body",
+    "trailing bytes inside policy record body", _NON_UTF8)
+
+
+def _body_layout(data: bytes, pos: int, version: int
+                 ) -> Tuple[Layout, int]:
+    """The layout of the body at ``data[pos:]`` and where its fields
+    start (after the v3 kind byte)."""
+    if version < 3:
+        return _SESSION_LAYOUTS[version], pos
+    if pos >= len(data):
+        raise EvidenceError("truncated evidence body")
+    kind = data[pos]
+    if kind == KIND_SESSION:
+        return _SESSION_LAYOUTS[version], pos + 1
+    if kind == KIND_POLICY:
+        return _POLICY_LAYOUT, pos + 1
+    raise EvidenceError(f"unknown evidence record kind {kind}")
+
+
 def _decode_body(body: bytes, prev_digest: bytes, mac: bytes,
-                 version: int = EVIDENCE_VERSION
-                 ) -> Union[EvidenceRecord, "PolicyRecord"]:
-    reader = Reader(body, EvidenceError, "evidence body")
-    if version >= 3:
-        kind = reader.u8()
-        if kind == KIND_POLICY:
-            return _decode_policy_body(reader, body, prev_digest, mac)
-        if kind != KIND_SESSION:
-            raise EvidenceError(f"unknown evidence record kind {kind}")
-    device_id = reader.lp_str(_NON_UTF8)
-    workload = reader.lp_str(_NON_UTF8)
-    method = reader.lp_str(_NON_UTF8)
-    challenge = reader.lp()
-    chain = reader.take(_DIGEST_LEN)
-    epoch = reader.u32() if version >= 2 else 0
-    flags = reader.u8()
-    reason = reader.lp_str(_NON_UTF8)
-    reports, records, path_len = reader.unpack("<III")
-    path_digest = reader.lp_str(_NON_UTF8)
-    records_digest = reader.lp_str(_NON_UTF8) if version >= 2 else ""
-    violations = []
-    for _ in range(reader.u16()):
-        kind = reader.lp_str(_NON_UTF8)
-        address = reader.u32()
-        detail = reader.lp_str(_NON_UTF8)
-        violations.append((kind, address, detail))
-    measurement = reader.lp() if version >= 3 else b""
-    seq = reader.u32()
-    reader.end("trailing bytes inside evidence body")
+                 version: int = EVIDENCE_VERSION,
+                 memo: Optional[Dict[bytes, str]] = None
+                 ) -> Union[EvidenceRecord, PolicyRecord]:
+    """One frame's record; ``memo`` shares repeated strings across the
+    records of one log."""
+    layout, pos = _body_layout(body, 0, version)
+    fields = layout.read(body, pos, memo)
+    digest = hashlib.sha256(prev_digest + body + mac).digest()
+    if layout is _POLICY_LAYOUT:
+        return PolicyRecord(*fields, prev_digest, mac, digest)
+    (device_id, workload, method, challenge, chain, epoch, flags, reason,
+     reports, records, path_len, path_digest, records_digest, violations,
+     measurement, seq) = fields
     return EvidenceRecord(
-        device_id=device_id, workload=workload, method=method,
-        challenge=challenge, chain_digest=chain, epoch=epoch,
-        accepted=bool(flags & _FLAG_ACCEPTED),
-        authenticated=bool(flags & _FLAG_AUTHENTICATED),
-        lossless=bool(flags & _FLAG_LOSSLESS),
-        cache_hit=bool(flags & _FLAG_CACHE_HIT),
-        expired=bool(flags & _FLAG_EXPIRED),
-        reason=reason, reports=reports, records=records,
-        path_len=path_len, path_digest=path_digest,
-        records_digest=records_digest,
-        violations=tuple(violations), seq=seq,
-        prev_digest=prev_digest, mac=mac,
-        digest=hashlib.sha256(prev_digest + body + mac).digest(),
-        measurement=measurement,
-        healing=bool(flags & _FLAG_HEALING),
-    )
-
-
-def _decode_policy_body(reader: Reader, body: bytes,
-                        prev_digest: bytes, mac: bytes) -> PolicyRecord:
-    device_id = reader.lp_str(_NON_UTF8)
-    workload = reader.lp_str(_NON_UTF8)
-    method = reader.lp_str(_NON_UTF8)
-    from_state, to_state = reader.unpack("<BB")
-    action = reader.lp_str(_NON_UTF8)
-    reason = reader.lp_str(_NON_UTF8)
-    score, heal_attempt, policy_epoch = reader.unpack("<III")
-    measurement = reader.lp()
-    seq = reader.u32()
-    reader.end("trailing bytes inside policy record body")
-    return PolicyRecord(
-        device_id=device_id, workload=workload, method=method,
-        from_state=from_state, to_state=to_state, action=action,
-        reason=reason, score=score, heal_attempt=heal_attempt,
-        policy_epoch=policy_epoch, measurement=measurement, seq=seq,
-        prev_digest=prev_digest, mac=mac,
-        digest=hashlib.sha256(prev_digest + body + mac).digest(),
-    )
+        device_id, workload, method, challenge, chain, epoch,
+        bool(flags & _FLAG_ACCEPTED), bool(flags & _FLAG_AUTHENTICATED),
+        bool(flags & _FLAG_LOSSLESS), bool(flags & _FLAG_CACHE_HIT),
+        bool(flags & _FLAG_EXPIRED), reason, reports, records, path_len,
+        path_digest, records_digest, violations, seq, prev_digest, mac,
+        digest, measurement, bool(flags & _FLAG_HEALING))
 
 
 def _record_mac(key: bytes, prev_digest: bytes, body: bytes) -> bytes:
@@ -385,7 +385,8 @@ def _parse(data: bytes, key: bytes
     (``None`` for a clean end). Anything *other* than a torn tail
     (bad header, MAC mismatch, chain break, oversized frame) raises
     :class:`EvidenceError`: crash damage is confined to the tail, so
-    damage anywhere else is tamper.
+    damage anywhere else is tamper. A length prefix that runs past the
+    end of the file over a *complete* frame is damage too, not a tear.
     """
     if len(data) < _HEADER_LEN:
         if not data:
@@ -397,38 +398,63 @@ def _parse(data: bytes, key: bytes
     if version not in SUPPORTED_VERSIONS:
         raise EvidenceError(f"unsupported evidence version {version}")
     pos = _HEADER_LEN
+    size = len(data)
     heads: Dict[str, Tuple[int, bytes]] = {}
-    records: List[EvidenceRecord] = []
-    while pos < len(data):
-        if pos + 4 > len(data):
+    records: List[Union[EvidenceRecord, PolicyRecord]] = []
+    memo: Dict[bytes, str] = {}
+    while pos < size:
+        if pos + 4 > size:
             return records, pos, "torn frame length"
-        (frame_len,) = struct.unpack("<I", data[pos:pos + 4])
-        if frame_len < _MIN_FRAME:
-            raise EvidenceError(f"frame at {pos} too short ({frame_len} B)")
-        if pos + 4 + frame_len > len(data):
+        start = pos + 4
+        end = start + _U32.unpack_from(data, pos)[0]
+        if end - start < _MIN_FRAME:
+            raise EvidenceError(
+                f"frame at {pos} too short ({end - start} B)")
+        if end > size:
+            if _holds_frame(data, start, key, version):
+                raise EvidenceError(
+                    f"frame at {pos} claims {end - start} B, past the "
+                    f"end of the file, but a complete frame follows "
+                    f"its length prefix")
             return records, pos, (
-                f"torn frame at {pos} ({len(data) - pos - 4}/"
-                f"{frame_len} B present)")
-        frame = data[pos + 4:pos + 4 + frame_len]
-        prev_digest = frame[:_DIGEST_LEN]
-        mac = frame[_DIGEST_LEN:2 * _DIGEST_LEN]
-        body = frame[2 * _DIGEST_LEN:]
+                f"torn frame at {pos} ({size - start}/"
+                f"{end - start} B present)")
+        prev_digest = data[start:start + _DIGEST_LEN]
+        mac = data[start + _DIGEST_LEN:start + 2 * _DIGEST_LEN]
+        body = data[start + 2 * _DIGEST_LEN:end]
         if not hmac.compare_digest(mac, _record_mac(key, prev_digest, body)):
             raise EvidenceError(f"MAC mismatch on frame at {pos}")
-        record = _decode_body(body, prev_digest, mac, version)
+        record = _decode_body(body, prev_digest, mac, version, memo)
         seq, expected_prev = heads.get(record.device_id, (0, GENESIS))
         if record.seq != seq:
             raise EvidenceError(
                 f"device {record.device_id!r}: evidence seq {record.seq}, "
                 f"expected {seq}")
-        if record.prev_digest != expected_prev:
+        if prev_digest != expected_prev:
             raise EvidenceError(
                 f"device {record.device_id!r}: chain break at record "
                 f"#{record.seq}")
         heads[record.device_id] = (seq + 1, record.digest)
         records.append(record)
-        pos += 4 + frame_len
+        pos = end
     return records, pos, None
+
+
+def _holds_frame(data: bytes, start: int, key: bytes,
+                 version: int) -> bool:
+    """Whether ``data[start:]`` opens with a complete frame: a body
+    that decodes to its natural length and a MAC that verifies. A
+    crash tears at most the one frame being written, so the bytes after
+    a torn frame's length prefix never hold one."""
+    body_start = start + 2 * _DIGEST_LEN
+    try:
+        layout, pos = _body_layout(data, body_start, version)
+        _, body_end = layout.scan(data, pos)
+    except EvidenceError:
+        return False
+    mac = data[start + _DIGEST_LEN:body_start]
+    return hmac.compare_digest(mac, _record_mac(
+        key, data[start:start + _DIGEST_LEN], data[body_start:body_end]))
 
 
 def verify_evidence_trail(path: Union[str, os.PathLike],

@@ -227,18 +227,18 @@ class PolicyEngine:
                     f"not pinned by policy")
         return ""
 
-    def _hard_reason(self, obs) -> str:
+    def _hard_reason(self, obs, profile: DeviceProfile) -> str:
         """A hard signal quarantines immediately, whatever the score."""
         if obs.accepted:
             # the chain verified — but the image itself may be banned
-            return self._judge_measurement(obs.profile, obs.measurement)
+            return self._judge_measurement(profile, obs.measurement)
         if getattr(obs, "violations", ()):
             kind = obs.violations[0][0]
             return (f"authenticated control-flow violation "
                     f"({kind}; {len(obs.violations)} total)")
         if _HARD_EQUIVOCATION in obs.reason:
             return f"equivocation: {obs.reason}"
-        fw = self._judge_measurement(obs.profile, obs.measurement)
+        fw = self._judge_measurement(profile, obs.measurement)
         if fw:
             return fw
         return ""
@@ -254,11 +254,11 @@ class PolicyEngine:
         the ones a crash lost.
         """
         with self._lock:
-            return self._preview_locked(obs)
+            return self._preview_locked(obs, obs.profile)
 
-    def _preview_locked(self, obs) -> List[PolicyDecision]:
+    def _preview_locked(self, obs,
+                        profile: DeviceProfile) -> List[PolicyDecision]:
         device_id = obs.device_id
-        profile = obs.profile
         entry = self.states.get(device_id) or DevicePolicyState(
             profile=profile)
         epoch = self._policy_epoch(profile)
@@ -302,7 +302,7 @@ class PolicyEngine:
         if entry.state not in _ADMITTED:
             return []  # no session should exist; ignore, don't re-judge
 
-        hard = self._hard_reason(obs)
+        hard = self._hard_reason(obs, profile)
         if hard:
             return [decision(QUARANTINED, ACT_QUARANTINE, hard,
                              entry.score, entry.heal_attempts,
@@ -336,8 +336,10 @@ class PolicyEngine:
             self._apply_locked(decision)
 
     def _apply_locked(self, decision) -> None:
-        profile = DeviceProfile(decision.workload, decision.method)
-        entry = self._entry(decision.device_id, profile)
+        entry = self.states.get(decision.device_id)
+        if entry is None:
+            entry = self._entry(decision.device_id, DeviceProfile(
+                decision.workload, decision.method))
         entry.state = decision.to_state
         entry.score = decision.score
         entry.last_reason = decision.reason
@@ -350,19 +352,30 @@ class PolicyEngine:
         self._unnotified[decision.device_id] = (
             decision.to_state, decision.reason, decision.policy_epoch)
 
+    def _step_locked(self, obs) -> List[PolicyDecision]:
+        """One session observation's step of the fold, shared by the
+        live path and recovery: the decisions it triggers (returned,
+        not applied) and the known-good firmware it teaches. An
+        accepted session's measurement is remembered if the device is
+        still admitted once those decisions apply."""
+        profile = obs.profile
+        decisions = self._preview_locked(obs, profile)
+        if obs.accepted and not getattr(obs, "healing", False):
+            entry = self._entry(obs.device_id, profile)
+            measurement = getattr(obs, "measurement", b"")
+            state = decisions[-1].to_state if decisions else entry.state
+            if measurement and state in _ADMITTED:
+                entry.good_measurement = measurement
+        return decisions
+
     def observe(self, obs) -> List[PolicyDecision]:
         """Preview + apply: the live-path entry point. The caller must
         persist each returned decision *before* releasing the verdict
         (the service does this under its own lock)."""
         with self._lock:
-            decisions = self._preview_locked(obs)
+            decisions = self._step_locked(obs)
             for decision in decisions:
                 self._apply_locked(decision)
-            if obs.accepted and not getattr(obs, "healing", False):
-                entry = self._entry(obs.device_id, obs.profile)
-                measurement = getattr(obs, "measurement", b"")
-                if measurement and entry.state in _ADMITTED:
-                    entry.good_measurement = measurement
             return decisions
 
     # -- healing hooks --------------------------------------------------------
@@ -483,18 +496,10 @@ class PolicyEngine:
                             f"device {record.device_id!r}: session "
                             f"record at seq {record.seq} arrived before "
                             f"{len(pending)} expected policy record(s)")
-                    # preview only — each decision is applied when its
-                    # persisted policy record arrives (or repaired at
+                    # each decision is applied when its persisted
+                    # policy record arrives (or repaired at
                     # end-of-stream if the crash lost it)
-                    expected[record.device_id] = list(
-                        self._preview_locked(record))
-                    if record.accepted and not getattr(
-                            record, "healing", False):
-                        entry = self._entry(record.device_id,
-                                            record.profile)
-                        if (record.measurement
-                                and entry.state in _ADMITTED):
-                            entry.good_measurement = record.measurement
+                    expected[record.device_id] = self._step_locked(record)
             # the crash window: decisions derived but never persisted —
             # re-derive, re-append (same chain position: nothing for
             # the device was appended after them), and apply

@@ -257,9 +257,6 @@ class PackedExpander:
     def __init__(self, dictionary: SubPathDict):
         self.patterns = {path_id: b"".join(r.pack() for r in pattern)
                          for path_id, pattern in dictionary.items()}
-        self._reset()
-
-    def _reset(self) -> None:
         #: path id -> the claim of one copy of its sub-path
         self._pattern_claims = {path_id: span_claim(pattern)
                                 for path_id, pattern
@@ -359,14 +356,6 @@ class PackedExpander:
                     self._memo[record] = piece
                     self._memo_bytes += len(piece)
             return piece
-
-    def __getstate__(self) -> dict:
-        # the lock cannot cross a process boundary; the memos need not
-        return {"patterns": self.patterns}
-
-    def __setstate__(self, state: dict) -> None:
-        self.patterns = state["patterns"]
-        self._reset()
 
 
 def speculate_result(result: AttestationResult, dictionary: SubPathDict,

@@ -428,16 +428,6 @@ class TestOneParsePerEpoch:
             assert service.registry.get(FIBCALL, 0) is \
                 service.registry.get(FIBCALL, 0)
 
-    def test_epoch_pickles_with_its_parse(self):
-        import pickle
-
-        epoch = _epoch({0: (BranchRecord(1, 2), LoopRecord(3, 4))})
-        spans = [SpecRecord(0, 3).pack()]
-        key = ReplayCache.key(spans, epoch.expander)
-        clone = pickle.loads(pickle.dumps(epoch))
-        assert clone == epoch and clone.dictionary == epoch.dictionary
-        assert ReplayCache.key(spans, clone.expander) == key
-
 
 # -- a decoded report's MAC covers its log as it stands -----------------------
 
