@@ -5,20 +5,22 @@ run on mined speculation dictionaries (one learning round, then the
 DICT/DACK handshake), and pushes every captured session through the
 four ingest stages the Vrf pays on a replay-cache hit:
 
-* **decode** — wire bytes to a :class:`Report` per chunk;
-* **mac** — :meth:`Report.verify` per report;
+* **decode** — wire bytes to a report per chunk (production: a
+  :class:`ReportView`, records left packed);
+* **mac** — the report MAC per report;
 * **key** — the replay-cache key (SHA-256 of the expanded stream);
 * **lookup** — the :class:`ReplayCache` probe.
 
 Each stage is timed twice: through the production path
-(:func:`decode_report`, :meth:`ReplayCache.key` over the received
-record bytes) and through the reference path it replaced (a
-per-record decoder, then ``expand`` and a hash over every re-packed
-record). Every session is also verified end to end through
-:func:`verify_session_chain` on a cold and a warm cache and checked
-against the stepping reference: authenticate, ``expand``, the
-stepping replay (``tests/replay_oracle.py``), and the digest of the
-re-packed expanded stream. Any difference in acceptance, violations,
+(:func:`read_report`, :meth:`ReportView.verify` over the report's
+wire fields, :meth:`ReplayCache.key` over the received record spans)
+and through the reference path it replaced (a per-record decoder,
+:meth:`Report.verify` over the re-folded fields, then ``expand`` and a
+hash over every re-packed record). Every session is also verified end
+to end through :func:`verify_session_chain` on a cold and a warm cache
+and checked against the stepping reference: authenticate, ``expand``,
+the stepping replay (``tests/replay_oracle.py``), and the digest of
+the re-packed expanded stream. Any difference in acceptance, violations,
 replay length or ``records_digest`` is a hard failure.
 
 Usage::
@@ -206,18 +208,18 @@ def stage_costs(session: Captured, cache, repeats: int
                 ) -> Dict[str, Dict[str, float]]:
     """µs per stage of one session on both paths (cache is warm)."""
     from repro.cfa.fleet import ReplayCache
-    from repro.cfa.wire import decode_report, record_span
+    from repro.cfa.wire import read_report
 
     chunks, epoch = session.chunks, session.dict_epoch
     expander = epoch.expander if epoch is not None else None
-    reports = [decode_report(chunk)[0] for chunk in chunks]
+    views = [read_report(chunk)[0] for chunk in chunks]
     old_reports = [reference_decode(chunk) for chunk in chunks]
-    key = ReplayCache.key(map(record_span, chunks, reports), expander)
+    key = ReplayCache.key([view.span for view in views], expander)
     new = {
-        "decode": lambda: [decode_report(c) for c in chunks],
-        "mac": lambda: [r.verify(session.key) for r in reports],
+        "decode": lambda: [read_report(c) for c in chunks],
+        "mac": lambda: [view.verify(session.key) for view in views],
         "key": lambda: ReplayCache.key(
-            map(record_span, chunks, reports), expander),
+            [view.span for view in views], expander),
         "lookup": lambda: cache.lookup(session.profile, key),
     }
     old = {
@@ -294,7 +296,8 @@ def format_rows(rows) -> str:
     lines = [
         "Fleet ingest of compressed sessions — µs per session, cache hit",
         "(reference: per-record decode, expand, hash of re-packed records;",
-        "production: one-pass interned decode, key from the wire bytes)",
+        "production: report view with records left packed, MAC over",
+        "the wire fields, key from the received record spans)",
         "",
         f"{'firmware':20s} {'rep':>3s} {'wire':>5s} {'exp':>5s} "
         + " ".join(f"{s + ' ref/new':>15s}" for s in STAGES)

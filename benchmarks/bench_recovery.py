@@ -183,13 +183,21 @@ def write_log(store_dir: pathlib.Path, devices: int,
 
 
 def reopen(store_dir: pathlib.Path) -> tuple:
-    """``resume=True``: (verdicts, states, heads, records per shard)."""
-    service = ShardedFleetService(shards=SHARDS, store_dir=store_dir,
-                                  seed=SEED, fsync=False, resume=True,
-                                  policy=True)
+    """``resume=True``: (verdicts, states, heads, the records each
+    shard restored from)."""
+    restored: List[list] = []
+    real_restore = FleetService.restore
+
+    def restore(shard: FleetService, records: list) -> int:
+        restored.append(list(records))
+        return real_restore(shard, records)
+
+    with mock.patch.object(FleetService, "restore", restore):
+        service = ShardedFleetService(shards=SHARDS, store_dir=store_dir,
+                                      seed=SEED, fsync=False, resume=True,
+                                      policy=True)
     state = (service.verdicts, service.policy_states(),
-             service.evidence_heads(),
-             [list(store.recovered) for store in service.stores])
+             service.evidence_heads(), restored)
     service.close()
     return state
 

@@ -42,9 +42,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cfa.protocol import Challenge
 from repro.cfa.fleet.dictver import DictEpoch, spec_challenge
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
-from repro.cfa.report import Report
 from repro.cfa.speccfa import SubPathDict, expand, span_claim
-from repro.cfa.wire import WireError, decode_report
+from repro.cfa.wire import ReportView, WireError, decode_records, read_report
+from repro.cfa.wire import decode_report  # noqa: F401 (perfbench traces it)
 
 # session lifecycle states
 PENDING = "pending"        # challenged, no report accepted yet
@@ -93,11 +93,12 @@ class Session:
     #: and Vrf always compress/expand under the same version.
     dict_epoch: Optional[DictEpoch] = None
     chunks: List[bytes] = field(default_factory=list)  # accepted, in order
-    #: the decoded twins of ``chunks`` — ingest already paid for the
-    #: decode, so in-process verification need not decode again
-    reports: List[Report] = field(default_factory=list)
-    #: reorder-window holding area: seq -> (bytes, decoded report)
-    buffered: Dict[int, Tuple[bytes, Report]] = field(default_factory=dict)
+    #: the views of ``chunks`` (records still packed) — ingest already
+    #: read them, so in-process verification need not read them again
+    reports: List[ReportView] = field(default_factory=list)
+    #: reorder-window holding area: seq -> (bytes, report view)
+    buffered: Dict[int, Tuple[bytes, ReportView]] = field(
+        default_factory=dict)
     #: wire bytes held in ``chunks`` and ``buffered`` together
     held_bytes: int = 0
     next_seq: int = 0
@@ -168,7 +169,7 @@ class Session:
             claim_of = self.dict_epoch.expander.claim
         count = size = 0
         for report in self.reports:
-            claim = claim_of(report.cflog.pack())
+            claim = claim_of(report.span)
             if claim is None:
                 return None
             count += claim[0]
@@ -189,10 +190,11 @@ class Session:
         return records
 
     def records(self) -> list:
-        """The chain's records as received (tokens unexpanded)."""
+        """The chain's records as received (tokens unexpanded), decoded
+        from the reports' packed spans."""
         records = []
         for report in self.reports:
-            records.extend(report.cflog.records)
+            records.extend(decode_records(report.span))
         return records
 
 
@@ -339,7 +341,7 @@ class SessionManager:
             return None
         session.last_activity = now
         try:
-            report, consumed = decode_report(data)
+            report, consumed = read_report(data)
             if consumed != len(data):
                 raise WireError("trailing bytes after report")
         except WireError as exc:

@@ -203,14 +203,14 @@ class ShardedFleetService:
                 store=store, registry=self.registry, sampler=sampler,
                 policy=self.policy, key_lookup=key_lookup,
                 bounds=bounds)
-            if store is not None and store.recovered:
+            if store is not None and store.recovered_count:
                 if not resume:
                     raise ValueError(
                         f"evidence log {store.path} already has "
-                        f"{len(store.recovered)} record(s); pass "
+                        f"{store.recovered_count} record(s); pass "
                         f"resume=True to recover or use a fresh "
                         f"store_dir")
-                recovered += service.restore(store.recovered)
+                recovered += service.restore(store.take_recovered())
             self.stores.append(store)
             self.shards.append(service)
         self.recovered_verdicts = recovered

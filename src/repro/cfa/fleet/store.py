@@ -480,7 +480,8 @@ class EvidenceStore:
     """Append-only, fsync-before-release evidence log (one file).
 
     Opening an existing file *recovers* it: all intact records are
-    verified and loaded (exposed as :attr:`recovered`), a torn tail is
+    verified and loaded (exposed as :attr:`recovered` until
+    :meth:`take_recovered` hands them over), a torn tail is
     truncated away, and per-device chain heads resume exactly where
     the previous process stopped — so chains continue across restarts
     with no seam. ``fsync_fn`` is injectable for fault testing.
@@ -498,6 +499,9 @@ class EvidenceStore:
         self.truncated_tail = ""  # recovery note: torn bytes dropped
         self._heads: Dict[str, Tuple[int, bytes]] = {}
         self.recovered: List[Union[EvidenceRecord, PolicyRecord]] = []
+        #: how many records the reopen recovered; kept after
+        #: :meth:`take_recovered` releases the records themselves
+        self.recovered_count = 0
         #: the format this file is written in — a reopened legacy log
         #: keeps its native version so its chains stay verifiable
         self.version = EVIDENCE_VERSION
@@ -505,6 +509,7 @@ class EvidenceStore:
         existing = self.path.read_bytes() if self.path.exists() else b""
         if existing:
             self.recovered, good, torn = _parse(existing, key)
+            self.recovered_count = len(self.recovered)
             if len(existing) >= _HEADER_LEN:
                 self.version = existing[4]
             for record in self.recovered:
@@ -522,6 +527,13 @@ class EvidenceStore:
             if self.fsync_enabled:
                 self._fsync(self._fh.fileno())
         self._good_offset = self._fh.tell()
+
+    def take_recovered(self) -> List[Union[EvidenceRecord, PolicyRecord]]:
+        """Hand the recovered records over once and release them: after
+        a restore nothing reads them again, and a long log would
+        otherwise stay decoded in memory for the life of the store."""
+        records, self.recovered = self.recovered, []
+        return records
 
     # -- writing ------------------------------------------------------------
 

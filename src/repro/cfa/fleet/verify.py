@@ -36,7 +36,7 @@ from repro.cfa.epochs import DeviceProfile
 from repro.cfa.speccfa import PackedExpander, expand
 from repro.cfa.streaming import StreamError, StreamingVerifier
 from repro.cfa.verifier import NaiveVerifier, ReplayDigest, Verifier
-from repro.cfa.wire import WireError, record_span
+from repro.cfa.wire import WireError
 from repro.eval.runner import prepare
 from repro.workloads import load_workload
 
@@ -126,8 +126,8 @@ class ReplayCache:
             expander: Optional[PackedExpander] = None) -> bytes:
         """SHA-256 of the expanded record stream's packed bytes.
 
-        ``spans`` are runs of packed records (:func:`record_span` cuts
-        them straight out of the received reports); ``expander``
+        ``spans`` are runs of packed records, each report's as it
+        arrived (:attr:`~repro.cfa.wire.ReportView.span`); ``expander``
         splices each speculation token's sub-path in, so the digest
         equals the one over ``expand(records, dictionary)`` without
         building a record. Raises ``ValueError``, as :func:`expand`
@@ -225,10 +225,13 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     """Verify one complete session chain exactly as the serial Vrf would.
 
     ``chunks`` are the session's wire-encoded reports in sequence
-    order; when the caller already decoded them (the session manager
-    does, for its protocol pre-filters), passing the decoded twins as
-    ``reports`` skips the redundant wire decode — decoding is
-    deterministic, so both forms yield the same verdict.
+    order; when the caller already read them (the session manager
+    does, for its protocol pre-filters), passing their
+    :class:`~repro.cfa.wire.ReportView` twins as ``reports`` skips the
+    redundant read — reading is deterministic, so both forms yield the
+    same verdict. Each report is authenticated from its wire fields and
+    its records stay packed: they are decoded only when the replay
+    runs (a cache miss).
     Authentication (MACs, challenge, ``H_MEM``, sequencing) always runs
     per session; with a ``cache``, only the pure replay step is shared
     between identical chains — the cached and uncached paths produce
@@ -238,7 +241,7 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
 
     ``dict_epoch`` is the session's pinned speculation dictionary.
     After authentication the replay-cache key is hashed from the
-    reports' record bytes as they arrived, each speculated token
+    reports' record spans as they arrived, each speculated token
     spliced in as its epoch's packed sub-path; the key is the digest
     of the **expanded** stream, so a compressed session and a plain
     session of the same execution share one cached replay — and
@@ -264,7 +267,8 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
             for report in reports:
                 stream.feed(report)
         else:
-            reports = [stream.feed_bytes(chunk) for chunk in chunks]
+            for chunk in chunks:
+                stream.feed_bytes(chunk)
         if not stream.finished:
             raise StreamError("final report not yet received")
         # keyed only after every report authenticated; a token naming
@@ -272,7 +276,7 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
         # rejection, never a silent mis-expansion
         try:
             key_digest = ReplayCache.key(
-                map(record_span, chunks, reports),
+                stream.spans,
                 dict_epoch.expander if dict_epoch is not None else None)
         except ValueError as exc:
             raise StreamError(

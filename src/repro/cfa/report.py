@@ -38,6 +38,11 @@ class Report:
             self.cflog.pack(),
         )
 
+    @property
+    def span(self) -> bytes:
+        """The packed records, as the MAC covers them."""
+        return self.cflog.pack()
+
     def sign(self, key: bytes) -> "Report":
         self.mac = mac_report(key, *self._fields())
         return self

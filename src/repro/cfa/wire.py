@@ -6,15 +6,20 @@ is length-delimited and self-describing:
 
 ``report  := header fields cflog mac``, all little-endian, with each
 variable-length field length-prefixed. Records reuse the 9-byte tagged
-encoding of :meth:`Record.pack`, decoded in one pass into shared,
-interned record values.
+encoding of :meth:`Record.pack`. The Vrf reads a report as a
+:class:`ReportView` (:func:`read_report`): header fields, MAC and the
+records still packed, which is all authentication, the admission
+screens and the replay-cache key need. :func:`decode_records` turns a
+packed span into shared, interned record values in one pass, when a
+replay runs.
 """
 
 from __future__ import annotations
 
+import hmac
 import struct
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.cfa.cflog import (
     AddressRecord,
@@ -25,7 +30,7 @@ from repro.cfa.cflog import (
 )
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.speccfa import SpecRecord
-from repro.codec import Reader, lp
+from repro.codec import BLOB, STR, Layout, Reader, lp
 
 MAGIC = b"RAPT"
 VERSION = 1
@@ -46,6 +51,13 @@ _RECORD_TYPES: Dict[int, type] = {
 _RECORD_TAGS: Dict[type, bytes] = {
     cls: bytes([tag]) for tag, cls in _RECORD_TYPES.items()}
 
+#: every tag byte a record may carry
+_KNOWN_TAGS = bytes(_RECORD_TYPES)
+
+#: the MAC input after a report's ``head``: ``lp(seq4) lp(final1)``
+#: and the records' length prefix (see :func:`repro.crypto.mac._fold`)
+_MAC_TAIL = struct.Struct("<IIIBI")
+
 #: most distinct records the decoder keeps interned. The table is
 #: shared by the verifier's report decoding and the device engines'
 #: MTB readout in the same process. A fleet's firmware emits a few
@@ -64,6 +76,16 @@ _intern_lock = threading.Lock()
 
 class WireError(Exception):
     """Malformed or truncated wire data."""
+
+
+#: a report body up to its record count: the four length-prefixed
+#: fields the MAC input opens with, then ``seq`` and ``final``
+_REPORT_HEAD = Layout((BLOB, STR, BLOB, BLOB, "IB"), WireError,
+                      "wire data", "", "method field is not valid UTF-8")
+#: a report body's last field, which must end the body
+_REPORT_MAC = Layout((BLOB,), WireError, "wire data",
+                     "trailing bytes inside report body", "")
+_U32 = struct.Struct("<I")
 
 
 def _reader(data: bytes) -> Reader:
@@ -112,14 +134,6 @@ def pack_branch_packets(raw: bytes) -> bytes:
     return bytes(packed)
 
 
-def record_span(chunk: bytes, report: Report) -> bytes:
-    """The packed records of ``chunk``, one wire-encoded report that
-    decoded to ``report`` with nothing trailing: they end where the
-    length-prefixed MAC begins."""
-    end = len(chunk) - 4 - len(report.mac)
-    return chunk[end - RECORD_BYTES * len(report.cflog.records):end]
-
-
 def encode_report(report: Report) -> bytes:
     body = b"".join([
         lp(report.device_id),
@@ -134,35 +148,83 @@ def encode_report(report: Report) -> bytes:
     return MAGIC + struct.pack("<B", VERSION) + lp(body)
 
 
-def decode_report(data: bytes) -> Tuple[Report, int]:
-    """Parse one report; returns ``(report, bytes_consumed)``."""
+class ReportView(NamedTuple):
+    """One report as it crossed the wire, its records left packed.
+
+    Everything the Vrf checks before replay reads from here: the
+    header fields, the packed record ``span`` (the bounds claim and the
+    replay-cache key read it as it arrived) and the MAC. ``head`` is
+    the body's first four length-prefixed fields, byte-identical to the
+    start of the MAC input, so :meth:`verify` authenticates the report
+    without rebuilding its fields. Records are decoded from ``span``
+    (:func:`decode_records`) only when a replay runs.
+    """
+
+    device_id: bytes
+    method: str
+    challenge: bytes
+    h_mem: bytes
+    seq: int
+    final: bool
+    span: bytes
+    mac: bytes
+    head: bytes
+
+    def verify(self, key: bytes) -> bool:
+        """The report's MAC, over the same bytes :meth:`Report.verify`
+        folds: ``head``, then ``lp(seq4) lp(final1) lp(span)``."""
+        tail = _MAC_TAIL.pack(4, self.seq, 1, self.final, len(self.span))
+        return hmac.compare_digest(self.mac, hmac.digest(
+            key, b"".join((self.head, tail, self.span)), "sha256"))
+
+
+def read_report(data: bytes) -> Tuple[ReportView, int]:
+    """Parse one report's envelope; returns ``(view, bytes_consumed)``.
+
+    Every check of :func:`decode_report` runs here, in the same order
+    and with the same message, but the records stay packed: their tag
+    bytes are screened in one C-level pass, and only a span holding an
+    unknown tag is walked record by record to name it.
+    """
     reader = _reader(data)
     reader.header(MAGIC, "", VERSION)
-    body = _reader(reader.lp())
-    device_id = body.lp()
-    method = body.lp_str("method field is not valid UTF-8")
-    challenge = body.lp()
-    h_mem = body.lp()
-    seq, final = body.unpack("<IB")
-    if final not in (0, 1):
+    body = reader.lp()
+    fields, pos = _REPORT_HEAD.scan(body)
+    device_id, method, challenge, h_mem, seq, final = fields
+    head = body[:pos - 5]  # the MAC input's first four fields
+    if final > 1:
         raise WireError(f"final flag must be 0 or 1, got {final}")
-    count = body.u32()
+    if pos + 4 > len(body):
+        raise WireError("truncated wire data")
+    (count,) = _U32.unpack_from(body, pos)
+    pos += 4
     # each record is exactly RECORD_BYTES; reject absurd counts before
-    # decoding so a mutated length cannot drive a long decode spin
-    if count * RECORD_BYTES > body.remaining:
+    # slicing so a mutated length cannot drive a long decode spin
+    stop = pos + count * RECORD_BYTES
+    if stop > len(body):
         raise WireError(
             f"record count {count} exceeds the remaining body")
-    span = body.take(count * RECORD_BYTES)
-    records = decode_records(span)
-    mac = body.lp()
-    body.end("trailing bytes inside report body")
+    span = body[pos:stop]
+    if span[::RECORD_BYTES].translate(None, _KNOWN_TAGS):
+        decode_records(span)  # raises on the first unknown tag
+    mac = _REPORT_MAC.read(body, stop)[0]
+    view = ReportView(device_id, method, challenge, h_mem, seq,
+                      bool(final), span, mac, head)
+    return view, reader.pos
+
+
+def decode_report(data: bytes) -> Tuple[Report, int]:
+    """Parse one report, records decoded; returns
+    ``(report, bytes_consumed)``."""
+    view, consumed = read_report(data)
     report = Report(
-        device_id=device_id, method=method, challenge=challenge,
-        h_mem=h_mem, seq=seq, final=bool(final),
-        cflog=CFLog(records, packed=span),
-        mac=mac,
+        device_id=view.device_id, method=view.method,
+        challenge=view.challenge, h_mem=view.h_mem, seq=view.seq,
+        final=view.final,
+        cflog=CFLog(decode_records(view.span), packed=view.span),
+        mac=view.mac,
     )
-    return report, reader.pos
+    return report, consumed
 
 
 # -- shard handoff framing --------------------------------------------------

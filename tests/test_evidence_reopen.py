@@ -139,6 +139,26 @@ class TestRestore:
         assert list(service.verdicts.items()) == list(fold.items())
         assert service.manager._device_rounds == rounds
 
+    def test_a_resumed_open_releases_the_records(self, tmp_path):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        path = store_dir / "evidence-00.log"
+        write_log(path)
+        records = reopen(path)
+        sessions = sum(not record.is_policy for record in records)
+        service = ShardedFleetService(shards=1, store_dir=store_dir,
+                                      fsync=False, resume=True)
+        try:
+            (store,) = service.stores
+            assert service.recovered_verdicts == sessions
+            assert store.recovered == []
+            assert store.recovered_count == len(records)
+        finally:
+            service.close()
+        with pytest.raises(ValueError,
+                           match=f"already has {len(records)} record"):
+            ShardedFleetService(shards=1, store_dir=store_dir, fsync=False)
+
 
 # -- property: a reopen recovers the intact prefix or refuses -----------------
 

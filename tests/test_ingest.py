@@ -53,7 +53,7 @@ from repro.cfa.speccfa import (
     expand,
     pack_dictionary,
 )
-from repro.cfa.wire import WireError, decode_report, encode_report, record_span
+from repro.cfa.wire import WireError, decode_report, encode_report, read_report
 
 FIBCALL = DeviceProfile("fibcall")
 
@@ -294,8 +294,7 @@ def _wire_key(records, cuts, epoch):
         device_id=b"d", method="rap-track", challenge=b"c", h_mem=b"h",
         seq=seq, final=False, cflog=CFLog(records[lo:hi]), mac=b"k" * 32))
         for seq, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-    decoded = [decode_report(chunk)[0] for chunk in chunks]
-    return ReplayCache.key(map(record_span, chunks, decoded),
+    return ReplayCache.key([read_report(chunk)[0].span for chunk in chunks],
                            epoch.expander if epoch else None)
 
 
@@ -394,7 +393,7 @@ class TestSessionKey:
     def test_decoded_twins_and_bytes_agree(self):
         factory = ChainFactory()
         chunks = factory.chain(DeviceSpec("prv-1", FIBCALL), b"n" * 16)
-        twins = [decode_report(chunk)[0] for chunk in chunks]
+        twins = [read_report(chunk)[0] for chunk in chunks]
         args = ("prv-1", FIBCALL, device_key("prv-1"), b"n" * 16, chunks)
         assert verify_session_chain(*args) == verify_session_chain(
             *args, reports=twins)

@@ -36,7 +36,7 @@ from repro.cfa.fleet import (
     verify_session_chain,
 )
 from repro.cfa.speccfa import mine_subpaths
-from repro.cfa.wire import WireError, decode_report, encode_report
+from repro.cfa.wire import WireError, decode_report, encode_report, read_report
 
 DEVICE = "prv-mutant"
 NONCE = b"\x5a" * 16
@@ -151,7 +151,7 @@ def decoded_twins(chunks):
     reports = []
     for chunk in chunks:
         try:
-            report, consumed = decode_report(chunk)
+            report, consumed = read_report(chunk)
         except WireError:
             return None
         if consumed != len(chunk):
