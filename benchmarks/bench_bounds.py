@@ -15,6 +15,7 @@ bounds are worst cases over *all* paths, the honest run drives one.
 
 from repro.baselines.naive_mtb import NaiveMtbEngine
 from repro.baselines.traces import TracesEngine
+from repro.cfa.cflog import CFLog
 from repro.cfa.engine import EngineConfig, RapTrackEngine
 from repro.cfa.verifier import NaiveVerifier, Verifier
 from repro.core.analysis import certify_workload, screen_records
@@ -64,7 +65,8 @@ def test_bound_tightness(results_dir, artifact_cache):
             records, obs_bytes, obs_depth = observe_honest_run(
                 name, method, artifact_cache)
             # the admission screen must wave every honest chain through
-            assert screen_records(cert, records) is None, (name, method)
+            assert screen_records(cert, CFLog(records).pack()) is None, (
+                name, method)
             if cert.max_log_records is not None:
                 bounded_cells += 1
                 if len(records) > cert.max_log_records:

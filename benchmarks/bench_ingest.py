@@ -13,7 +13,9 @@ four ingest stages the Vrf pays on a replay-cache hit:
 
 Each stage is timed twice: through the production path
 (:func:`read_report`, :meth:`ReportView.verify` over the report's
-wire fields, :meth:`ReplayCache.key` over the received record spans)
+wire fields, :meth:`ReplayCache.key` over the session's packed log,
+expanded as bytes from the received record spans by
+:func:`~repro.cfa.fleet.verify.expand_session`)
 and through the reference path it replaced (a per-record decoder,
 :meth:`Report.verify` over the re-folded fields, then ``expand`` and a
 hash over every re-packed record). Every session is also verified end
@@ -208,18 +210,19 @@ def stage_costs(session: Captured, cache, repeats: int
                 ) -> Dict[str, Dict[str, float]]:
     """µs per stage of one session on both paths (cache is warm)."""
     from repro.cfa.fleet import ReplayCache
+    from repro.cfa.fleet.verify import expand_session
     from repro.cfa.wire import read_report
 
     chunks, epoch = session.chunks, session.dict_epoch
-    expander = epoch.expander if epoch is not None else None
     views = [read_report(chunk)[0] for chunk in chunks]
     old_reports = [reference_decode(chunk) for chunk in chunks]
-    key = ReplayCache.key([view.span for view in views], expander)
+    key = ReplayCache.key(expand_session([view.span for view in views],
+                                         epoch))
     new = {
         "decode": lambda: [read_report(c) for c in chunks],
         "mac": lambda: [view.verify(session.key) for view in views],
-        "key": lambda: ReplayCache.key(
-            [view.span for view in views], expander),
+        "key": lambda: ReplayCache.key(expand_session(
+            [view.span for view in views], epoch)),
         "lookup": lambda: cache.lookup(session.profile, key),
     }
     old = {

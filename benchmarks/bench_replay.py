@@ -2,9 +2,10 @@
 
 Attests seeded executions (each device reads its own sensor, as in a
 fleet of distinct devices) under RAP-Track, TRACES and naive MTB, and
-replays every CFLog twice: with the stepping oracle
-(``tests/replay_oracle.py``) and with the compiled program every
-verifier runs (``verifier.program``: :class:`ReplayProgram` /
+replays every CFLog twice: its records with the stepping oracle
+(``tests/replay_oracle.py``), and its packed bytes (``CFLog.pack``, the
+form the wire carries) with the compiled program every verifier runs
+(``verifier.program``: :class:`ReplayProgram` /
 :class:`NaiveReplayProgram`). The two must agree on every field the
 fleet records (lossless, violations, error, consumed, shadow-stack
 high-water mark, path length and digest), and the verifier's
@@ -138,16 +139,17 @@ def bench_workload(name: str, method: str, seeds: List[Optional[int]],
     ref_s, out_s, path_len, mismatches = [], [], [], []
     for seed in seeds:
         mcu = make_mcu(image, seeded_workload(name, seed))
-        records = engines[method](mcu, KeyStore.provision(), *maps,
-                                  EngineConfig()).attest(b"b").cflog.records
+        cflog = engines[method](mcu, KeyStore.provision(), *maps,
+                                EngineConfig()).attest(b"b").cflog
+        records, log = cflog.records, cflog.pack()
         ref = replay_oracle.replay(verifier, records)
-        if replay_oracle.digest(ref) != program.run(records):
+        if replay_oracle.digest(ref) != program.run(log):
             mismatches.append(f"seed {seed}: compiled != stepping")
-        if verifier.replay(records) != ref:
+        if verifier.replay(log) != ref:
             mismatches.append(f"seed {seed}: replay result != stepping")
         ref_s.append(_timed(lambda: replay_oracle.replay(verifier, records),
                             repeats))
-        out_s.append(_timed(lambda: program.run(records), 5 * repeats))
+        out_s.append(_timed(lambda: program.run(log), 5 * repeats))
         path_len.append(len(ref.path))
     ref_ms = 1e3 * statistics.mean(ref_s)
     out_ms = 1e3 * statistics.mean(out_s)

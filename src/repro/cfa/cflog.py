@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,18 @@ class LoopRecord:
 
 
 Record = Union[BranchRecord, AddressRecord, LoopRecord]
+
+#: one packed record (``Record.pack``): u8 tag, u32 key, u32 value
+PACKED_RECORD = struct.Struct("<BII")
+#: record tag -> its wire bytes (tag 4: a speculation token, one word)
+_TAG_SIZES = {1: 8, 2: 4, 3: 8, 4: 4}
+_TRACES_TAG_SIZES = {**_TAG_SIZES, 3: 4}
+
+
+def tag_sizes(method: str) -> Dict[int, int]:
+    """Record tag -> the wire bytes ``method`` logs it in: TRACES
+    writes a loop condition as one word (see the module docstring)."""
+    return _TRACES_TAG_SIZES if method == "traces" else _TAG_SIZES
 
 
 class CFLog:

@@ -73,7 +73,7 @@ class DictEpoch:
     def expander(self) -> PackedExpander:
         """Expands packed record spans under this epoch (what the
         replay-cache key hashes), built once per epoch."""
-        return PackedExpander(self.dictionary)
+        return PackedExpander(self.dictionary, self.profile.method)
 
     @property
     def is_empty(self) -> bool:

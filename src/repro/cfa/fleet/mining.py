@@ -144,7 +144,7 @@ class TrafficSampler:
             if callable(records):
                 records = records()
             if digest is None:
-                digest = ReplayCache.key((CFLog(records).pack(),))
+                digest = ReplayCache.key(CFLog(records).pack())
             if size_bytes is None:
                 size_bytes = _stream_bytes(records)
         with self._lock:
@@ -246,7 +246,7 @@ def mine_fleet_dictionary(streams: Sequence[WeightedStream],
     and dict iteration order.
     """
     ordered = sorted(
-        streams, key=lambda sw: ReplayCache.key((CFLog(sw[0]).pack(),)))
+        streams, key=lambda sw: ReplayCache.key(CFLog(sw[0]).pack()))
     gains: Counter = Counter()
     for records, weight in ordered:
         n = len(records)

@@ -80,8 +80,9 @@ _DECISION_COUNTERS = {
     ACT_REVOKE: "revocations",
 }
 from repro.cfa.protocol import Challenge
-from repro.cfa.speccfa import expand
+from repro.cfa.speccfa import expand  # noqa: F401 (perfbench traces it)
 from repro.cfa.wire import WireError, decode_dack_frame, encode_dict_frame
+from repro.cfa.wire import decode_records
 from repro.core.analysis.certificate import (
     BoundsRegistry,
     screen_claim,
@@ -275,10 +276,7 @@ class FleetService:
             with self._lock:
                 self.metrics.policy_decisions += replayed + repaired
                 if self.store is not None:
-                    self.metrics.evidence_records = (
-                        self.store.records_appended)
-                    self.metrics.evidence_bytes = self.store.bytes_appended
-                    self.metrics.evidence_fsyncs = self.store.fsyncs
+                    self._count_evidence_locked()
         return len(session_records)
 
     # -- adaptive speculation: mining taps + epoch handshake ----------------
@@ -415,9 +413,7 @@ class FleetService:
                 return None
             if self.store is not None:
                 self.store.append_decision(decision)
-                self.metrics.evidence_records = self.store.records_appended
-                self.metrics.evidence_bytes = self.store.bytes_appended
-                self.metrics.evidence_fsyncs = self.store.fsyncs
+                self._count_evidence_locked()
             self.policy.apply(decision)
             self._count_decision_locked(decision)
             epoch = self._acks.get((device_id, decision.profile), 0)
@@ -517,17 +513,12 @@ class FleetService:
 
     def _sample_locked(self, session: Session,
                        verdict: SessionVerdict) -> None:
-        """Feed one accepted session to the sampler, which expands its
-        stream only when it keeps a new exemplar."""
-        def expanded() -> list:
-            records = session.records()
-            if session.dictionary:
-                records = expand(records, session.dictionary)
-            return records
-
+        """Feed one accepted session to the sampler, which decodes its
+        expanded log only when it keeps a new exemplar."""
         claim = session.admission_claim()
         assert claim is not None  # accepted: every token expanded
-        self.sampler.observe(session.profile, expanded,
+        self.sampler.observe(session.profile,
+                             lambda: decode_records(session.expanded()),
                              digest=bytes.fromhex(verdict.records_digest),
                              size_bytes=claim[1])
 
@@ -555,7 +546,10 @@ class FleetService:
         # counts first: a forged repeat count is never expanded
         reason = screen_claim(cert, *claim)
         if reason is None and cert.depth_exact:
-            reason = screen_records(cert, session.admission_records())
+            try:
+                reason = screen_records(cert, session.expanded())
+            except ValueError:  # a token without its sub-path
+                pass  # replay rejects the chain
         return reason
 
     # -- verification -------------------------------------------------------
@@ -571,6 +565,12 @@ class FleetService:
         with self._lock:
             self.metrics.verify_latencies_s.append(latency_s)
             self._record_locked(session, verdict)
+
+    def _count_evidence_locked(self) -> None:
+        """Mirror the store's append counters into the metrics."""
+        self.metrics.evidence_records = self.store.records_appended
+        self.metrics.evidence_bytes = self.store.bytes_appended
+        self.metrics.evidence_fsyncs = self.store.fsyncs
 
     def _record_locked(self, session: Session,
                        verdict: SessionVerdict) -> None:
@@ -591,9 +591,7 @@ class FleetService:
                 measurement=measurement,
                 healing=session.healing,
             )
-            self.metrics.evidence_records = self.store.records_appended
-            self.metrics.evidence_bytes = self.store.bytes_appended
-            self.metrics.evidence_fsyncs = self.store.fsyncs
+            self._count_evidence_locked()
         if self.sampler is not None and verdict.accepted:
             self._sample_locked(session, verdict)
         if self.policy is not None:
@@ -612,9 +610,7 @@ class FleetService:
                     self.store.append_decision(decision)
                 self._count_decision_locked(decision)
             if decisions and self.store is not None:
-                self.metrics.evidence_records = self.store.records_appended
-                self.metrics.evidence_bytes = self.store.bytes_appended
-                self.metrics.evidence_fsyncs = self.store.fsyncs
+                self._count_evidence_locked()
         session.verdict = verdict
         if session.state == EXPIRED:
             self.metrics.sessions_expired += 1

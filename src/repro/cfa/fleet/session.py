@@ -37,13 +37,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cfa.protocol import Challenge
 from repro.cfa.fleet.dictver import DictEpoch, spec_challenge
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
-from repro.cfa.speccfa import SubPathDict, expand, span_claim
-from repro.cfa.wire import ReportView, WireError, decode_records, read_report
+from repro.cfa.fleet.verify import expand_session
+from repro.cfa.speccfa import span_claim
+from repro.cfa.speccfa import expand  # noqa: F401 (perfbench traces it)
+from repro.cfa.wire import ReportView, WireError, read_report
 from repro.cfa.wire import decode_report  # noqa: F401 (perfbench traces it)
 
 # session lifecycle states
@@ -128,11 +131,6 @@ class Session:
         return self.dict_epoch.digest if self.dict_epoch else b""
 
     @property
-    def dictionary(self) -> Optional[SubPathDict]:
-        """The pinned epoch's parsed dictionary, shared read-only."""
-        return self.dict_epoch.dictionary if self.dict_epoch else None
-
-    @property
     def bound_challenge(self) -> bytes:
         """What the reports' challenge field must equal: the bare nonce
         under epoch 0, the epoch-bound nonce otherwise (so the report
@@ -150,10 +148,11 @@ class Session:
     def admission_claim(self) -> Optional[Tuple[int, int]]:
         """(records, log bytes) the chain claims once dictionary-expanded,
         counted without expanding: a token's repeat count costs nothing
-        before the report MACs are checked. ``None`` when the chain
-        references unknown dictionary entries, as for
-        :meth:`admission_records`. Counted once for a complete chain
-        (the bounds screen and the traffic sampler both ask)."""
+        before the report MACs are checked. Each record is charged the
+        wire bytes the profile's method logs it in. ``None`` when the
+        chain references unknown dictionary entries (:meth:`expanded`
+        raises). Counted once for a complete chain (the bounds
+        screen and the traffic sampler both ask)."""
         if self._claim is not None:
             return self._claim[0]
         claim = self._count_claim()
@@ -164,8 +163,9 @@ class Session:
     def _count_claim(self) -> Optional[Tuple[int, int]]:
         # each report's packed records are counted by the pinned epoch's
         # expander, which memoizes the spans that carry tokens
-        claim_of: Callable[[bytes], Optional[Tuple[int, int]]] = span_claim
-        if self.dict_epoch is not None and self.dictionary:
+        claim_of: Callable[[bytes], Optional[Tuple[int, int]]] = partial(
+            span_claim, method=self.profile.method)
+        if self.dict_epoch is not None and self.dict_epoch.dictionary:
             claim_of = self.dict_epoch.expander.claim
         count = size = 0
         for report in self.reports:
@@ -176,26 +176,12 @@ class Session:
             size += claim[1]
         return count, size
 
-    def admission_records(self) -> Optional[list]:
-        """The chain's claimed records, dictionary-expanded — what the
-        `BNDS1` admission screen inspects before replay is paid for.
-        ``None`` when expansion fails (the chain references unknown
-        dictionary entries; replay will reject it authoritatively)."""
-        records = self.records()
-        if self.dictionary:
-            try:
-                records = expand(records, self.dictionary)
-            except ValueError:
-                return None
-        return records
-
-    def records(self) -> list:
-        """The chain's records as received (tokens unexpanded), decoded
-        from the reports' packed spans."""
-        records = []
-        for report in self.reports:
-            records.extend(decode_records(report.span))
-        return records
+    def expanded(self) -> bytes:
+        """The chain's packed log, dictionary-expanded
+        (:func:`~repro.cfa.fleet.verify.expand_session`; raises its
+        ``ValueError`` on a token naming an unknown sub-path)."""
+        return expand_session([r.span for r in self.reports],
+                              self.dict_epoch)
 
 
 class SessionManager:

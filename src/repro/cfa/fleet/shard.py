@@ -54,7 +54,7 @@ from repro.cfa.fleet.dictver import DictEpoch, DictionaryRegistry
 from repro.cfa.fleet.metrics import FleetMetrics, aggregate_metrics
 from repro.cfa.fleet.mining import TrafficSampler
 from repro.cfa.fleet.service import FleetService
-from repro.cfa.fleet.store import EvidenceStore, audit_key
+from repro.cfa.fleet.store import EvidenceStore, audit_key, recorded_count
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.policy.engine import PolicyEngine
 from repro.cfa.policy.registry import PolicyRegistry, policy_key
@@ -166,6 +166,18 @@ class ShardedFleetService:
         self.seed = seed
         self.audit_key = audit_key(seed)
         self.store_dir = Path(store_dir) if store_dir is not None else None
+        logs = [None if store_dir is None
+                else self.store_dir / f"evidence-{i:02d}.log"
+                for i in range(shards)]
+        if not resume:
+            # refused before any log is opened: the disk stays as it was
+            for path in filter(None, logs):
+                count = recorded_count(path, self.audit_key)
+                if count:
+                    raise ValueError(
+                        f"evidence log {path} already has {count} "
+                        f"record(s); pass resume=True to recover or use "
+                        f"a fresh store_dir")
         # dictionary versions are fleet-wide, not per shard: one shared
         # registry (persisted beside the evidence logs when durable) so
         # every shard resolves the same (profile, epoch) -> dictionary
@@ -190,12 +202,10 @@ class ShardedFleetService:
         self.shards: List[FleetService] = []
         t0 = time.perf_counter()
         recovered = 0
-        for shard_id in range(shards):
+        for path in logs:
             store = None
-            if self.store_dir is not None:
-                store = EvidenceStore(
-                    self.store_dir / f"evidence-{shard_id:02d}.log",
-                    self.audit_key, fsync=fsync)
+            if path is not None:
+                store = EvidenceStore(path, self.audit_key, fsync=fsync)
             service = FleetService(
                 seed=seed, idle_timeout=idle_timeout,
                 reorder_window=reorder_window, max_attempts=max_attempts,
@@ -204,12 +214,6 @@ class ShardedFleetService:
                 policy=self.policy, key_lookup=key_lookup,
                 bounds=bounds)
             if store is not None and store.recovered_count:
-                if not resume:
-                    raise ValueError(
-                        f"evidence log {store.path} already has "
-                        f"{store.recovered_count} record(s); pass "
-                        f"resume=True to recover or use a fresh "
-                        f"store_dir")
                 recovered += service.restore(store.take_recovered())
             self.stores.append(store)
             self.shards.append(service)

@@ -476,6 +476,13 @@ def verify_evidence_trail(path: Union[str, os.PathLike],
     return records
 
 
+def recorded_count(path: Union[str, os.PathLike], key: bytes) -> int:
+    """How many intact records the evidence log at ``path`` holds (0
+    when there is none), read without changing the file."""
+    path = Path(path)
+    return len(_parse(path.read_bytes(), key)[0]) if path.exists() else 0
+
+
 class EvidenceStore:
     """Append-only, fsync-before-release evidence log (one file).
 

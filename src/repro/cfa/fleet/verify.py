@@ -33,7 +33,8 @@ from typing import (
 )
 
 from repro.cfa.epochs import DeviceProfile
-from repro.cfa.speccfa import PackedExpander, expand
+from repro.cfa.speccfa import PackedExpander
+from repro.cfa.speccfa import expand  # noqa: F401 (perfbench traces it)
 from repro.cfa.streaming import StreamError, StreamingVerifier
 from repro.cfa.verifier import NaiveVerifier, ReplayDigest, Verifier
 from repro.cfa.wire import WireError
@@ -95,6 +96,17 @@ REPLAY_CACHE_ENTRIES = 16384
 _PLAIN = PackedExpander({})
 
 
+def expand_session(spans: Iterable[bytes],
+                   dict_epoch: Optional["DictEpoch"] = None) -> bytes:
+    """The session's packed log, dictionary-expanded without building a
+    record: every report span through the pinned epoch's expander. The
+    fleet's one record form: the cache key, a replay miss, the depth
+    screen and the sampler all read it. Raises ``ValueError``, as
+    :func:`expand` does, on a token naming an unknown sub-path."""
+    expander = dict_epoch.expander if dict_epoch is not None else _PLAIN
+    return b"".join(map(expander.expand_span, spans))
+
+
 class ReplayCache:
     """Memoizes the replay of identical ``(profile, CFLog)`` chains.
 
@@ -122,23 +134,10 @@ class ReplayCache:
         self.evictions = 0
 
     @staticmethod
-    def key(spans: Iterable[bytes],
-            expander: Optional[PackedExpander] = None) -> bytes:
-        """SHA-256 of the expanded record stream's packed bytes.
-
-        ``spans`` are runs of packed records, each report's as it
-        arrived (:attr:`~repro.cfa.wire.ReportView.span`); ``expander``
-        splices each speculation token's sub-path in, so the digest
-        equals the one over ``expand(records, dictionary)`` without
-        building a record. Raises ``ValueError``, as :func:`expand`
-        does, on a token whose path id the expander does not know
-        (every token, without one).
-        """
-        expander = expander or _PLAIN
-        digest = hashlib.sha256()
-        for span in spans:
-            digest.update(expander.expand_span(span))
-        return digest.digest()
+    def key(log: bytes) -> bytes:
+        """SHA-256 of an expanded packed log (:func:`expand_session`),
+        the digest a verdict records as ``records_digest``."""
+        return hashlib.sha256(log).digest()
 
     def lookup(self, profile: DeviceProfile,
                key: bytes) -> Optional[_ReplaySummary]:
@@ -186,18 +185,20 @@ _ARTIFACTS: Dict[DeviceProfile, _Template] = {}
 
 
 def _template(profile: DeviceProfile) -> _Template:
-    if profile not in _ARTIFACTS:
-        image, bound = prepare(load_workload(profile.workload),
-                               profile.method)
-        template: _Template = None
-        if profile.method == "naive-mtb":
-            template = NaiveVerifier(image, b"")
-        elif bound is not None:
-            template = Verifier(image, bound, b"")
-        if template is not None:
-            template.program  # compile before any copy is taken
-        _ARTIFACTS[profile] = template
-    return _ARTIFACTS[profile]
+    try:
+        return _ARTIFACTS[profile]
+    except KeyError:
+        pass
+    image, bound = prepare(load_workload(profile.workload), profile.method)
+    template: _Template = None
+    if profile.method == "naive-mtb":
+        template = NaiveVerifier(image, b"")
+    elif bound is not None:
+        template = Verifier(image, bound, b"")
+    if template is not None:
+        template.program  # compile before any copy is taken
+    _ARTIFACTS[profile] = template
+    return template
 
 
 def _attestable(profile: DeviceProfile):
@@ -230,8 +231,7 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     :class:`~repro.cfa.wire.ReportView` twins as ``reports`` skips the
     redundant read — reading is deterministic, so both forms yield the
     same verdict. Each report is authenticated from its wire fields and
-    its records stay packed: they are decoded only when the replay
-    runs (a cache miss).
+    its records stay packed: no record is ever decoded.
     Authentication (MACs, challenge, ``H_MEM``, sequencing) always runs
     per session; with a ``cache``, only the pure replay step is shared
     between identical chains — the cached and uncached paths produce
@@ -240,13 +240,10 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     the thread that submitted it down.
 
     ``dict_epoch`` is the session's pinned speculation dictionary.
-    After authentication the replay-cache key is hashed from the
-    reports' record spans as they arrived, each speculated token
-    spliced in as its epoch's packed sub-path; the key is the digest
-    of the **expanded** stream, so a compressed session and a plain
-    session of the same execution share one cached replay — and
-    produce ``==`` verdicts. Tokens are expanded into records only
-    when the replay actually runs (a cache miss).
+    After authentication the session is expanded once, as bytes
+    (:func:`expand_session`): the replay-cache key digests that log,
+    so a compressed and a plain session of one execution share a
+    cached replay and ``==`` verdicts, and a miss replays it.
 
     ``info``, when supplied, receives side-band facts that must *not*
     influence verdict equality — currently ``info["cache_hit"]``, True
@@ -275,24 +272,19 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
         # an unknown sub-path (wrong/missing dictionary) is an explicit
         # rejection, never a silent mis-expansion
         try:
-            key_digest = ReplayCache.key(
-                stream.spans,
-                dict_epoch.expander if dict_epoch is not None else None)
+            log = expand_session(stream.spans, dict_epoch)
         except ValueError as exc:
             raise StreamError(
                 f"speculation expansion failed: {exc}") from None
+        key_digest = ReplayCache.key(log)
         summary = None
         if cache is not None:
             summary = cache.lookup(profile, key_digest)
             if info is not None:
                 info["cache_hit"] = summary is not None
         if summary is None:
-            # the key vouched for every token: expansion cannot fail
-            records = stream.records
-            if dict_epoch is not None:
-                records = expand(records, dict_epoch.dictionary)
             summary = _summarize(
-                verifier.program.run(records, verifier.max_steps))
+                verifier.program.run(log, verifier.max_steps))
             if cache is not None:
                 cache.store(profile, key_digest, summary)
     except (WireError, StreamError) as exc:

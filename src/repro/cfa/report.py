@@ -74,11 +74,12 @@ class AttestationResult:
 
     @property
     def cflog(self) -> CFLog:
-        """The full log: all partial reports concatenated in order."""
-        merged = CFLog()
-        for report in self.reports:
-            merged.extend(report.cflog.records)
-        return merged
+        """The full log: all partial reports concatenated in order, with
+        the join of their packed logs (what the verifier replays)."""
+        return CFLog([r for report in self.reports
+                      for r in report.cflog.records],
+                     packed=b"".join(report.cflog.pack()
+                                     for report in self.reports))
 
     @property
     def cflog_bytes(self) -> int:

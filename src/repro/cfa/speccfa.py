@@ -16,7 +16,7 @@ This module implements the core of that idea over our record streams:
   chain with compressed logs (re-signed, so authentication covers what
   is actually transmitted);
 * :class:`SpeculativeVerifier` — authenticates the compressed chain,
-  expands, and delegates to the ordinary lossless Verifier.
+  expands its packed log, and delegates to the lossless Verifier.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cfa.cflog import (
+    PACKED_RECORD,
     AddressRecord,
     BranchRecord,
     CFLog,
     LoopRecord,
     Record,
+    tag_sizes,
 )
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.verifier import VerificationResult, Verifier
@@ -209,13 +211,8 @@ def expand(records: Sequence[Record],
     return out
 
 
-#: a packed record: u8 tag, u32, u32 (the ``Record.pack`` layout)
-_PACKED = struct.Struct("<BII")
 #: a token's tag in that layout
 _TOKEN_TAG = 4
-#: record tag -> the wire size (``size_bytes``) a claim charges it
-_TAG_SIZES = {tag: cls.size_bytes for tag, cls in _PATTERN_RECORDS.items()}
-_TAG_SIZES[_TOKEN_TAG] = SpecRecord.size_bytes
 #: byte budget of one :class:`PackedExpander`'s record and span
 #: expansion memos together; past it both restart, so hostile repeat
 #: counts cannot pin memory
@@ -227,12 +224,13 @@ SPAN_MEMO_ENTRIES = 4096
 CLAIM_MEMO_BYTES = 1 << 20
 
 
-def span_claim(span: bytes) -> Tuple[int, int]:
-    """``(records, log bytes)`` of a run of packed records, each token
-    counted as itself: C-level counts over the tag bytes."""
-    tags = span[::_PACKED.size]
+def span_claim(span: bytes, method: str = "rap-track") -> Tuple[int, int]:
+    """``(records, log bytes)`` of a run of packed records ``method``
+    logged, each token counted as itself: C-level counts over the tag
+    bytes."""
+    tags = span[::PACKED_RECORD.size]
     return len(tags), sum(size * tags.count(tag)
-                          for tag, size in _TAG_SIZES.items())
+                          for tag, size in tag_sizes(method).items())
 
 
 class PackedExpander:
@@ -251,14 +249,16 @@ class PackedExpander:
     :meth:`claim` (the span's expanded size, counted without
     expanding) and the expansion itself. Neither memo holds a span
     without a token: such a span is its own expansion, and its claim
-    is a count over its tag bytes.
+    is a count over its tag bytes. Claims charge each record the wire
+    bytes ``method`` logs it in (:func:`~repro.cfa.cflog.tag_sizes`).
     """
 
-    def __init__(self, dictionary: SubPathDict):
+    def __init__(self, dictionary: SubPathDict, method: str = "rap-track"):
+        self.method = method
         self.patterns = {path_id: b"".join(r.pack() for r in pattern)
                          for path_id, pattern in dictionary.items()}
         #: path id -> the claim of one copy of its sub-path
-        self._pattern_claims = {path_id: span_claim(pattern)
+        self._pattern_claims = {path_id: span_claim(pattern, method)
                                 for path_id, pattern
                                 in self.patterns.items()}
         self._memo: Dict[Tuple[int, ...], bytes] = {}
@@ -276,16 +276,16 @@ class PackedExpander:
         counted without expanding it: a token's repeat count stays a
         number, so this is safe before the span's MAC is checked.
         ``None`` when a token names an unknown path id."""
-        tags = span[::_PACKED.size]
+        tags = span[::PACKED_RECORD.size]
         if tags.find(_TOKEN_TAG) < 0:
-            return span_claim(span)
+            return span_claim(span, self.method)
         try:
             return self._claims[span]
         except KeyError:
             pass
-        count, size = span_claim(span)
+        count, size = span_claim(span, self.method)
         claim: Optional[Tuple[int, int]] = None
-        for tag, path_id, repeats in _PACKED.iter_unpack(span):
+        for tag, path_id, repeats in PACKED_RECORD.iter_unpack(span):
             if tag != _TOKEN_TAG:
                 continue
             one = self._pattern_claims.get(path_id)
@@ -293,7 +293,7 @@ class PackedExpander:
                 break
             # the token stands for ``repeats`` copies of its sub-path
             count += one[0] * repeats - 1
-            size += one[1] * repeats - _TAG_SIZES[_TOKEN_TAG]
+            size += one[1] * repeats - SpecRecord.size_bytes
         else:
             claim = (count, size)
         with self._lock:
@@ -308,16 +308,16 @@ class PackedExpander:
         return claim
 
     def expand_span(self, span: bytes) -> bytes:
-        if span[::_PACKED.size].find(_TOKEN_TAG) < 0:
+        if span[::PACKED_RECORD.size].find(_TOKEN_TAG) < 0:
             return span  # no token: the span is its own expansion
         expanded = self._spans.get(span)
         if expanded is not None:
             return expanded
         try:
             pieces = list(map(self._memo.__getitem__,
-                              _PACKED.iter_unpack(span)))
+                              PACKED_RECORD.iter_unpack(span)))
         except KeyError:
-            pieces = [self._piece(r) for r in _PACKED.iter_unpack(span)]
+            pieces = list(map(self._piece, PACKED_RECORD.iter_unpack(span)))
         expanded = b"".join(pieces)
         cost = len(span) + len(expanded)
         with self._lock:
@@ -345,7 +345,7 @@ class PackedExpander:
             if piece is None:
                 tag, a, b = record
                 if tag != _TOKEN_TAG:
-                    piece = _PACKED.pack(tag, a, b)
+                    piece = PACKED_RECORD.pack(tag, a, b)
                 elif a in self.patterns:
                     piece = self.patterns[a] * b
                 else:
@@ -394,17 +394,16 @@ class SpeculativeVerifier:
 
     def __init__(self, verifier: Verifier, dictionary: SubPathDict):
         self.verifier = verifier
-        self.dictionary = dictionary
+        self.expander = PackedExpander(dictionary)
 
     def verify(self, result: AttestationResult,
                challenge: bytes) -> VerificationResult:
         authenticated = self.verifier.authenticate(result, challenge)
         try:
-            expanded = expand(result.cflog.records, self.dictionary)
+            log = self.expander.expand_span(result.cflog.pack())
         except ValueError as exc:
-            out = VerificationResult(authenticated=authenticated,
-                                     lossless=False, error=str(exc))
-            return out
-        outcome = self.verifier.replay(expanded)
+            return VerificationResult(authenticated=authenticated,
+                                      lossless=False, error=str(exc))
+        outcome = self.verifier.replay(log)
         outcome.authenticated = authenticated
         return outcome

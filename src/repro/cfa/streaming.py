@@ -6,17 +6,16 @@ consumption: authenticate each partial as it arrives (rejecting bad
 chains early, bounding Vrf memory to the running log) and replay once
 the final report lands. :class:`StreamingVerifier` implements that over
 the wire codec: it authenticates each report from its wire fields and
-keeps the records packed until the replay reads them.
+keeps the records packed; the replay reads their join as it arrived.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from repro.cfa.cflog import Record
 from repro.cfa.report import Report
 from repro.cfa.verifier import VerificationResult, Verifier
-from repro.cfa.wire import ReportView, decode_records, read_report
+from repro.cfa.wire import ReportView, read_report
 from repro.cfa.wire import decode_report  # noqa: F401 (perfbench traces it)
 
 
@@ -36,8 +35,6 @@ class StreamingVerifier:
         self.key = verifier.key
         #: each accepted report's packed records, in order
         self.spans: List[bytes] = []
-        self._records: List[Record] = []
-        self._decoded = 0  # spans already decoded into ``_records``
         self._next_seq = 0
         self._finished = False
         self.rejected: Optional[str] = None
@@ -50,15 +47,6 @@ class StreamingVerifier:
     def finished(self) -> bool:
         """True once the final report has been absorbed."""
         return self._finished
-
-    @property
-    def records(self) -> List[Record]:
-        """The authenticated records accumulated so far (shared list),
-        decoded from :attr:`spans` the first time they are read."""
-        for span in self.spans[self._decoded:]:
-            self._records.extend(decode_records(span))
-        self._decoded = len(self.spans)
-        return self._records
 
     def feed_bytes(self, data: bytes) -> ReportView:
         """Feed one wire-encoded report; returns its view."""
@@ -95,6 +83,6 @@ class StreamingVerifier:
         """Replay the accumulated log after the final report."""
         if not self._finished:
             raise StreamError("final report not yet received")
-        outcome = self.verifier.replay(self.records)
+        outcome = self.verifier.replay(b"".join(self.spans))
         outcome.authenticated = True  # each report was checked on feed
         return outcome

@@ -6,10 +6,11 @@ attestation key. Verification has three layers:
 
 1. **Authentication** — MAC chain, sequence numbers, challenge
    freshness, and the expected ``H_MEM``.
-2. **Lossless replay** — the CFLog is replayed against the binary:
-   deterministic transfers are followed statically, fixed loops are
-   unrolled from their static trip counts, loop-opt loops from their
-   logged conditions, and every trampolined site consumes exactly one
+2. **Lossless replay** — the CFLog, packed as the wire carries it
+   (``CFLog.pack``), is replayed against the binary: deterministic
+   transfers are followed statically, fixed loops are unrolled from
+   their static trip counts, loop-opt loops from their logged
+   conditions, and every trampolined site consumes exactly one
    matching record. Replay succeeding with the log fully consumed means
    the complete control flow path has been reconstructed. The replay
    is compiled once per firmware (:class:`ReplayProgram`,
@@ -28,12 +29,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.asm.program import Image
-from repro.cfa.cflog import AddressRecord, BranchRecord, LoopRecord, Record
 from repro.cfa.report import AttestationResult
 from repro.core.loops import exit_ranges, trip_count
 from repro.core.rewrite_map import BoundRewriteMap
@@ -53,6 +54,15 @@ _HASH_CHUNK = 1 << 16
 _DRAIN_STEPS = _HASH_CHUNK // 12
 
 _PACK_PC = struct.Struct("<I").pack
+
+#: one 9-byte record of a packed CFLog: ``(tag, key, value)``. Tags 1
+#: (an MTB packet) and 2 (a TRACES entry) log a transfer to ``value``,
+#: tag 3 a loop condition
+_RECORD = struct.Struct("<BII")
+_TAG_BRANCH, _TAG_LOOP = 1, 3
+_TRANSFER_TAGS = (_TAG_BRANCH, 2)
+#: the lookahead once the log is spent: its key matches no pc
+_END = (0, -1, 0)
 
 
 @dataclass(frozen=True)
@@ -122,15 +132,16 @@ class _ReplayVerifier:
     def verify(self, result: AttestationResult,
                challenge: bytes) -> VerificationResult:
         """Authenticate the report chain, then reconstruct the path."""
-        out = self.replay(result.cflog.records)
+        out = self.replay(result.cflog.pack())
         out.authenticated = self.authenticate(result, challenge)
         return out
 
-    def replay(self, records: Sequence[Record]) -> VerificationResult:
-        """Reconstruct the complete execution path from the CFLog."""
+    def replay(self, log: bytes) -> VerificationResult:
+        """Reconstruct the complete execution path from a packed CFLog
+        (``CFLog.pack()``, the records as the wire carries them)."""
         out = VerificationResult(authenticated=False, lossless=False)
         path = _PathKeep()
-        self.program.replay_into(records, self.max_steps, out, path)
+        self.program.replay_into(log, self.max_steps, out, path)
         out.path = path.pcs()
         return out
 
@@ -172,15 +183,16 @@ def call_resume(image: Image, site: int) -> int:
     return site + instr.size
 
 
-def _loop_trips(info, entry: LoopRecord, ranges=None) -> int:
-    """Body executions a logged loop condition stands for; a value that
-    never terminates the loop makes the log unreplayable."""
+def _loop_trips(info, key: int, value: int, ranges=None) -> int:
+    """Body executions the loop condition ``value`` logged at ``key``
+    stands for; a value that never terminates the loop makes the log
+    unreplayable."""
     try:
-        return trip_count(info, entry.value, ranges)
+        return trip_count(info, value, ranges)
     except ValueError:
         raise ReplayError(
-            f"logged loop condition {entry.value:#x} at "
-            f"{entry.key:#010x} does not terminate") from None
+            f"logged loop condition {value:#x} at "
+            f"{key:#010x} does not terminate") from None
 
 
 @dataclass
@@ -307,32 +319,45 @@ def _guard_trips(path: _PathHash, body: bytes, count: int,
 
 class _CompiledReplay:
     """A replay compiled once per firmware. :meth:`run` folds the path
-    into its length and digest; the verifier's ``replay`` keeps it."""
+    into its length and digest; the verifier's ``replay`` keeps it.
+    Both read the packed log as one record stream with a one-record
+    lookahead, matched on its key and tag."""
 
-    def run(self, records: Sequence[Record],
+    def run(self, log: bytes,
             max_steps: int = DEFAULT_MAX_STEPS) -> ReplayDigest:
-        """Replay ``records`` without building the path."""
+        """Replay the packed ``log`` without building the path."""
         out = ReplayDigest()
         path = _PathHash()
-        self.replay_into(records, max_steps, out, path)
+        self.replay_into(log, max_steps, out, path)
         out.path_len = path.length
         out.path_digest = path.hexdigest()
         return out
 
-    def replay_into(self, records: Sequence[Record], max_steps: int,
+    def replay_into(self, log: bytes, max_steps: int,
                     out: _Outcome, path: _PathHash) -> None:
-        """Replay ``records``: set ``out``'s ``lossless``, ``error``,
-        ``violations``, ``consumed`` and ``max_shadow_depth``, and emit
-        the packed path into ``path``."""
+        """Replay the packed ``log``: set ``out``'s ``lossless``,
+        ``error``, ``violations``, ``consumed`` and
+        ``max_shadow_depth``, and emit the packed path into ``path``."""
         try:
-            self._run(records, max_steps, out, path)
+            self._run(log, max_steps, out, path)
             out.lossless = True
         except ReplayError as exc:
             out.error = str(exc)
 
-    def _run(self, records: Sequence[Record], max_steps: int,
+    def _run(self, log: bytes, max_steps: int,
              out: _Outcome, path: _PathHash) -> None:
         raise NotImplementedError
+
+
+def _consumed(out: _Outcome, log: bytes, stream, key: int) -> None:
+    """Execution reached its end with ``key`` pending (``-1``: none)
+    and ``stream`` left: set ``out.consumed``, or raise on records the
+    path never read."""
+    left = operator.length_hint(stream) + (key >= 0)
+    out.consumed = len(log) // _RECORD.size - left
+    if left:
+        raise ReplayError(
+            f"{left} CFLog records left after execution reached its end")
 
 
 # ReplayProgram's op table: each entry is a tuple whose first field is
@@ -354,8 +379,6 @@ _FAIL = 8  # (op, packed, ReplayError message or None: the direct
 #            target does not resolve)
 
 _IND_CALL, _IND_RETURN, _IND_JUMP = range(3)
-
-_TRANSFER = (BranchRecord, AddressRecord)
 
 #: the kinds whose instructions may name a direct target
 _DIRECT_KINDS = frozenset({InstrKind.BRANCH, InstrKind.CALL,
@@ -463,7 +486,7 @@ class ReplayProgram(_CompiledReplay):
                           None if exit_pc in runs else ops.get(exit_pc))
         self._ops = ops
 
-    def _run(self, records: Sequence[Record], max_steps: int,
+    def _run(self, log: bytes, max_steps: int,
              out: _Outcome, path: _PathHash) -> None:
         image, ops = self.image, self._ops
         instr_at = image.instr_at
@@ -472,7 +495,8 @@ class ReplayProgram(_CompiledReplay):
         violations = out.violations
         buf = path.buf
         pc = image.entry
-        cursor, total = 0, len(records)
+        stream = _RECORD.iter_unpack(log)
+        tag, key, value = next(stream, _END)
         shadow: List[int] = []
         depth = 0
         fixed_state: Dict[int, int] = {}
@@ -517,9 +541,8 @@ class ReplayProgram(_CompiledReplay):
                 # trampolined conditionals
                 if code == _COND:
                     _, packed, rec, hit_packed, hit, miss = op
-                    entry = records[cursor] if cursor < total else None
-                    if isinstance(entry, _TRANSFER) and entry.key == rec:
-                        cursor += 1
+                    if key == rec and tag in _TRANSFER_TAGS:
+                        tag, key, value = next(stream, _END)
                         buf += hit_packed
                         pc = hit
                         continue
@@ -534,15 +557,14 @@ class ReplayProgram(_CompiledReplay):
                 # trampolined indirect transfers
                 if code == _INDIRECT:
                     _, packed, full, rec, kind, resume = op
-                    entry = records[cursor] if cursor < total else None
-                    if not (isinstance(entry, _TRANSFER) and entry.key == rec):
+                    if key != rec or tag not in _TRANSFER_TAGS:
                         buf += packed
                         raise ReplayError(
                             f"missing record for indirect transfer at "
                             f"{pc:#010x}")
-                    cursor += 1
+                    dst = value
+                    tag, key, value = next(stream, _END)
                     buf += full
-                    dst = entry.dst
                     if dst == EXIT_SENTINEL and not shadow:
                         break
                     if kind == _IND_CALL:
@@ -624,12 +646,12 @@ class ReplayProgram(_CompiledReplay):
                 if code == _LOOP:
                     _, packed, nxt, latch, info, ranges = op
                     buf += packed
-                    entry = records[cursor] if cursor < total else None
-                    if not isinstance(entry, LoopRecord) or entry.key != pc:
+                    if key != pc or tag != _TAG_LOOP:
                         raise ReplayError(
                             f"missing loop-condition record at {pc:#010x}")
-                    cursor += 1
-                    loop_state[latch] = _loop_trips(info, entry, ranges) - 1
+                    loop_state[latch] = _loop_trips(info, key, value,
+                                                    ranges) - 1
+                    tag, key, value = next(stream, _END)
                     pc = nxt
                     continue
 
@@ -647,12 +669,7 @@ class ReplayProgram(_CompiledReplay):
                 raise ReplayError(op[2])
         finally:
             out.max_shadow_depth = depth
-
-        out.consumed = cursor
-        if cursor != total:
-            raise ReplayError(
-                f"{total - cursor} CFLog records left after "
-                f"execution reached its end")
+        _consumed(out, log, stream, key)
 
 
 def _indirect_op(image: Image, pc: int, instr, info) -> tuple:
@@ -768,13 +785,14 @@ class NaiveReplayProgram(_CompiledReplay):
             self._sites[pc] = (op, target, _PACK_PC(pc), nxt)
         self._runs = _build_runs(successor)
 
-    def _run(self, records: Sequence[Record], max_steps: int,
+    def _run(self, log: bytes, max_steps: int,
              out: _Outcome, path: _PathHash) -> None:
         image, runs, sites = self.image, self._runs, self._sites
         violations = out.violations
         buf = path.buf
         pc = image.entry
-        cursor, total = 0, len(records)
+        stream = _RECORD.iter_unpack(log)
+        tag, key, value = next(stream, _END)
         shadow: List[int] = []
         steps = 0
         #: the guard, or the step at which ``buf`` is hashed, if earlier
@@ -803,11 +821,11 @@ class NaiveReplayProgram(_CompiledReplay):
             buf += packed
 
             if op == "cond":
-                entry = records[cursor] if cursor < total else None
-                if isinstance(entry, BranchRecord) and entry.key == pc:
-                    cursor += 1
-                    pc = (target if entry.dst == target else _direct_dst(
-                        image, pc, image.instr_at[pc], entry.dst))
+                if key == pc and tag == _TAG_BRANCH:
+                    dst = value
+                    tag, key, value = next(stream, _END)
+                    pc = (target if dst == target else _direct_dst(
+                        image, pc, image.instr_at[pc], dst))
                 else:
                     pc = nxt
                 continue
@@ -824,13 +842,11 @@ class NaiveReplayProgram(_CompiledReplay):
                 _taken_target(image, pc, image.instr_at[pc])
 
             # every other transfer consumes one MTB packet
-            if cursor >= total:
-                raise ReplayError(f"CFLog exhausted at {pc:#010x}")
-            entry = records[cursor]
-            if not isinstance(entry, BranchRecord) or entry.key != pc:
-                raise ReplayError(f"CFLog record mismatch at {pc:#010x}")
-            cursor += 1
-            dst = entry.dst
+            if key != pc or tag != _TAG_BRANCH:
+                raise ReplayError(f"CFLog exhausted at {pc:#010x}" if key < 0
+                                  else f"CFLog record mismatch at {pc:#010x}")
+            dst = value
+            tag, key, value = next(stream, _END)
             if op == "b" or op == "call":
                 if dst != target:
                     _direct_dst(image, pc, image.instr_at[pc], dst)
@@ -851,9 +867,4 @@ class NaiveReplayProgram(_CompiledReplay):
                         f"return to {dst:#010x}, "
                         f"call site expected {expected:#010x}"))
             pc = dst
-
-        out.consumed = cursor
-        if cursor != total:
-            raise ReplayError(
-                f"{total - cursor} CFLog records left after "
-                f"execution reached its end")
+        _consumed(out, log, stream, key)

@@ -9,9 +9,10 @@ variable-length field length-prefixed. Records reuse the 9-byte tagged
 encoding of :meth:`Record.pack`. The Vrf reads a report as a
 :class:`ReportView` (:func:`read_report`): header fields, MAC and the
 records still packed, which is all authentication, the admission
-screens and the replay-cache key need. :func:`decode_records` turns a
-packed span into shared, interned record values in one pass, when a
-replay runs.
+screens, the replay-cache key and the replay itself read.
+:func:`decode_records` turns a packed span into shared, interned
+record values in one pass: the device's MTB readout, the decoded
+:func:`decode_report` and the sampler's exemplars need them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import threading
 from typing import Dict, List, NamedTuple, Tuple
 
 from repro.cfa.cflog import (
+    PACKED_RECORD,
     AddressRecord,
     BranchRecord,
     CFLog,
@@ -36,8 +38,7 @@ MAGIC = b"RAPT"
 VERSION = 1
 
 #: every record crosses the wire as the 9-byte tagged ``Record.pack``
-_RECORD = struct.Struct("<BII")
-RECORD_BYTES = _RECORD.size
+RECORD_BYTES = PACKED_RECORD.size
 
 #: record tag (the first byte of ``Record.pack``) -> record class
 _RECORD_TYPES: Dict[int, type] = {
@@ -116,9 +117,10 @@ def decode_records(span: bytes) -> List[Record]:
     which raises on the first unknown tag in stream order.
     """
     try:
-        return list(map(_interned.__getitem__, _RECORD.iter_unpack(span)))
+        return list(map(_interned.__getitem__,
+                        PACKED_RECORD.iter_unpack(span)))
     except KeyError:
-        return [_intern(t) for t in _RECORD.iter_unpack(span)]
+        return [_intern(t) for t in PACKED_RECORD.iter_unpack(span)]
 
 
 def pack_branch_packets(raw: bytes) -> bytes:
@@ -156,8 +158,7 @@ class ReportView(NamedTuple):
     replay-cache key read it as it arrived) and the MAC. ``head`` is
     the body's first four length-prefixed fields, byte-identical to the
     start of the MAC input, so :meth:`verify` authenticates the report
-    without rebuilding its fields. Records are decoded from ``span``
-    (:func:`decode_records`) only when a replay runs.
+    without rebuilding its fields. The Vrf replays ``span`` as it is.
     """
 
     device_id: bytes

@@ -211,7 +211,7 @@ def _cmd_analyze_attack_surface(args) -> int:
         verifier = (NaiveVerifier(image, key) if method == "naive-mtb"
                     else Verifier(image, bound_map, key))
         for chain in chains:
-            outcome = verifier.program.run(chain.records)
+            outcome = verifier.program.run(chain.cflog.pack())
             kinds = {v.kind for v in outcome.violations}
             rejected = chain.expected_violation in kinds
             verdict = ("rejected" if rejected

@@ -34,8 +34,10 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.cfa.cflog import PACKED_RECORD
+from repro.cfa.speccfa import span_claim
 from repro.codec import Reader, lp16
 from repro.core.analysis.bounds import PathBounds, UNBOUNDED
 
@@ -206,11 +208,11 @@ def screen_claim(cert: BoundsCertificate, count: int,
     return None
 
 
-def screen_records(cert: BoundsCertificate,
-                   records: Sequence[object]) -> Optional[str]:
-    """Check a claimed (dictionary-expanded) record stream against the
-    certificate. Returns a rejection reason, or None when the claim is
-    within bounds.
+def screen_records(cert: BoundsCertificate, log: bytes) -> Optional[str]:
+    """Check a claimed (dictionary-expanded) packed log
+    (``CFLog.pack``) against the certificate, each record charged the
+    wire bytes ``cert.method`` logs it in. Returns a rejection reason,
+    or None when the claim is within bounds.
 
     The length/byte checks apply whenever the certificate is bounded.
     The depth inference runs only when the certificate marks it exact
@@ -221,8 +223,7 @@ def screen_records(cert: BoundsCertificate,
     leave direct calls/leaf returns unlogged, so no sound inference
     exists there — replay's shadow stack covers them instead.
     """
-    reason = screen_claim(cert, len(records),
-                          sum(getattr(r, "size_bytes", 0) for r in records))
+    reason = screen_claim(cert, *span_claim(log, cert.method))
     if reason is not None or not cert.depth_exact \
             or cert.max_stack_depth is None:
         return reason
@@ -230,8 +231,7 @@ def screen_records(cert: BoundsCertificate,
     returns = frozenset(cert.return_keys)
     up = down = 0
     max_up = max_down = 0
-    for record in records:
-        key = getattr(record, "key", None)
+    for _, key, _ in PACKED_RECORD.iter_unpack(log):
         if key in calls:
             up += 1
             down = max(0, down - 1)

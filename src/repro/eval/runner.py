@@ -134,7 +134,7 @@ def run_method(name: str, method: str,
         workload.check(mcu)
     verified = True
     if verify:
-        outcome = verifier.program.run(result.cflog.records,
+        outcome = verifier.program.run(result.cflog.pack(),
                                        verifier.max_steps)
         verified = (verifier.authenticate(result, b"eval-challenge")
                     and outcome.lossless and not outcome.violations)

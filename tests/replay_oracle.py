@@ -104,7 +104,8 @@ def _trampoline_replay(verifier, records: Sequence[Record],
                     f"missing loop-condition record at {pc:#010x}"
                 )
             cursor += 1
-            loop_state[info.latch_addr] = _loop_trips(info, entry) - 1
+            loop_state[info.latch_addr] = _loop_trips(
+                info, entry.key, entry.value) - 1
             pc += instr.size
             continue
 

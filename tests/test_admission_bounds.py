@@ -14,16 +14,20 @@ from unittest import mock
 
 import pytest
 
-from repro.cfa.cflog import CFLog
+from repro.cfa.cflog import CFLog, LoopRecord
 from repro.cfa.fleet import (
     ChainFactory,
     DeviceProfile,
     DeviceSpec,
+    DictionaryRegistry,
+    FleetSimulator,
+    ShardedFleetService,
     dack_mac,
     device_key,
 )
 from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet import session as session_mod
+from repro.cfa.fleet.session import SessionManager
 from repro.cfa.speccfa import PackedExpander, SpecRecord, mine_subpaths
 from repro.cfa.wire import decode_report, encode_dack_frame, encode_report
 from repro.core.analysis.certificate import BoundsRegistry, certify_workload
@@ -93,7 +97,9 @@ def test_forged_repeat_count_rejected_without_expansion(
         DeviceSpec(DEVICE, PROFILE), challenge.nonce, entry), count)
     start = time.perf_counter()
     with mock.patch.object(session_mod, "expand",
-                           side_effect=AssertionError("expanded")):
+                           side_effect=AssertionError("expanded")), \
+            mock.patch.object(PackedExpander, "expand_span",
+                              side_effect=AssertionError("expanded")):
         for chunk in chunks:
             service.submit(DEVICE, chunk)
     elapsed = time.perf_counter() - start
@@ -144,3 +150,70 @@ def test_forged_count_rejected_alike_with_a_warm_memo(factory, registry):
     assert not verdicts[0].accepted
     assert verdicts[0].reason.endswith(
         f"records exceed the certified maximum {cert.max_log_records}")
+
+
+
+def test_honest_traces_chain_fits_the_certified_bytes():
+    """TRACES logs a loop condition as one 4-byte word, and the screen
+    charges each record by the method that logged it: an honest
+    ultrasonic device under TRACES (132 log bytes, 160 certified) is
+    admitted beside a RAP-Track one, and each chain claims exactly the
+    bytes its engine logged (RAP-Track's 8-byte loop records as
+    before)."""
+    profiles = (DeviceProfile("ultrasonic", "traces"),
+                DeviceProfile("ultrasonic"))
+    bounds = BoundsRegistry()
+    for profile in profiles:
+        bounds.add(certify_workload(profile.workload, profile.method))
+    factory = ChainFactory(watermark=64)
+    specs = [DeviceSpec(f"prv-{p.method}", p) for p in profiles]
+    with ShardedFleetService(bounds=bounds) as service:
+        report = FleetSimulator(specs, seed=1, factory=factory).run(service)
+    assert report.ok, report.mismatches
+    for profile in profiles:
+        logged = [r for log in factory._templates[(profile, False)].cflogs
+                  for r in log.records]
+        # plain, then compressed: the expander counts the loop records
+        # left beside the token
+        first = next(i for i, r in enumerate(logged)
+                     if not isinstance(r, LoopRecord))
+        registry = DictionaryRegistry()
+        for entry in (None, registry.publish(
+                profile, {0: tuple(logged[first:first + 2])})):
+            manager = SessionManager()
+            session = manager.open("prv", profile, device_key("prv"),
+                                   dict_epoch=entry)
+            for chunk in factory.chain(DeviceSpec("prv", profile),
+                                       session.challenge.nonce, entry):
+                manager.ingest("prv", chunk, 0.0)
+            tokens = sum(r.span[::9].count(4) for r in session.reports)
+            assert (tokens > 0) == (entry is not None)
+            claim = session.admission_claim()
+            assert claim == (len(logged),
+                             sum(r.size_bytes for r in logged))
+            cert = bounds.get(profile.workload, profile.method)
+            assert claim[1] <= cert.max_log_bytes
+
+
+def test_a_token_in_a_plain_chain_is_rejected_not_raised():
+    """A chain with no dictionary that carries a speculation token
+    cannot be expanded: the depth screen of a ``depth_exact``
+    certificate passes it on, and replay rejects it by name."""
+    profile = DeviceProfile("crc32", "naive-mtb")
+    bounds = BoundsRegistry()
+    bounds.add(certify_workload(profile.workload, profile.method))
+    assert bounds.get(profile.workload, profile.method).depth_exact
+    service = FleetService(bounds=bounds)
+    key = device_key(DEVICE)
+    challenge = service.open_session(DEVICE, profile, key)
+    chunks = ChainFactory().chain(DeviceSpec(DEVICE, profile),
+                                  challenge.nonce)
+    report, _ = decode_report(chunks[-1])
+    report.cflog = CFLog(list(report.cflog.records) + [SpecRecord(7, 1)])
+    for chunk in chunks[:-1] + [encode_report(report.sign(key))]:
+        service.submit(DEVICE, chunk)
+    verdict = service.verdicts[DEVICE]
+    service.close()
+    assert not verdict.accepted
+    assert verdict.reason == ("speculation expansion failed: unknown "
+                              "speculated sub-path id 7")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cfa.cflog import BranchRecord
+from repro.cfa.cflog import BranchRecord, CFLog
 from repro.core.analysis import (
     BoundsCertificate,
     BoundsRegistry,
@@ -134,7 +134,8 @@ class TestRegistry:
 
 class TestScreen:
     def records(self, n, key=0x100):
-        return [BranchRecord(key, 0x200000 + 4 * i) for i in range(n)]
+        return CFLog(BranchRecord(key, 0x200000 + 4 * i)
+                     for i in range(n)).pack()
 
     def test_within_bounds_passes(self):
         cert = make_cert(max_log_records=10, max_log_bytes=80)
@@ -158,7 +159,7 @@ class TestScreen:
 
     def test_depth_inference_only_when_exact(self):
         call, ret = 0x200010, 0x200030
-        flood = [BranchRecord(ret, 0x200000)] * 5  # 5 pops, depth >= 5
+        flood = CFLog([BranchRecord(ret, 0x200000)] * 5).pack()  # depth >= 5
         exact = make_cert(depth_exact=True, max_stack_depth=2,
                           max_log_records=None, max_log_bytes=None)
         inexact = make_cert(depth_exact=False, max_stack_depth=2,
@@ -171,13 +172,14 @@ class TestScreen:
         call, ret = 0x200010, 0x200030
         cert = make_cert(depth_exact=True, max_stack_depth=1,
                          max_log_records=None, max_log_bytes=None)
-        balanced = [BranchRecord(call, 0x1), BranchRecord(ret, 0x2)] * 5
+        balanced = CFLog([BranchRecord(call, 0x1),
+                          BranchRecord(ret, 0x2)] * 5).pack()
         assert screen_records(cert, balanced) is None
 
     def test_call_flood_also_rejected(self):
         call = 0x200010
         cert = make_cert(depth_exact=True, max_stack_depth=2,
                          max_log_records=None, max_log_bytes=None)
-        flood = [BranchRecord(call, 0x1)] * 6
+        flood = CFLog([BranchRecord(call, 0x1)] * 6).pack()
         reason = screen_records(cert, flood)
         assert reason is not None and "stack depth 6" in reason

@@ -92,7 +92,7 @@ class TestReplayRejection:
         image, bound, chains = builds[method]
         verifier = verifier_for(method, image, bound)
         for chain in chains:
-            outcome = verifier.replay(list(chain.records))
+            outcome = verifier.replay(chain.cflog.pack())
             assert outcome.lossless, (
                 f"{chain.name}: chain must replay losslessly — the "
                 f"attack is in the control flow, not in framing")
@@ -106,7 +106,7 @@ class TestReplayRejection:
         flood = synthesize_return_flood(image, bound, method, hops=8)
         assert flood is not None
         outcome = verifier_for(method, image, bound).replay(
-            list(flood.records))
+            flood.cflog.pack())
         assert not outcome.ok and outcome.violations
 
 

@@ -1,5 +1,7 @@
 """Unit tests: CFLog records, wire sizes, reports."""
 
+from unittest import mock
+
 import pytest
 
 from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
@@ -103,6 +105,42 @@ class TestAttestationResult:
         result = self._chain(key)
         assert [r.key for r in result.cflog] == [0, 1, 2]
         assert result.partial_report_count == 2
+
+    @pytest.mark.parametrize("method", ["rap-track", "traces", "naive-mtb"])
+    def test_merged_cflog_packs_as_the_joined_reports(self, method):
+        """The merged log carries the join of the reports' packed logs
+        (what their MACs cover and the verifier replays): equal to
+        packing its records, and read back without packing them again
+        where the device kept its readout's bytes."""
+        from repro.baselines.naive_mtb import NaiveMtbEngine
+        from repro.baselines.traces import TracesEngine
+        from repro.cfa.engine import EngineConfig, RapTrackEngine
+        from repro.eval.runner import prepare
+        from repro.workloads import load_workload
+        from repro.workloads.base import make_mcu
+
+        workload = load_workload("fibcall")
+        image, bound = prepare(workload, method)
+        engine_type = {"rap-track": RapTrackEngine, "traces": TracesEngine,
+                       "naive-mtb": NaiveMtbEngine}[method]
+        maps = () if bound is None else (bound,)
+        result = engine_type(make_mcu(image, workload),
+                             KeyStore.provision(), *maps,
+                             EngineConfig(watermark=32)).attest(b"c")
+        assert result.partial_report_count > 0
+        merged = result.cflog
+        joined = b"".join(r.cflog.pack() for r in result.reports)
+        assert merged.pack() == joined
+        assert joined == b"".join(r.pack() for r in merged.records)
+        assert merged.records == [r for report in result.reports
+                                  for r in report.cflog.records]
+        if method != "traces":  # its engine keeps records, not bytes
+            repacked = AssertionError("re-packed")
+            with mock.patch.object(BranchRecord, "pack",
+                                   side_effect=repacked), \
+                    mock.patch.object(LoopRecord, "pack",
+                                      side_effect=repacked):
+                assert result.cflog.pack() == joined
 
     def test_empty_chain_fails(self):
         key = KeyStore.provision().attestation_key

@@ -11,8 +11,10 @@ those records had already answered.
 
 from __future__ import annotations
 
+import gc
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 from typing import List, Tuple
 
@@ -158,6 +160,52 @@ class TestRestore:
         with pytest.raises(ValueError,
                            match=f"already has {len(records)} record"):
             ShardedFleetService(shards=1, store_dir=store_dir, fsync=False)
+
+
+class TestRefusedReopen:
+    """``resume=False`` on a populated store is refused before any
+    shard log is opened: every log stays byte-identical, a torn tail
+    included, and no file is left open."""
+
+    @pytest.fixture
+    def store_dir(self, tmp_path) -> Path:
+        # shard 0 holds only a header; shard 1 holds records and a
+        # torn 8-byte tail
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        EvidenceStore(store_dir / "evidence-00.log", KEY,
+                      fsync=False).close()
+        populated = store_dir / "evidence-01.log"
+        write_log(populated)
+        with open(populated, "ab") as fh:
+            fh.write(struct.pack("<I", 100) + b"torn")
+        return store_dir
+
+    @staticmethod
+    def refuse(store_dir: Path) -> str:
+        try:
+            ShardedFleetService(shards=2, store_dir=store_dir, fsync=False)
+        except ValueError as exc:
+            return str(exc)
+        raise AssertionError("a populated store was reopened")
+
+    def test_a_refusal_leaves_every_log_byte_identical(self, store_dir):
+        def snapshot():
+            return {p.relative_to(store_dir):
+                    p.read_bytes() if p.is_file() else None
+                    for p in store_dir.rglob("*")}
+
+        before = snapshot()
+        assert "evidence-01.log already has" in self.refuse(store_dir)
+        assert snapshot() == before
+
+    def test_a_refusal_leaves_no_file_open(self, store_dir):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            self.refuse(store_dir)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 # -- property: a reopen recovers the intact prefix or refuses -----------------

@@ -44,7 +44,11 @@ from repro.cfa.fleet import (
     verify_session_chain,
 )
 from repro.cfa.fleet.service import FleetService
-from repro.cfa.fleet.verify import _ReplaySummary, build_verifier
+from repro.cfa.fleet.verify import (
+    _ReplaySummary,
+    build_verifier,
+    expand_session,
+)
 from repro.cfa.report import Report
 from repro.cfa.speccfa import (
     PackedExpander,
@@ -294,8 +298,8 @@ def _wire_key(records, cuts, epoch):
         device_id=b"d", method="rap-track", challenge=b"c", h_mem=b"h",
         seq=seq, final=False, cflog=CFLog(records[lo:hi]), mac=b"k" * 32))
         for seq, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-    return ReplayCache.key([read_report(chunk)[0].span for chunk in chunks],
-                           epoch.expander if epoch else None)
+    return ReplayCache.key(expand_session(
+        [read_report(chunk)[0].span for chunk in chunks], epoch))
 
 
 plain_record = st.one_of(
@@ -544,7 +548,7 @@ class TestSamplerExpansion:
         hot = [BranchRecord(1, 2), LoopRecord(3, 4)]
         cold = [AddressRecord(5, 6)]
         for records in (hot, hot, cold, hot):
-            digest = ReplayCache.key((CFLog(records).pack(),))
+            digest = ReplayCache.key(CFLog(records).pack())
             sampler.observe(FIBCALL, stream(records), digest=digest,
                             size_bytes=CFLog(records).size_bytes)
         assert len(calls) == 1  # hot, once; cold never fit
@@ -563,10 +567,9 @@ class TestSamplerExpansion:
             learn_dictionaries(service)
             simulator.handshake(service)
             expansions = []
-            real = service_mod.expand
-            monkeypatch.setattr(service_mod, "expand",
-                                lambda records, dictionary: expansions.append(
-                                    1) or real(records, dictionary))
+            real = service_mod.decode_records
+            monkeypatch.setattr(service_mod, "decode_records",
+                                lambda log: expansions.append(1) or real(log))
             before = service.sampler.sample(FIBCALL)
             assert simulator.run(service).ok
             after = service.sampler.sample(FIBCALL)

@@ -46,7 +46,7 @@ u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 def _stream_digest(records):
     """The sampler's dedup digest: the replay-cache key of the stream."""
-    return ReplayCache.key((CFLog(records).pack(),))
+    return ReplayCache.key(CFLog(records).pack())
 
 #: expanded (plain) record streams — what the sampler feeds the miner
 base_records = st.lists(

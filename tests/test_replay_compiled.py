@@ -19,7 +19,6 @@ stepping counter simulation it replaced.
 
 import copy
 import dataclasses
-import functools
 import time
 from unittest import mock
 
@@ -93,12 +92,14 @@ def reference(image, bound, max_steps=20_000_000):
 
 def assert_same(image, bound, records, max_steps=20_000_000):
     """The compiled digest and ``replay``'s whole result, path
-    included, equal the oracle's; returns the oracle's digest."""
+    included, equal the oracle's; returns the oracle's digest. The
+    compiled replays read ``records`` packed, as the wire carries them."""
     verifier = reference(image, bound, max_steps)
     want = replay_oracle.replay(verifier, records)
     ref = replay_oracle.digest(want)
-    assert verifier.program.run(records, max_steps) == ref
-    assert verifier.replay(records) == want  # path included
+    log = CFLog(records).pack()
+    assert verifier.program.run(log, max_steps) == ref
+    assert verifier.replay(log) == want  # path included
     return ref
 
 
@@ -357,10 +358,12 @@ class TestMutatedStreams:
         assert NaiveReplayProgram(broken)._sites[call][0] == "opaque"
         verifier = reference(image, None)  # measured on the intact image
         verifier.image = broken
-        for replay in (functools.partial(replay_oracle.replay, verifier),
-                       verifier.replay, NaiveReplayProgram(broken).run):
+        log = CFLog(records).pack()
+        with pytest.raises(KeyError, match=label):
+            replay_oracle.replay(verifier, records)
+        for replay in (verifier.replay, NaiveReplayProgram(broken).run):
             with pytest.raises(KeyError, match=label):
-                replay(records)
+                replay(log)
 
 
     def test_naive_bx_pops_only_a_matching_frame(self):
@@ -430,13 +433,13 @@ class TestStepGuard:
         image, bound, records = build("crc32", "rap-track")
         program = ReplayProgram(image, bound)
         assert program._bodies and program._runs
-        full = program.run(records)
+        full = program.run(CFLog(records).pack())
         for max_steps in range(1, full.path_len + 2):
             assert_same(image, bound, records, max_steps)
 
     def test_naive_guard_at_every_step(self):
         image, _, records = build("crc32", "naive-mtb")
-        full = NaiveReplayProgram(image).run(records)
+        full = NaiveReplayProgram(image).run(CFLog(records).pack())
         assert full.lossless
         for max_steps in range(1, full.path_len + 2):
             assert_same(image, None, records, max_steps)
@@ -444,14 +447,16 @@ class TestStepGuard:
     @pytest.mark.parametrize("name", ["geiger", "fir", "ultrasonic"])
     def test_naive_guard_inside_long_loops(self, name):
         image, _, records = build(name, "naive-mtb")
-        length = NaiveReplayProgram(image).run(records).path_len
+        length = NaiveReplayProgram(image).run(
+            CFLog(records).pack()).path_len
         for max_steps in range(1, length, max(1, length // 29)):
             assert_same(image, None, records, max_steps)
 
     @pytest.mark.parametrize("name", ["geiger", "fir", "ultrasonic"])
     def test_guard_inside_long_loops(self, name):
         image, bound, records = build(name, "rap-track")
-        length = ReplayProgram(image, bound).run(records).path_len
+        length = ReplayProgram(image, bound).run(
+            CFLog(records).pack()).path_len
         for max_steps in range(1, length, max(1, length // 29)):
             assert_same(image, bound, records, max_steps)
 
@@ -467,7 +472,7 @@ class TestStepGuard:
         for max_steps in (1, 2, 3, 4, 5, 1_000, 4_097, 100_000):
             assert_same(image, bound, [], max_steps)
         start = time.perf_counter()
-        out = program.run([])
+        out = program.run(b"")
         assert time.perf_counter() - start < 5.0
         assert out.error == "replay exceeded the step guard"
         assert out.path_len == 20_000_000

@@ -13,6 +13,7 @@ positions around it.
 
 import copy
 
+from repro.cfa.cflog import CFLog
 from repro.cfa.verifier import ReplayProgram, Verifier
 from repro.tz.keystore import KeyStore
 
@@ -48,12 +49,14 @@ spin:
 def assert_same(image, bound, records, max_steps, program=None):
     """The compiled digest and the verifier's whole ``replay`` result
     equal the oracle's, on ``image`` (which may differ from the image
-    the verifier measured)."""
+    the verifier measured). The compiled replays read ``records``
+    packed, as the wire carries them."""
     verifier = Verifier(image, bound, KEY, max_steps=max_steps)
     want = replay_oracle.replay(verifier, records)
-    out = (program or ReplayProgram(image, bound)).run(records, max_steps)
+    log = CFLog(records).pack()
+    out = (program or ReplayProgram(image, bound)).run(log, max_steps)
     assert out == replay_oracle.digest(want)
-    assert verifier.replay(records) == want
+    assert verifier.replay(log) == want
     return out
 
 

@@ -41,7 +41,7 @@ from repro.cfa.speccfa import (
     pack_dictionary,
     span_claim,
 )
-from repro.cfa.wire import decode_report, encode_report
+from repro.cfa.wire import decode_records, decode_report, encode_report
 
 DICTIONARY = {0: (BranchRecord(1, 2), LoopRecord(3, 4)),
               1: (AddressRecord(5, 6),)}
@@ -268,7 +268,9 @@ def test_memoized_claims_equal_cold_claims(factory, workload):
                                    session.challenge.nonce, entry):
             manager.ingest(device_id, chunk, 0.0)
         assert session.state == QUEUED
-        want = cold_claim(session.records(), entry.dictionary or {})
+        received = [r for report in session.reports
+                    for r in decode_records(report.span)]
+        want = cold_claim(received, entry.dictionary or {})
         assert want is not None
         assert session.admission_claim() == want
         claims.append(want)

@@ -135,22 +135,22 @@ class TestReplayDesync:
 
     def test_clean_replay(self, keystore):
         records, verifier = self._records(keystore)
-        assert verifier.replay(records).lossless
+        assert verifier.replay(CFLog(records).pack()).lossless
 
     def test_missing_record_detected(self, keystore):
         records, verifier = self._records(keystore)
-        outcome = verifier.replay(records[:-1])
+        outcome = verifier.replay(CFLog(records[:-1]).pack())
         assert not outcome.lossless
 
     def test_extra_record_detected(self, keystore):
         records, verifier = self._records(keystore)
-        outcome = verifier.replay(records + [records[-1]])
+        outcome = verifier.replay(CFLog(records + [records[-1]]).pack())
         assert not outcome.lossless
 
     def test_missing_loop_record_detected(self, keystore):
         records, verifier = self._records(keystore)
         without_loop = [r for r in records if not isinstance(r, LoopRecord)]
-        outcome = verifier.replay(without_loop)
+        outcome = verifier.replay(CFLog(without_loop).pack())
         assert not outcome.lossless
         assert "loop" in outcome.error
 
@@ -160,12 +160,12 @@ class TestReplayDesync:
             if isinstance(record, BranchRecord):
                 records[i] = dataclasses.replace(record, dst=0xDEAD0000)
                 break
-        outcome = verifier.replay(records)
+        outcome = verifier.replay(CFLog(records).pack())
         assert not outcome.lossless or outcome.violations
 
     def test_empty_log_fails_on_branchy_program(self, keystore):
         _, verifier = self._records(keystore)
-        assert not verifier.replay([]).lossless
+        assert not verifier.replay(CFLog([]).pack()).lossless
 
 
 class TestNaiveReplayDesync:
@@ -174,7 +174,7 @@ class TestNaiveReplayDesync:
                                                    keystore=keystore)
         result = engine.attest(b"t")
         records = list(result.cflog.records)
-        outcome = verifier.replay(records[: len(records) // 2])
+        outcome = verifier.replay(CFLog(records[: len(records) // 2]).pack())
         assert not outcome.lossless
 
     def test_swapped_records(self, keystore):
@@ -182,13 +182,13 @@ class TestNaiveReplayDesync:
                                                    keystore=keystore)
         result = engine.attest(b"t")
         records = list(result.cflog.records)
-        original = verifier.replay(records)
+        original = verifier.replay(CFLog(records).pack())
         # swap the first *differing* adjacent pair (loop iterations
         # produce identical packets, whose swap is a no-op)
         idx = next(i for i in range(len(records) - 1)
                    if records[i] != records[i + 1])
         records[idx], records[idx + 1] = records[idx + 1], records[idx]
-        outcome = verifier.replay(records)
+        outcome = verifier.replay(CFLog(records).pack())
         assert not outcome.lossless or outcome.path != original.path
 
 
@@ -210,6 +210,6 @@ class TestViolationEvidence:
                     target = image.addr_of("join")
                     records[i] = dataclasses.replace(record, dst=target)
                     break
-        outcome = verifier.replay(records)
+        outcome = verifier.replay(CFLog(records).pack())
         assert (any(v.kind == "jop-call" for v in outcome.violations)
                 or not outcome.lossless)
