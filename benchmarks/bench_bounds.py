@@ -48,8 +48,7 @@ def observe_honest_run(name, method, cache):
     outcome = verifier.verify(result, b"bench-bounds")
     assert outcome.ok, f"{name}/{method} honest run failed verification"
     records = [r for rep in result.reports for r in rep.cflog.records]
-    return records, sum(r.size_bytes for r in records), \
-        outcome.max_shadow_depth
+    return records, result.cflog_bytes, outcome.max_shadow_depth
 
 
 def fmt_bound(value):

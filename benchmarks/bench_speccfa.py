@@ -38,7 +38,7 @@ def _speculated(name, keystore):
     workload = load_workload(name)
     engine, verifier = _rap_setup(workload, keystore)
     profile = engine.attest(b"profiling")
-    dictionary = mine_subpaths(profile.cflog.records)
+    dictionary = mine_subpaths(profile.cflog.records, engine.method)
     attested = engine.attest(b"real")
     compressed = speculate_result(attested, dictionary,
                                   keystore.attestation_key)
@@ -72,7 +72,7 @@ def test_bench_compress(benchmark):
     workload = load_workload("bubblesort")
     engine, _ = _rap_setup(workload, keystore)
     records = engine.attest(b"profiling").cflog.records
-    dictionary = mine_subpaths(records)
+    dictionary = mine_subpaths(records, engine.method)
     compressed = benchmark.pedantic(
         lambda: compress(records, dictionary), rounds=5, iterations=1)
     assert len(compressed) < len(records)

@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+from repro.cfa.cflog import tag_sizes
 from repro.cfa.fleet import (
     DeviceProfile,
     DeviceSpec,
@@ -44,8 +45,13 @@ FLEET_DEVICES = int(os.environ.get("SPECCFA_FLEET_DEVICES", "300"))
 SEED = 11
 
 
+#: every probe device runs the default (RAP-Track) profile
+METHOD = DeviceProfile("fibcall").method
+
+
 def _bytes(records) -> int:
-    return sum(r.size_bytes for r in records)
+    sizes = tag_sizes(METHOD)
+    return sum(sizes[r.tag] for r in records)
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +75,8 @@ def test_adaptive_vs_static_table(sampled_streams, results_dir):
         streams = sampled_streams.get(DeviceProfile(name), [])
         records = list(streams[0][0]) if streams else []
         plain = _bytes(records)
-        static_dict = mine_subpaths(records)
-        adaptive_dict = mine_fleet_dictionary(streams)
+        static_dict = mine_subpaths(records, METHOD)
+        adaptive_dict = mine_fleet_dictionary(streams, METHOD)
         static_b = _bytes(compress(records, static_dict))
         adaptive_b = _bytes(compress(list(records), adaptive_dict))
         # compression must stay lossless before it counts for anything

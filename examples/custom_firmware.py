@@ -8,6 +8,7 @@ MTB watermark.
 """
 
 from repro.asm import assemble, link
+from repro.cfa.cflog import span_claim
 from repro.cfa.engine import EngineConfig, RapTrackEngine
 from repro.cfa.verifier import Verifier
 from repro.core.pipeline import transform
@@ -84,7 +85,8 @@ def main() -> None:
     for report in result.reports:
         kind = "final  " if report.final else "partial"
         print(f"  report #{report.seq} ({kind}): "
-              f"{len(report.cflog)} records, {report.cflog.size_bytes} B, "
+              f"{len(report.cflog)} records, "
+              f"{span_claim(report.span, report.method)[1]} B, "
               f"mac={report.mac.hex()[:16]}…")
 
     verifier = Verifier(image, bound, keystore.attestation_key)

@@ -62,7 +62,7 @@ def main() -> None:
     print(f"  total transmitted: {total_wire} B\n")
 
     print("Second pass with SpecCFA sub-path speculation:")
-    dictionary = mine_subpaths(result.cflog.records)
+    dictionary = mine_subpaths(result.cflog.records, engine.method)
     print(f"  mined {len(dictionary)} speculated sub-paths from profiling")
     attested = engine.attest(b"telemetry-chal-2")
     compressed = speculate_result(attested, dictionary,

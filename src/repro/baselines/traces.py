@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.program import Module, Space
-from repro.cfa.cflog import AddressRecord, CFLog, LoopRecord, Record
+from repro.cfa.cflog import AddressRecord, CFLog, LoopRecord, Record, tag_sizes
 from repro.cfa.engine import AttestationEngineBase, EngineConfig
 from repro.cfa.report import AttestationResult
 from repro.cfa.services import (
@@ -215,12 +215,13 @@ class TracesEngine(AttestationEngineBase):
             self.gateway.register(svc_id, handler)
         self._records: List[Record] = []
         self._pending_bytes = 0
+        self._sizes = tag_sizes(self.method)
 
     # -- secure services ------------------------------------------------------
 
     def _append(self, record: Record) -> None:
         self._records.append(record)
-        self._pending_bytes += record.size_bytes
+        self._pending_bytes += self._sizes[record.tag]
         limit = self.config.watermark or self.config.mtb_buffer_size
         if self._pending_bytes >= limit:
             self._emit_partial()
@@ -241,8 +242,7 @@ class TracesEngine(AttestationEngineBase):
         loop = self.bound_map.loop_at.get(site)
         if loop is None:
             raise RuntimeError(f"loop-log svc from unknown site {site:#x}")
-        self._append(LoopRecord(site, cpu.regs[loop.counter_reg],
-                                size_bytes=4))
+        self._append(LoopRecord(site, cpu.regs[loop.counter_reg]))
         return self.config.loop_log_cycles
 
     def _log_cond_taken(self, cpu: CPU) -> int:

@@ -1,67 +1,96 @@
-"""The control flow log (CFLog) and its entry formats.
+"""The control flow log (CFLog) and its record table.
 
-Entry sizes follow the mechanisms that produce them:
+Every record crosses the wire as the same 9 bytes,
+:data:`PACKED_RECORD`: a tag byte naming the record class
+(:data:`RECORD_TYPES`), then two 32-bit words. What a record costs in
+the log the device transmits depends on the mechanism that logged it
+(:func:`tag_sizes`):
 
-* :class:`BranchRecord` — an MTB packet: two 32-bit words (source and
-  destination of a non-sequential transfer), 8 bytes;
-* :class:`AddressRecord` — a TRACES-style instrumentation entry: a
-  single 32-bit destination word, 4 bytes (site identity is implicit in
-  replay order, so it costs nothing on the wire);
-* :class:`LoopRecord` — a logged loop condition. Through the MTB-less
-  TRACES path this is one word (4 bytes); RAP-Track's engine stores it
-  alongside 8-byte MTB packets (site word + value word).
+* :class:`BranchRecord` (tag 1) — an MTB packet: two 32-bit words
+  (source and destination of a non-sequential transfer), 8 bytes;
+* :class:`AddressRecord` (tag 2) — a TRACES-style instrumentation
+  entry: a single 32-bit destination word, 4 bytes (site identity is
+  implicit in replay order, so it costs nothing on the wire);
+* :class:`LoopRecord` (tag 3) — a logged loop condition. Through the
+  MTB-less TRACES path this is one word (4 bytes); RAP-Track's engine
+  stores it alongside 8-byte MTB packets (site word + value word);
+* :class:`SpecRecord` (tag 4) — a SpecCFA speculation token: path id
+  and repeat count bit-packed into one word, 4 bytes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import ClassVar, Dict, Iterable, List, Optional, Tuple, Union
+
+#: one packed record (``Record.pack``): u8 tag, u32 key, u32 value
+PACKED_RECORD = struct.Struct("<BII")
 
 
 @dataclass(frozen=True)
 class BranchRecord:
     """An MTB packet: (recording-instruction address, destination)."""
 
+    tag: ClassVar[int] = 1
     key: int  # packet source = address of the recording instruction
     dst: int
-    size_bytes: int = 8
 
     def pack(self) -> bytes:
-        return struct.pack("<BII", 1, self.key, self.dst)
+        return PACKED_RECORD.pack(self.tag, self.key, self.dst)
 
 
 @dataclass(frozen=True)
 class AddressRecord:
     """A TRACES instrumentation entry: destination only on the wire."""
 
+    tag: ClassVar[int] = 2
     key: int  # logging site (svc) address — implicit in replay order
     dst: int
-    size_bytes: int = 4
 
     def pack(self) -> bytes:
-        return struct.pack("<BII", 2, self.key, self.dst)
+        return PACKED_RECORD.pack(self.tag, self.key, self.dst)
 
 
 @dataclass(frozen=True)
 class LoopRecord:
     """A logged loop condition (the counter value at loop entry)."""
 
+    tag: ClassVar[int] = 3
     key: int  # logging site (svc) address
     value: int
-    size_bytes: int = 8
 
     def pack(self) -> bytes:
-        return struct.pack("<BII", 3, self.key, self.value & 0xFFFFFFFF)
+        return PACKED_RECORD.pack(self.tag, self.key,
+                                  self.value & 0xFFFFFFFF)
+
+
+@dataclass(frozen=True)
+class SpecRecord:
+    """One token: ``count`` consecutive repetitions of sub-path ``path_id``
+    (see :mod:`repro.cfa.speccfa`)."""
+
+    tag: ClassVar[int] = 4
+    path_id: int
+    count: int
+
+    def pack(self) -> bytes:
+        return PACKED_RECORD.pack(self.tag, self.path_id, self.count)
 
 
 Record = Union[BranchRecord, AddressRecord, LoopRecord]
 
-#: one packed record (``Record.pack``): u8 tag, u32 key, u32 value
-PACKED_RECORD = struct.Struct("<BII")
-#: record tag -> its wire bytes (tag 4: a speculation token, one word)
-_TAG_SIZES = {1: 8, 2: 4, 3: 8, 4: 4}
-_TRACES_TAG_SIZES = {**_TAG_SIZES, 3: 4}
+#: record tag (the first byte of ``Record.pack``) -> record class
+RECORD_TYPES: Dict[int, type] = {
+    BranchRecord.tag: BranchRecord,
+    AddressRecord.tag: AddressRecord,
+    LoopRecord.tag: LoopRecord,
+    SpecRecord.tag: SpecRecord,
+}
+
+_TAG_SIZES = {BranchRecord.tag: 8, AddressRecord.tag: 4,
+              LoopRecord.tag: 8, SpecRecord.tag: 4}
+_TRACES_TAG_SIZES = {**_TAG_SIZES, LoopRecord.tag: 4}
 
 
 def tag_sizes(method: str) -> Dict[int, int]:
@@ -70,8 +99,17 @@ def tag_sizes(method: str) -> Dict[int, int]:
     return _TRACES_TAG_SIZES if method == "traces" else _TAG_SIZES
 
 
+def span_claim(span: bytes, method: str = "rap-track") -> Tuple[int, int]:
+    """``(records, log bytes)`` of a run of packed records ``method``
+    logged, each token counted as itself: C-level counts over the tag
+    bytes."""
+    tags = span[::PACKED_RECORD.size]
+    return len(tags), sum(size * tags.count(tag)
+                          for tag, size in tag_sizes(method).items())
+
+
 class CFLog:
-    """An ordered control flow log with wire-size accounting.
+    """An ordered control flow log.
 
     A log decoded off the wire keeps the bytes it arrived as
     (``packed``): :meth:`pack` returns them instead of re-packing
@@ -100,11 +138,6 @@ class CFLog:
     def __getitem__(self, index):
         return self.records[index]
 
-    @property
-    def size_bytes(self) -> int:
-        """Total wire size of the log."""
-        return sum(r.size_bytes for r in self.records)
-
     def pack(self) -> bytes:
         """Deterministic serialization (MAC input)."""
         wire = self._wire
@@ -113,4 +146,4 @@ class CFLog:
         return b"".join(r.pack() for r in self.records)
 
     def __str__(self) -> str:
-        return f"CFLog({len(self.records)} records, {self.size_bytes} B)"
+        return f"CFLog({len(self.records)} records)"

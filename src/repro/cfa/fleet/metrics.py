@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, Sequence
 
 #: most verification latencies one metrics object keeps (the newest);
@@ -145,53 +145,29 @@ class FleetMetrics:
         )
 
 
+#: every counter a fleet-wide view sums over its shards: each ``int``
+#: field but ``shards``, which the view sets itself
+_COUNTERS = tuple(f.name for f in fields(FleetMetrics)
+                  if f.type == "int" and f.name != "shards")
+
+
 def aggregate_metrics(per_shard: Sequence[FleetMetrics],
                       wall_s: float = 0.0,
                       recovery_s: float = 0.0) -> FleetMetrics:
     """Fold per-shard metrics into one fleet-wide view.
 
-    Counters sum; latency windows concatenate, shard by shard, into
-    one window of the same bound (so the percentiles are fleet-wide,
-    not a mean of per-shard percentiles, and a read copies at most one
-    window per shard). ``wall_s`` is the *router's* wall clock — shards
-    run concurrently, so summing their walls would double count.
+    Every ``int`` counter sums; latency windows concatenate, shard by
+    shard, into one window of the same bound (so the percentiles are
+    fleet-wide, not a mean of per-shard percentiles, and a read copies
+    at most one window per shard). ``wall_s`` is the *router's* wall
+    clock — shards run concurrently, so summing their walls would
+    double count.
     """
     total = FleetMetrics(shards=len(per_shard))
     for m in per_shard:
-        total.sessions_opened += m.sessions_opened
-        total.sessions_verified += m.sessions_verified
-        total.sessions_rejected += m.sessions_rejected
-        total.sessions_expired += m.sessions_expired
-        total.sessions_retried += m.sessions_retried
-        total.sessions_refused += m.sessions_refused
-        total.sessions_bounds_rejected += m.sessions_bounds_rejected
-        total.sessions_recovered += m.sessions_recovered
-        total.reports_ingested += m.reports_ingested
-        total.reports_ignored += m.reports_ignored
-        total.duplicates_dropped += m.duplicates_dropped
-        total.bytes_ingested += m.bytes_ingested
+        for name in _COUNTERS:
+            setattr(total, name, getattr(total, name) + getattr(m, name))
         total.verify_latencies_s.extend(m.verify_latencies_s)
-        total.replay_cache_hits += m.replay_cache_hits
-        total.replay_cache_misses += m.replay_cache_misses
-        total.replay_cache_evictions += m.replay_cache_evictions
-        total.evidence_records += m.evidence_records
-        total.evidence_bytes += m.evidence_bytes
-        total.evidence_fsyncs += m.evidence_fsyncs
-        total.dict_pushes += m.dict_pushes
-        total.dict_acks += m.dict_acks
-        total.dict_acks_rejected += m.dict_acks_rejected
-        total.sampler_evictions += m.sampler_evictions
-        total.sessions_denied += m.sessions_denied
-        total.reports_denied += m.reports_denied
-        total.policy_decisions += m.policy_decisions
-        total.policy_notices += m.policy_notices
-        total.suspects += m.suspects
-        total.quarantines += m.quarantines
-        total.recoveries += m.recoveries
-        total.heals_started += m.heals_started
-        total.heals_failed += m.heals_failed
-        total.rejoins += m.rejoins
-        total.revocations += m.revocations
     total.wall_s = wall_s or max(
         (m.wall_s for m in per_shard), default=0.0)
     total.recovery_s = recovery_s

@@ -39,16 +39,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cfa.cflog import CFLog, Record
+from repro.cfa.cflog import CFLog, Record, SpecRecord, tag_sizes
 from repro.cfa.fleet.verify import DeviceProfile, ReplayCache
 from repro.cfa.speccfa import SubPathDict, compress
 
 #: one weighted exemplar: (record stream, sessions observed)
 WeightedStream = Tuple[Tuple[Record, ...], int]
-
-
-def _stream_bytes(records: Sequence[Record]) -> int:
-    return sum(r.size_bytes for r in records)
 
 
 @dataclass
@@ -137,8 +133,9 @@ class TrafficSampler:
         """Absorb one accepted session's (expanded) record stream.
 
         ``records`` may be a zero-argument callable producing the
-        stream; given with its ``digest`` and wire ``size_bytes``, it
-        is called only when the stream is kept as a new exemplar.
+        stream; given with its ``digest`` and wire ``size_bytes`` (by
+        default, each record sized by the profile's method), it is
+        called only when the stream is kept as a new exemplar.
         """
         if digest is None or size_bytes is None:
             if callable(records):
@@ -146,7 +143,8 @@ class TrafficSampler:
             if digest is None:
                 digest = ReplayCache.key(CFLog(records).pack())
             if size_bytes is None:
-                size_bytes = _stream_bytes(records)
+                sizes = tag_sizes(profile.method)
+                size_bytes = sum(sizes[r.tag] for r in records)
         with self._lock:
             sample = self._profiles.get(profile)
             if sample is None:
@@ -218,15 +216,18 @@ class TrafficSampler:
 
 
 def _weighted_bytes(streams: Sequence[WeightedStream],
-                    dictionary: SubPathDict) -> int:
-    """Total wire bytes of the sample compressed under ``dictionary``."""
-    if not dictionary:
-        return sum(w * _stream_bytes(records) for records, w in streams)
-    return sum(w * _stream_bytes(compress(list(records), dictionary))
-               for records, w in streams)
+                    dictionary: SubPathDict, sizes: Dict[int, int]) -> int:
+    """Total wire bytes of the sample compressed under ``dictionary``,
+    each record costing ``sizes[tag]``."""
+    total = 0
+    for records, weight in streams:
+        sent = compress(list(records), dictionary) if dictionary else records
+        total += weight * sum(sizes[r.tag] for r in sent)
+    return total
 
 
 def mine_fleet_dictionary(streams: Sequence[WeightedStream],
+                          method: str,
                           max_len: int = 8,
                           top_k: int = 16,
                           min_gain_bytes: int = 16,
@@ -238,13 +239,20 @@ def mine_fleet_dictionary(streams: Sequence[WeightedStream],
     ``(pattern bytes - token bytes) x weighted occurrences``; the top
     ``candidate_pool`` survivors are then admitted greedily, each one
     kept only if the **measured** compressed size of the whole sample
-    drops by at least ``min_gain_bytes``. Because a token costs 4
-    bytes and every pattern is at least 4 bytes, the mined dictionary
-    can never expand a stream — profit is structurally non-negative.
+    drops by at least ``min_gain_bytes``. Records cost the bytes
+    ``method`` logs them in; because a token costs 4 bytes and every
+    pattern is at least 4 bytes, the mined dictionary can never expand
+    a stream — profit is structurally non-negative.
 
     Deterministic: independent of stream order, candidate hash order,
     and dict iteration order.
     """
+    sizes = tag_sizes(method)
+
+    def profit(pattern: Tuple[Record, ...], count: int) -> int:
+        return (sum(sizes[r.tag] for r in pattern)
+                - sizes[SpecRecord.tag]) * count
+
     ordered = sorted(
         streams, key=lambda sw: ReplayCache.key(CFLog(sw[0]).pack()))
     gains: Counter = Counter()
@@ -255,13 +263,12 @@ def mine_fleet_dictionary(streams: Sequence[WeightedStream],
                 gains[records[i:i + length]] += weight
     candidates = sorted(
         gains.items(),
-        key=lambda kv: (-(_stream_bytes(kv[0]) - 4) * kv[1],
-                        b"".join(r.pack() for r in kv[0])))
+        key=lambda kv: (-profit(*kv), b"".join(r.pack() for r in kv[0])))
     candidates = [(pattern, count) for pattern, count in candidates
-                  if (_stream_bytes(pattern) - 4) * count
+                  if profit(pattern, count)
                   >= min_gain_bytes][:candidate_pool]
     chosen: List[Tuple[Record, ...]] = []
-    current_bytes = _weighted_bytes(ordered, {})
+    current_bytes = _weighted_bytes(ordered, {}, sizes)
     for pattern, _count in candidates:
         if len(chosen) >= top_k:
             break
@@ -269,7 +276,7 @@ def mine_fleet_dictionary(streams: Sequence[WeightedStream],
             chosen + [pattern],
             key=lambda p: (-len(p), b"".join(r.pack() for r in p)))
         trial_bytes = _weighted_bytes(
-            ordered, {i: p for i, p in enumerate(trial)})
+            ordered, {i: p for i, p in enumerate(trial)}, sizes)
         if current_bytes - trial_bytes >= min_gain_bytes:
             chosen = trial
             current_bytes = trial_bytes
@@ -280,11 +287,12 @@ def mine_fleet_dictionary(streams: Sequence[WeightedStream],
 
 
 def mining_gain(streams: Sequence[WeightedStream],
-                dictionary: SubPathDict) -> int:
+                dictionary: SubPathDict, method: str) -> int:
     """Measured profit: weighted sample bytes saved by ``dictionary``
-    (non-negative by construction)."""
-    return (_weighted_bytes(streams, {})
-            - _weighted_bytes(streams, dictionary))
+    when ``method`` logged the sample (non-negative by construction)."""
+    sizes = tag_sizes(method)
+    return (_weighted_bytes(streams, {}, sizes)
+            - _weighted_bytes(streams, dictionary, sizes))
 
 
 def learn_dictionaries(service, profiles=None, max_len: int = 8,
@@ -309,7 +317,7 @@ def learn_dictionaries(service, profiles=None, max_len: int = 8,
         if not streams:
             continue
         dictionary = mine_fleet_dictionary(
-            streams, max_len=max_len, top_k=top_k,
+            streams, profile.method, max_len=max_len, top_k=top_k,
             min_gain_bytes=min_gain_bytes)
         if not dictionary:
             continue

@@ -626,6 +626,8 @@ class FleetService:
             self.metrics.replay_cache_hits = self._cache.hits
             self.metrics.replay_cache_misses = self._cache.misses
             self.metrics.replay_cache_evictions = self._cache.evictions
+        if self.sampler is not None:
+            self.metrics.sampler_evictions = self.sampler.evictions
 
     # -- draining / shutdown ------------------------------------------------
 

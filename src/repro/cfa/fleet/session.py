@@ -40,11 +40,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cfa.cflog import span_claim
 from repro.cfa.protocol import Challenge
 from repro.cfa.fleet.dictver import DictEpoch, spec_challenge
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.fleet.verify import expand_session
-from repro.cfa.speccfa import span_claim
 from repro.cfa.speccfa import expand  # noqa: F401 (perfbench traces it)
 from repro.cfa.wire import ReportView, WireError, read_report
 from repro.cfa.wire import decode_report  # noqa: F401 (perfbench traces it)

@@ -202,21 +202,28 @@ class ShardedFleetService:
         self.shards: List[FleetService] = []
         t0 = time.perf_counter()
         recovered = 0
-        for path in logs:
-            store = None
-            if path is not None:
-                store = EvidenceStore(path, self.audit_key, fsync=fsync)
-            service = FleetService(
-                seed=seed, idle_timeout=idle_timeout,
-                reorder_window=reorder_window, max_attempts=max_attempts,
-                max_sessions=max_sessions, replay_cache=replay_cache,
-                store=store, registry=self.registry, sampler=sampler,
-                policy=self.policy, key_lookup=key_lookup,
-                bounds=bounds)
-            if store is not None and store.recovered_count:
-                recovered += service.restore(store.take_recovered())
-            self.stores.append(store)
-            self.shards.append(service)
+        try:
+            for path in logs:
+                store = None
+                if path is not None:
+                    store = EvidenceStore(path, self.audit_key, fsync=fsync)
+                self.stores.append(store)
+                service = FleetService(
+                    seed=seed, idle_timeout=idle_timeout,
+                    reorder_window=reorder_window,
+                    max_attempts=max_attempts, max_sessions=max_sessions,
+                    replay_cache=replay_cache, store=store,
+                    registry=self.registry, sampler=sampler,
+                    policy=self.policy, key_lookup=key_lookup,
+                    bounds=bounds)
+                if store is not None and store.recovered_count:
+                    recovered += service.restore(store.take_recovered())
+                self.shards.append(service)
+        except BaseException:
+            # a damaged later log must not leave earlier ones open
+            for opened in filter(None, self.stores):
+                opened.close()
+            raise
         self.recovered_verdicts = recovered
         if self.store_dir is not None:
             # the operator's map of what on this disk is authoritative

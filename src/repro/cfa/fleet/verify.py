@@ -257,8 +257,7 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
             device_id=device_id, profile=profile, accepted=False,
             reason=f"no verifier for profile {profile}: {exc}")
     # the shared template replays; the session key authenticates
-    stream = StreamingVerifier(verifier, challenge)
-    stream.key = key
+    stream = StreamingVerifier(verifier, challenge, key)
     try:
         if reports is not None:
             for report in reports:
@@ -266,13 +265,12 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
         else:
             for chunk in chunks:
                 stream.feed_bytes(chunk)
-        if not stream.finished:
-            raise StreamError("final report not yet received")
+        spans = stream.final_spans()
         # keyed only after every report authenticated; a token naming
         # an unknown sub-path (wrong/missing dictionary) is an explicit
         # rejection, never a silent mis-expansion
         try:
-            log = expand_session(stream.spans, dict_epoch)
+            log = expand_session(spans, dict_epoch)
         except ValueError as exc:
             raise StreamError(
                 f"speculation expansion failed: {exc}") from None

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
-from repro.cfa.cflog import CFLog
-from repro.crypto.mac import mac_report, verify_mac
+from repro.cfa.cflog import CFLog, span_claim
+from repro.crypto.mac import report_head, report_mac
 
 
 @dataclass
@@ -27,16 +28,11 @@ class Report:
     cflog: CFLog
     mac: bytes = b""
 
-    def _fields(self):
-        return (
-            self.device_id,
-            self.method.encode(),
-            self.challenge,
-            self.h_mem,
-            self.seq.to_bytes(4, "little"),
-            b"\x01" if self.final else b"\x00",
-            self.cflog.pack(),
-        )
+    @property
+    def head(self) -> bytes:
+        """The MAC input's first four fields (:func:`report_head`)."""
+        return report_head(self.device_id, self.method, self.challenge,
+                           self.h_mem)
 
     @property
     def span(self) -> bytes:
@@ -44,11 +40,51 @@ class Report:
         return self.cflog.pack()
 
     def sign(self, key: bytes) -> "Report":
-        self.mac = mac_report(key, *self._fields())
+        self.mac = report_mac(key, self.head, self.seq, self.final,
+                              self.span)
         return self
 
     def verify(self, key: bytes) -> bool:
-        return verify_mac(key, self.mac, *self._fields())
+        return hmac.compare_digest(self.mac, report_mac(
+            key, self.head, self.seq, self.final, self.span))
+
+
+class ChainCheck:
+    """A report chain's authentication, one report (a :class:`Report`
+    or a :class:`~repro.cfa.wire.ReportView`) at a time: report ``n``
+    must verify under ``key``, answer ``challenge``, carry ``h_mem``
+    and have ``seq == n``, and the chain ends at its first final
+    report (:attr:`finished`)."""
+
+    def __init__(self, key: bytes, challenge: bytes, h_mem: bytes):
+        self.key = key
+        self.challenge = challenge
+        self.h_mem = h_mem
+        #: reports admitted so far (the next one's expected ``seq``)
+        self.seq = 0
+        self.finished = False
+
+    def admit(self, report) -> Optional[str]:
+        """Absorb the chain's next report: ``None``, or why it is
+        refused (the reason the Vrf records)."""
+        if self.finished:
+            return "stream already finished"
+        if not report.verify(self.key):
+            return f"bad MAC on report #{report.seq}"
+        if report.challenge != self.challenge:
+            return f"challenge mismatch on report #{report.seq}"
+        if report.h_mem != self.h_mem:
+            return f"H_MEM mismatch on report #{report.seq}"
+        if report.seq != self.seq:
+            return (f"out-of-order report #{report.seq}, "
+                    f"expected #{self.seq}")
+        self.seq += 1
+        self.finished = report.final
+        return None
+
+    def admit_all(self, reports) -> bool:
+        """Whether ``reports`` are, in order, one whole chain."""
+        return all(self.admit(r) is None for r in reports) and self.finished
 
 
 @dataclass
@@ -69,36 +105,23 @@ class AttestationResult:
         return self.reports[-1]
 
     @property
-    def challenge(self) -> bytes:
-        return self.final_report.challenge
+    def span(self) -> bytes:
+        """Every report's packed records, joined in order: the log the
+        verifier replays."""
+        return b"".join(report.span for report in self.reports)
 
     @property
     def cflog(self) -> CFLog:
-        """The full log: all partial reports concatenated in order, with
-        the join of their packed logs (what the verifier replays)."""
+        """The full log: all partial reports concatenated in order."""
         return CFLog([r for report in self.reports
-                      for r in report.cflog.records],
-                     packed=b"".join(report.cflog.pack()
-                                     for report in self.reports))
+                      for r in report.cflog.records], packed=self.span)
 
     @property
     def cflog_bytes(self) -> int:
-        return sum(r.cflog.size_bytes for r in self.reports)
+        """Log bytes the chain cost, each record sized by the method
+        that logged it."""
+        return sum(span_claim(r.span, r.method)[1] for r in self.reports)
 
     @property
     def partial_report_count(self) -> int:
         return max(0, len(self.reports) - 1)
-
-    def verify_chain(self, key: bytes) -> bool:
-        """Check MACs, sequencing, and challenge consistency."""
-        if not self.reports:
-            return False
-        challenge = self.reports[0].challenge
-        for seq, report in enumerate(self.reports):
-            if report.seq != seq or report.challenge != challenge:
-                return False
-            if report.final != (seq == len(self.reports) - 1):
-                return False
-            if not report.verify(key):
-                return False
-        return True

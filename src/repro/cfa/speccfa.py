@@ -25,37 +25,20 @@ import hashlib
 import struct
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cfa.cflog import (
     PACKED_RECORD,
-    AddressRecord,
-    BranchRecord,
+    RECORD_TYPES,
     CFLog,
-    LoopRecord,
     Record,
+    SpecRecord,
+    span_claim,
     tag_sizes,
 )
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.verifier import VerificationResult, Verifier
 from repro.codec import Reader
-
-
-@dataclass(frozen=True)
-class SpecRecord:
-    """One token: ``count`` consecutive repetitions of sub-path ``path_id``.
-
-    Wire size is one word (path id and count bit-packed), matching the
-    compact encoding SpecCFA targets.
-    """
-
-    path_id: int
-    count: int
-    size_bytes: int = 4
-
-    def pack(self) -> bytes:
-        return struct.pack("<BII", 4, self.path_id, self.count)
 
 
 #: a dictionary of speculated sub-paths: id -> record tuple
@@ -74,12 +57,6 @@ SubPathDict = Dict[int, Tuple[Record, ...]]
 # identical bytes and :func:`dictionary_digest` is content-addressed.
 
 DICTIONARY_MAGIC = b"SPD1"
-
-_PATTERN_RECORDS = {
-    1: BranchRecord,
-    2: AddressRecord,
-    3: LoopRecord,
-}
 
 
 def pack_dictionary(dictionary: SubPathDict) -> bytes:
@@ -110,9 +87,9 @@ def unpack_dictionary(payload: bytes) -> SubPathDict:
             raise ValueError(f"sub-path {path_id} is empty")
         pattern = []
         for _ in range(n_records):
-            tag, a, b = reader.unpack("<BII")
-            cls = _PATTERN_RECORDS.get(tag)
-            if cls is None:
+            tag, a, b = PACKED_RECORD.unpack(reader.take(PACKED_RECORD.size))
+            cls = RECORD_TYPES.get(tag)
+            if cls is None or cls is SpecRecord:
                 raise ValueError(f"unknown sub-path record tag {tag}")
             pattern.append(cls(a, b))
         dictionary[path_id] = tuple(pattern)
@@ -129,14 +106,17 @@ def dictionary_digest(dictionary: SubPathDict) -> bytes:
 EMPTY_DICTIONARY_DIGEST = dictionary_digest({})
 
 
-def mine_subpaths(records: Sequence[Record], *, max_len: int = 8,
-                  top_k: int = 8, min_gain_bytes: int = 16) -> SubPathDict:
+def mine_subpaths(records: Sequence[Record], method: str, *,
+                  max_len: int = 8, top_k: int = 8,
+                  min_gain_bytes: int = 16) -> SubPathDict:
     """Mine profitable sub-paths from a profiling CFLog (Vrf side).
 
     Scans for sub-sequences that repeat back-to-back (tandem repeats —
     the shape loops produce) and keeps the ``top_k`` by total byte
-    savings. Deterministic given the input.
+    savings, each record costing the bytes ``method`` logs it in.
+    Deterministic given the input.
     """
+    sizes = tag_sizes(method)
     gains: Counter = Counter()
     n = len(records)
     for length in range(1, max_len + 1):
@@ -150,7 +130,8 @@ def mine_subpaths(records: Sequence[Record], *, max_len: int = 8,
                 repeats += 1
                 j += length
             if repeats >= 2:
-                saved = sum(r.size_bytes for r in candidate) * repeats - 4
+                saved = (sum(sizes[r.tag] for r in candidate) * repeats
+                         - sizes[SpecRecord.tag])
                 gains[candidate] += saved
                 i = j
             else:
@@ -211,8 +192,6 @@ def expand(records: Sequence[Record],
     return out
 
 
-#: a token's tag in that layout
-_TOKEN_TAG = 4
 #: byte budget of one :class:`PackedExpander`'s record and span
 #: expansion memos together; past it both restart, so hostile repeat
 #: counts cannot pin memory
@@ -222,15 +201,6 @@ EXPANSION_MEMO_BYTES = 1 << 20
 SPAN_MEMO_ENTRIES = 4096
 #: byte budget of the span keys one claim memo holds
 CLAIM_MEMO_BYTES = 1 << 20
-
-
-def span_claim(span: bytes, method: str = "rap-track") -> Tuple[int, int]:
-    """``(records, log bytes)`` of a run of packed records ``method``
-    logged, each token counted as itself: C-level counts over the tag
-    bytes."""
-    tags = span[::PACKED_RECORD.size]
-    return len(tags), sum(size * tags.count(tag)
-                          for tag, size in tag_sizes(method).items())
 
 
 class PackedExpander:
@@ -255,6 +225,7 @@ class PackedExpander:
 
     def __init__(self, dictionary: SubPathDict, method: str = "rap-track"):
         self.method = method
+        self._token_bytes = tag_sizes(method)[SpecRecord.tag]
         self.patterns = {path_id: b"".join(r.pack() for r in pattern)
                          for path_id, pattern in dictionary.items()}
         #: path id -> the claim of one copy of its sub-path
@@ -277,7 +248,7 @@ class PackedExpander:
         number, so this is safe before the span's MAC is checked.
         ``None`` when a token names an unknown path id."""
         tags = span[::PACKED_RECORD.size]
-        if tags.find(_TOKEN_TAG) < 0:
+        if tags.find(SpecRecord.tag) < 0:
             return span_claim(span, self.method)
         try:
             return self._claims[span]
@@ -286,14 +257,14 @@ class PackedExpander:
         count, size = span_claim(span, self.method)
         claim: Optional[Tuple[int, int]] = None
         for tag, path_id, repeats in PACKED_RECORD.iter_unpack(span):
-            if tag != _TOKEN_TAG:
+            if tag != SpecRecord.tag:
                 continue
             one = self._pattern_claims.get(path_id)
             if one is None:
                 break
             # the token stands for ``repeats`` copies of its sub-path
             count += one[0] * repeats - 1
-            size += one[1] * repeats - SpecRecord.size_bytes
+            size += one[1] * repeats - self._token_bytes
         else:
             claim = (count, size)
         with self._lock:
@@ -308,7 +279,7 @@ class PackedExpander:
         return claim
 
     def expand_span(self, span: bytes) -> bytes:
-        if span[::PACKED_RECORD.size].find(_TOKEN_TAG) < 0:
+        if span[::PACKED_RECORD.size].find(SpecRecord.tag) < 0:
             return span  # no token: the span is its own expansion
         expanded = self._spans.get(span)
         if expanded is not None:
@@ -344,7 +315,7 @@ class PackedExpander:
             piece = self._memo.get(record)
             if piece is None:
                 tag, a, b = record
-                if tag != _TOKEN_TAG:
+                if tag != SpecRecord.tag:
                     piece = PACKED_RECORD.pack(tag, a, b)
                 elif a in self.patterns:
                     piece = self.patterns[a] * b
@@ -400,7 +371,7 @@ class SpeculativeVerifier:
                challenge: bytes) -> VerificationResult:
         authenticated = self.verifier.authenticate(result, challenge)
         try:
-            log = self.expander.expand_span(result.cflog.pack())
+            log = self.expander.expand_span(result.span)
         except ValueError as exc:
             return VerificationResult(authenticated=authenticated,
                                       lossless=False, error=str(exc))

@@ -35,7 +35,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.asm.program import Image
-from repro.cfa.report import AttestationResult
+from repro.cfa.cflog import (PACKED_RECORD, AddressRecord, BranchRecord,
+                             LoopRecord)
+from repro.cfa.report import AttestationResult, ChainCheck
 from repro.core.loops import exit_ranges, trip_count
 from repro.core.rewrite_map import BoundRewriteMap
 from repro.crypto.hashing import measure_image
@@ -55,12 +57,11 @@ _DRAIN_STEPS = _HASH_CHUNK // 12
 
 _PACK_PC = struct.Struct("<I").pack
 
-#: one 9-byte record of a packed CFLog: ``(tag, key, value)``. Tags 1
-#: (an MTB packet) and 2 (a TRACES entry) log a transfer to ``value``,
-#: tag 3 a loop condition
-_RECORD = struct.Struct("<BII")
-_TAG_BRANCH, _TAG_LOOP = 1, 3
-_TRANSFER_TAGS = (_TAG_BRANCH, 2)
+#: a packed CFLog is read as ``(tag, key, value)`` triples: an MTB
+#: packet and a TRACES entry log a transfer to ``value``, a loop record
+#: a loop condition
+_TAG_BRANCH, _TAG_LOOP = BranchRecord.tag, LoopRecord.tag
+_TRANSFER_TAGS = (_TAG_BRANCH, AddressRecord.tag)
 #: the lookahead once the log is spent: its key matches no pc
 _END = (0, -1, 0)
 
@@ -115,11 +116,11 @@ class _ReplayVerifier:
 
     def authenticate(self, result: AttestationResult,
                      challenge: bytes) -> bool:
-        """MAC chain, challenge freshness and the expected ``H_MEM``."""
-        return (result.verify_chain(self.key)
-                and result.challenge == challenge
-                and all(r.h_mem == self.expected_h_mem
-                        for r in result.reports))
+        """Every report passes :class:`~repro.cfa.report.ChainCheck`
+        (MAC, challenge freshness, the expected ``H_MEM``, sequencing)
+        and the chain ends with its final report."""
+        return ChainCheck(self.key, challenge,
+                          self.expected_h_mem).admit_all(result.reports)
 
     @functools.cached_property
     def program(self) -> "_CompiledReplay":
@@ -132,7 +133,7 @@ class _ReplayVerifier:
     def verify(self, result: AttestationResult,
                challenge: bytes) -> VerificationResult:
         """Authenticate the report chain, then reconstruct the path."""
-        out = self.replay(result.cflog.pack())
+        out = self.replay(result.span)
         out.authenticated = self.authenticate(result, challenge)
         return out
 
@@ -354,7 +355,7 @@ def _consumed(out: _Outcome, log: bytes, stream, key: int) -> None:
     and ``stream`` left: set ``out.consumed``, or raise on records the
     path never read."""
     left = operator.length_hint(stream) + (key >= 0)
-    out.consumed = len(log) // _RECORD.size - left
+    out.consumed = len(log) // PACKED_RECORD.size - left
     if left:
         raise ReplayError(
             f"{left} CFLog records left after execution reached its end")
@@ -495,7 +496,7 @@ class ReplayProgram(_CompiledReplay):
         violations = out.violations
         buf = path.buf
         pc = image.entry
-        stream = _RECORD.iter_unpack(log)
+        stream = PACKED_RECORD.iter_unpack(log)
         tag, key, value = next(stream, _END)
         shadow: List[int] = []
         depth = 0
@@ -791,7 +792,7 @@ class NaiveReplayProgram(_CompiledReplay):
         violations = out.violations
         buf = path.buf
         pc = image.entry
-        stream = _RECORD.iter_unpack(log)
+        stream = PACKED_RECORD.iter_unpack(log)
         tag, key, value = next(stream, _END)
         shadow: List[int] = []
         steps = 0

@@ -24,15 +24,14 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from repro.cfa.cflog import (
     PACKED_RECORD,
-    AddressRecord,
+    RECORD_TYPES,
     BranchRecord,
     CFLog,
-    LoopRecord,
     Record,
 )
 from repro.cfa.report import AttestationResult, Report
-from repro.cfa.speccfa import SpecRecord
 from repro.codec import BLOB, STR, Layout, Reader, lp
+from repro.crypto.mac import report_mac
 
 MAGIC = b"RAPT"
 VERSION = 1
@@ -40,24 +39,8 @@ VERSION = 1
 #: every record crosses the wire as the 9-byte tagged ``Record.pack``
 RECORD_BYTES = PACKED_RECORD.size
 
-#: record tag (the first byte of ``Record.pack``) -> record class
-_RECORD_TYPES: Dict[int, type] = {
-    1: BranchRecord,
-    2: AddressRecord,
-    3: LoopRecord,
-    4: SpecRecord,
-}
-
-#: record class -> its tag byte
-_RECORD_TAGS: Dict[type, bytes] = {
-    cls: bytes([tag]) for tag, cls in _RECORD_TYPES.items()}
-
 #: every tag byte a record may carry
-_KNOWN_TAGS = bytes(_RECORD_TYPES)
-
-#: the MAC input after a report's ``head``: ``lp(seq4) lp(final1)``
-#: and the records' length prefix (see :func:`repro.crypto.mac._fold`)
-_MAC_TAIL = struct.Struct("<IIIBI")
+_KNOWN_TAGS = bytes(RECORD_TYPES)
 
 #: most distinct records the decoder keeps interned. The table is
 #: shared by the verifier's report decoding and the device engines'
@@ -98,7 +81,7 @@ def _intern(fields: Tuple[int, ...]) -> Record:
     with _intern_lock:
         record = _interned.get(fields)
         if record is None:
-            cls = _RECORD_TYPES.get(fields[0])
+            cls = RECORD_TYPES.get(fields[0])
             if cls is None:
                 raise WireError(f"unknown record tag {fields[0]}")
             record = cls(fields[1], fields[2])
@@ -130,7 +113,7 @@ def pack_branch_packets(raw: bytes) -> bytes:
     width = RECORD_BYTES - 1  # one packet: the record without its tag
     count = len(raw) // width
     packed = bytearray(RECORD_BYTES * count)
-    packed[0::RECORD_BYTES] = _RECORD_TAGS[BranchRecord] * count
+    packed[0::RECORD_BYTES] = bytes([BranchRecord.tag]) * count
     for lane in range(width):
         packed[1 + lane::RECORD_BYTES] = raw[lane::width]
     return bytes(packed)
@@ -138,10 +121,7 @@ def pack_branch_packets(raw: bytes) -> bytes:
 
 def encode_report(report: Report) -> bytes:
     body = b"".join([
-        lp(report.device_id),
-        lp(report.method.encode()),
-        lp(report.challenge),
-        lp(report.h_mem),
+        report.head,
         struct.pack("<IB", report.seq, 1 if report.final else 0),
         struct.pack("<I", len(report.cflog)),
         report.cflog.pack(),
@@ -156,9 +136,10 @@ class ReportView(NamedTuple):
     Everything the Vrf checks before replay reads from here: the
     header fields, the packed record ``span`` (the bounds claim and the
     replay-cache key read it as it arrived) and the MAC. ``head`` is
-    the body's first four length-prefixed fields, byte-identical to the
-    start of the MAC input, so :meth:`verify` authenticates the report
-    without rebuilding its fields. The Vrf replays ``span`` as it is.
+    the body's first four length-prefixed fields, which are
+    :func:`~repro.crypto.mac.report_head`, so :meth:`verify`
+    authenticates the report without rebuilding its fields. The Vrf
+    replays ``span`` as it is.
     """
 
     device_id: bytes
@@ -172,11 +153,9 @@ class ReportView(NamedTuple):
     head: bytes
 
     def verify(self, key: bytes) -> bool:
-        """The report's MAC, over the same bytes :meth:`Report.verify`
-        folds: ``head``, then ``lp(seq4) lp(final1) lp(span)``."""
-        tail = _MAC_TAIL.pack(4, self.seq, 1, self.final, len(self.span))
-        return hmac.compare_digest(self.mac, hmac.digest(
-            key, b"".join((self.head, tail, self.span)), "sha256"))
+        """The report's MAC (:func:`~repro.crypto.mac.report_mac`)."""
+        return hmac.compare_digest(self.mac, report_mac(
+            key, self.head, self.seq, self.final, self.span))
 
 
 def read_report(data: bytes) -> Tuple[ReportView, int]:

@@ -36,8 +36,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.cfa.cflog import PACKED_RECORD
-from repro.cfa.speccfa import span_claim
+from repro.cfa.cflog import PACKED_RECORD, span_claim
 from repro.codec import Reader, lp16
 from repro.core.analysis.bounds import PathBounds, UNBOUNDED
 

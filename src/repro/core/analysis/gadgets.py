@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.asm.program import Image
-from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord, Record
+from repro.cfa.cflog import (AddressRecord, BranchRecord, CFLog, LoopRecord,
+                             Record, tag_sizes)
 from repro.cfa.verifier import EXIT_SENTINEL, call_resume
 from repro.core.loops import trip_count
 from repro.core.rewrite_map import BoundRewriteMap
@@ -124,10 +125,6 @@ class TraceSynthesizer:
             return AddressRecord(key, dst)
         return BranchRecord(key, dst)
 
-    def _loop_record(self, key: int, value: int) -> Record:
-        size = 4 if self.method == "traces" else 8
-        return LoopRecord(key, value, size_bytes=size)
-
     def _min_trip_value(self, info) -> Tuple[int, int]:
         """A logged counter value giving the fewest loop trips."""
         best: Optional[Tuple[int, int]] = None
@@ -166,7 +163,7 @@ class TraceSynthesizer:
             if pc in rmap.loop_at:
                 info = rmap.loop_at[pc]
                 value, trips = self._min_trip_value(info)
-                state.records.append(self._loop_record(pc, value))
+                state.records.append(LoopRecord(pc, value))
                 state.loop_state[info.latch_addr] = trips - 1
                 state.pc = pc + instr.size
                 continue
@@ -500,11 +497,12 @@ def chain_reports(chain: AttackChain, device_id: str, challenge: bytes,
 
     logs: List[List[Record]] = []
     if watermark:
+        sizes = tag_sizes(chain.method)
         current: List[Record] = []
         size = 0
         for record in chain.records:
             current.append(record)
-            size += record.size_bytes
+            size += sizes[record.tag]
             if size >= watermark:
                 logs.append(current)
                 current, size = [], 0

@@ -25,7 +25,6 @@ class RapTrackConfig:
     def rewriter(self) -> RewriterConfig:
         return RewriterConfig(
             nop_padding=self.nop_padding,
-            loop_opt=self.loop_opt,
             share_pop_stub=self.share_pop_stub,
         )
 

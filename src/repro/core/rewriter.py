@@ -32,7 +32,6 @@ class RewriterConfig:
     """Ablation switches for the offline phase."""
 
     nop_padding: bool = True  # pad stubs for MTB activation latency
-    loop_opt: bool = True  # kept for symmetry; applied at classification
     share_pop_stub: bool = True  # single MTBAR_POP_ADDR stub (figure 4)
 
 

@@ -134,8 +134,7 @@ def run_method(name: str, method: str,
         workload.check(mcu)
     verified = True
     if verify:
-        outcome = verifier.program.run(result.cflog.pack(),
-                                       verifier.max_steps)
+        outcome = verifier.program.run(result.span, verifier.max_steps)
         verified = (verifier.authenticate(result, b"eval-challenge")
                     and outcome.lossless and not outcome.violations)
         if not verified:
@@ -149,7 +148,7 @@ def run_method(name: str, method: str,
         cycles=result.cycles,
         instructions=result.instructions,
         cflog_bytes=result.cflog_bytes,
-        cflog_records=len(result.cflog),
+        cflog_records=sum(len(r.cflog) for r in result.reports),
         code_size=image.code_size(),
         partial_reports=result.partial_report_count,
         gateway_calls=result.gateway_calls,

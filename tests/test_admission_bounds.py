@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from repro.cfa.cflog import CFLog, LoopRecord
+from repro.cfa.cflog import CFLog, LoopRecord, tag_sizes
 from repro.cfa.fleet import (
     ChainFactory,
     DeviceProfile,
@@ -55,7 +55,7 @@ def pinned_service(factory, registry):
     factory.chain(DeviceSpec("miner", PROFILE), b"\x00" * 16)
     template = factory._templates[(PROFILE, False)]
     dictionary = mine_subpaths(
-        [r for log in template.cflogs for r in log.records])
+        [r for log in template.cflogs for r in log.records], PROFILE.method)
     assert dictionary
     service = FleetService(bounds=registry)
     entry = service.publish_dictionary(PROFILE, dictionary)
@@ -190,7 +190,8 @@ def test_honest_traces_chain_fits_the_certified_bytes():
             assert (tokens > 0) == (entry is not None)
             claim = session.admission_claim()
             assert claim == (len(logged),
-                             sum(r.size_bytes for r in logged))
+                             sum(tag_sizes(profile.method)[r.tag]
+                                 for r in logged))
             cert = bounds.get(profile.workload, profile.method)
             assert claim[1] <= cert.max_log_bytes
 

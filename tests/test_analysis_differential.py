@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines.naive_mtb import NaiveMtbEngine
 from repro.baselines.traces import TracesEngine
+from repro.cfa.cflog import tag_sizes
 from repro.cfa.engine import EngineConfig, RapTrackEngine
 from repro.cfa.verifier import NaiveVerifier, Verifier
 from repro.core.analysis import certify_workload, screen_records
@@ -60,7 +61,7 @@ def test_honest_run_respects_certificate(name, method):
     # the admission screen must wave the honest chain through
     assert screen_records(cert, result.cflog.pack()) is None
 
-    observed_bytes = sum(r.size_bytes for r in records)
+    observed_bytes = sum(tag_sizes(method)[r.tag] for r in records)
     if cert.max_log_records is not None:
         assert len(records) <= cert.max_log_records, (
             f"{name}/{method}: {len(records)} records > certified "

@@ -4,17 +4,30 @@ from unittest import mock
 
 import pytest
 
-from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
-from repro.cfa.report import AttestationResult, Report
+from repro.cfa.cflog import (
+    AddressRecord,
+    BranchRecord,
+    CFLog,
+    LoopRecord,
+    span_claim,
+    tag_sizes,
+)
+from repro.cfa.report import AttestationResult, ChainCheck, Report
 from repro.tz.keystore import KeyStore
+
+
+def authentic(result, key):
+    """The chain check over the challenge and H_MEM the chains carry."""
+    return ChainCheck(key, b"c", b"h").admit_all(result.reports)
 
 
 class TestRecords:
     def test_wire_sizes(self):
-        assert BranchRecord(1, 2).size_bytes == 8  # MTB packet
-        assert AddressRecord(1, 2).size_bytes == 4  # TRACES entry
-        assert LoopRecord(1, 2).size_bytes == 8
-        assert LoopRecord(1, 2, size_bytes=4).size_bytes == 4
+        rap, traces = tag_sizes("rap-track"), tag_sizes("traces")
+        assert rap[BranchRecord.tag] == 8  # MTB packet
+        assert traces[AddressRecord.tag] == 4  # TRACES entry
+        assert rap[LoopRecord.tag] == 8
+        assert traces[LoopRecord.tag] == 4
 
     def test_pack_distinguishes_types(self):
         assert BranchRecord(1, 2).pack() != AddressRecord(1, 2).pack()
@@ -28,9 +41,9 @@ class TestRecords:
 class TestCFLog:
     def test_size_accumulates(self):
         log = CFLog([BranchRecord(1, 2), AddressRecord(3, 4)])
-        assert log.size_bytes == 12
+        assert span_claim(log.pack()) == (2, 12)
         log.append(LoopRecord(5, 6))
-        assert log.size_bytes == 20
+        assert span_claim(log.pack()) == (3, 20)
         assert len(log) == 3
 
     def test_iteration_and_indexing(self):
@@ -98,7 +111,7 @@ class TestAttestationResult:
 
     def test_chain_verifies(self):
         key = KeyStore.provision().attestation_key
-        assert self._chain(key).verify_chain(key)
+        assert authentic(self._chain(key), key)
 
     def test_merged_cflog_order(self):
         key = KeyStore.provision().attestation_key
@@ -144,24 +157,24 @@ class TestAttestationResult:
 
     def test_empty_chain_fails(self):
         key = KeyStore.provision().attestation_key
-        assert not AttestationResult(reports=[]).verify_chain(key)
+        assert not authentic(AttestationResult(reports=[]), key)
 
     def test_gap_in_sequence_fails(self):
         key = KeyStore.provision().attestation_key
         result = self._chain(key)
         del result.reports[1]
-        assert not result.verify_chain(key)
+        assert not authentic(result, key)
 
     def test_nonfinal_tail_fails(self):
         key = KeyStore.provision().attestation_key
         result = self._chain(key)
         result.reports[-1].final = False
         result.reports[-1].sign(key)
-        assert not result.verify_chain(key)
+        assert not authentic(result, key)
 
     def test_mixed_challenge_fails(self):
         key = KeyStore.provision().attestation_key
         result = self._chain(key)
         result.reports[1].challenge = b"other"
         result.reports[1].sign(key)
-        assert not result.verify_chain(key)
+        assert not authentic(result, key)

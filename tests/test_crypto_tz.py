@@ -1,10 +1,14 @@
 """Unit tests: measurement hashing, report MACs, keystore, gateway."""
 
+import hmac
+
 import pytest
 
 from repro.asm.assembler import assemble_and_link
+from repro.cfa.cflog import BranchRecord, CFLog
+from repro.cfa.report import Report
 from repro.crypto.hashing import hash_bytes, measure_image
-from repro.crypto.mac import mac_report, verify_mac
+from repro.crypto.mac import report_head, report_mac
 from repro.machine.faults import UndefinedInstruction
 from repro.machine.mcu import MCU
 from repro.tz.gateway import GatewayCosts, SecureGateway
@@ -39,23 +43,46 @@ class TestMeasurement:
 
 
 class TestMac:
+    KEY = b"k" * 32
+    SPAN = bytes(range(18))  # two packed records
+
+    def mac(self, device_id=b"dev", method="rap-track", challenge=b"chal",
+            h_mem=b"hmem", seq=3, final=True, span=SPAN, key=KEY):
+        head = report_head(device_id, method, challenge, h_mem)
+        return report_mac(key, head, seq, final, span)
+
     def test_roundtrip(self):
-        tag = mac_report(b"k" * 32, b"a", b"b")
-        assert verify_mac(b"k" * 32, tag, b"a", b"b")
+        # the MAC input is every field length-prefixed, in order
+        fields = (b"dev", b"rap-track", b"chal", b"hmem",
+                  (3).to_bytes(4, "little"), b"\x01", self.SPAN)
+        folded = b"".join(len(f).to_bytes(4, "little") + f for f in fields)
+        assert self.mac() == hmac.digest(self.KEY, folded, "sha256")
 
     def test_field_splicing_rejected(self):
         # ("ab", "c") must not collide with ("a", "bc")
-        tag = mac_report(b"k" * 32, b"ab", b"c")
-        assert not verify_mac(b"k" * 32, tag, b"a", b"bc")
+        assert (self.mac(device_id=b"ab", method="c")
+                != self.mac(device_id=b"a", method="bc"))
+        # nor may H_MEM's tail pass for the records' head
+        assert (self.mac(h_mem=b"hmem" + self.SPAN[:9], span=self.SPAN[9:])
+                != self.mac())
 
     def test_wrong_key_rejected(self):
-        tag = mac_report(b"k" * 32, b"data")
-        assert not verify_mac(b"j" * 32, tag, b"data")
+        assert self.mac(key=b"j" * 32) != self.mac()
 
     def test_tampered_tag_rejected(self):
-        tag = bytearray(mac_report(b"k" * 32, b"data"))
+        report = Report(b"dev", "rap-track", b"chal", b"hmem", 3, True,
+                        CFLog([BranchRecord(1, 2)])).sign(self.KEY)
+        assert report.verify(self.KEY)
+        tag = bytearray(report.mac)
         tag[0] ^= 1
-        assert not verify_mac(b"k" * 32, bytes(tag), b"data")
+        report.mac = bytes(tag)
+        assert not report.verify(self.KEY)
+        # every field the MAC covers is bound by it
+        assert self.mac(seq=4) != self.mac()
+        assert self.mac(final=False) != self.mac()
+        span = bytearray(self.SPAN)
+        span[5] ^= 1
+        assert self.mac(span=bytes(span)) != self.mac()
 
 
 class TestKeyStore:

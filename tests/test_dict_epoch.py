@@ -44,7 +44,7 @@ def fibcall_dictionary(factory):
     chunks = factory.chain(DeviceSpec("miner", FIBCALL), b"\x00" * 16)
     template = factory._templates[(FIBCALL, False)]
     records = [r for log in template.cflogs for r in log.records]
-    dictionary = mine_subpaths(records)
+    dictionary = mine_subpaths(records, FIBCALL.method)
     assert dictionary  # fibcall loops: the tandem miner finds paths
     return dictionary
 

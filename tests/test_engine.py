@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cfa.cflog import BranchRecord, LoopRecord
+from repro.cfa.cflog import BranchRecord, LoopRecord, tag_sizes
 from repro.cfa.engine import EngineConfig
 from repro.machine.faults import MemFault
 from conftest import naive_setup, rap_setup, traces_setup
@@ -159,7 +159,8 @@ class TestTracesEngine:
     def test_entries_are_wire_small(self):
         _, _, _, engine, _, _ = traces_setup(LOOPY)
         result = engine.attest(b"x")
-        assert all(r.size_bytes == 4 for r in result.cflog)
+        sizes = tag_sizes(result.final_report.method)
+        assert all(sizes[r.tag] == 4 for r in result.cflog)
 
     def test_runtime_exceeds_rap(self, keystore):
         source = """

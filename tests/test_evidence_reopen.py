@@ -208,6 +208,26 @@ class TestRefusedReopen:
                 if issubclass(w.category, ResourceWarning)] == []
 
 
+
+def test_a_failed_resume_leaves_no_file_open(tmp_path):
+    """A ``resume=True`` reopen that meets a damaged later shard log
+    raises, and closes the logs the shards before it had opened."""
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    for shard in range(2):
+        write_log(store_dir / f"evidence-{shard:02d}.log")
+    damaged = store_dir / "evidence-01.log"
+    damaged.write_bytes(flip(damaged.read_bytes(), 5, 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(EvidenceError):
+            ShardedFleetService(shards=2, store_dir=store_dir, fsync=False,
+                                resume=True)
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+
+
 # -- property: a reopen recovers the intact prefix or refuses -----------------
 
 

@@ -6,10 +6,15 @@ verification latencies, and the router's aggregate (what every
 nor the cost of reading the metrics grows with the sessions served.
 """
 
+from dataclasses import fields
+
+from repro.cfa.cflog import BranchRecord
 from repro.cfa.fleet import (
     ChainFactory,
+    DeviceProfile,
     FleetSimulator,
     ShardedFleetService,
+    TrafficSampler,
     build_fleet_specs,
 )
 from repro.cfa.fleet.service import FleetService
@@ -59,3 +64,28 @@ def test_the_window_slides():
         float(i) for i in range(10, total)]
     merged = aggregate_metrics([shard, FleetMetrics()])
     assert len(merged.verify_latencies_s) == metrics_mod.LATENCY_WINDOW
+
+
+def test_every_counter_sums_over_shards():
+    counters = [f.name for f in fields(FleetMetrics)
+                if type(getattr(FleetMetrics(), f.name)) is int
+                and f.name != "shards"]
+    first, second = FleetMetrics(), FleetMetrics()
+    for value, name in enumerate(counters, 1):
+        setattr(first, name, value)
+        setattr(second, name, 100 * value)
+    total = aggregate_metrics([first, second])
+    assert [getattr(total, name) for name in counters] == [
+        101 * value for value in range(1, len(counters) + 1)]
+    assert total.shards == 2
+
+
+def test_sampler_evictions_reach_the_metrics():
+    sampler = TrafficSampler(max_streams=1, max_digests=1)
+    # a stream no fibcall device sends holds the sampler's one slot, so
+    # the first accepted fibcall session evicts it
+    sampler.observe(DeviceProfile("fibcall"), [BranchRecord(1, 2)])
+    with FleetService(sampler=sampler) as service:
+        metrics = run_fleet(service, devices=4)
+    assert sampler.evictions >= 1
+    assert metrics.sampler_evictions == sampler.evictions

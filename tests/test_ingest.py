@@ -29,7 +29,13 @@ import repro.cfa.fleet.service as service_mod
 import repro.cfa.fleet.verify as verify_mod
 import repro.cfa.speccfa as speccfa
 import repro.cfa.wire as wire
-from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
+from repro.cfa.cflog import (
+    AddressRecord,
+    BranchRecord,
+    CFLog,
+    LoopRecord,
+    span_claim,
+)
 from repro.cfa.fleet import (
     ChainFactory,
     DeviceProfile,
@@ -550,7 +556,7 @@ class TestSamplerExpansion:
         for records in (hot, hot, cold, hot):
             digest = ReplayCache.key(CFLog(records).pack())
             sampler.observe(FIBCALL, stream(records), digest=digest,
-                            size_bytes=CFLog(records).size_bytes)
+                            size_bytes=span_claim(CFLog(records).pack())[1])
         assert len(calls) == 1  # hot, once; cold never fit
         reference = TrafficSampler(max_streams=1)
         for records in (hot, hot, cold, hot):

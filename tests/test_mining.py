@@ -23,7 +23,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
+from repro.cfa.cflog import (
+    AddressRecord,
+    BranchRecord,
+    CFLog,
+    LoopRecord,
+    tag_sizes,
+)
 from repro.cfa.fleet import (
     DeviceProfile,
     ReplayCache,
@@ -42,6 +48,9 @@ from repro.cfa.speccfa import (
 )
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+#: the methods whose record sizes differ (TRACES logs a loop in a word)
+METHODS = ("rap-track", "traces")
 
 
 def _stream_digest(records):
@@ -68,18 +77,19 @@ looped_streams = st.tuples(base_records, st.integers(2, 6)).map(
     lambda body_n: [(body_n[0] * body_n[1], 3)])
 
 
-def _mine(streams):
+def _mine(streams, method="rap-track"):
     return mine_fleet_dictionary(
-        [(tuple(records), weight) for records, weight in streams])
+        [(tuple(records), weight) for records, weight in streams], method)
 
 
 @given(weighted_streams)
 @settings(max_examples=60, deadline=None)
 def test_mined_dictionary_roundtrips(streams):
-    dictionary = _mine(streams)
-    for records, _weight in streams:
-        compressed = compress(list(records), dictionary)
-        assert expand(compressed, dictionary) == list(records)
+    for method in METHODS:
+        dictionary = _mine(streams, method)
+        for records, _weight in streams:
+            compressed = compress(list(records), dictionary)
+            assert expand(compressed, dictionary) == list(records)
 
 
 @given(looped_streams)
@@ -95,13 +105,15 @@ def test_mined_dictionary_roundtrips_on_loops(streams):
 @settings(max_examples=60, deadline=None)
 def test_mined_profit_non_negative(streams):
     tupled = [(tuple(r), w) for r, w in streams]
-    dictionary = mine_fleet_dictionary(tupled)
-    assert mining_gain(tupled, dictionary) >= 0
-    # and compression never expands any individual stream
-    for records, _weight in streams:
-        compressed = compress(list(records), dictionary)
-        assert (sum(r.size_bytes for r in compressed)
-                <= sum(r.size_bytes for r in records))
+    for method in METHODS:
+        dictionary = mine_fleet_dictionary(tupled, method)
+        assert mining_gain(tupled, dictionary, method) >= 0
+        # and compression never expands any individual stream
+        sizes = tag_sizes(method)
+        for records, _weight in streams:
+            compressed = compress(list(records), dictionary)
+            assert (sum(sizes[r.tag] for r in compressed)
+                    <= sum(sizes[r.tag] for r in records))
 
 
 @given(weighted_streams, st.integers(min_value=0, max_value=2**32 - 1))
@@ -110,7 +122,8 @@ def test_mining_deterministic_under_stream_order(streams, seed):
     tupled = [(tuple(r), w) for r, w in streams]
     shuffled = list(tupled)
     random.Random(seed).shuffle(shuffled)
-    assert mine_fleet_dictionary(shuffled) == mine_fleet_dictionary(tupled)
+    assert (mine_fleet_dictionary(shuffled, "rap-track")
+            == mine_fleet_dictionary(tupled, "rap-track"))
 
 
 @given(weighted_streams)
@@ -127,8 +140,9 @@ def test_mining_deterministic_through_sampler(streams):
         for _ in range(weight):
             backward.observe(profile, list(records))
     assert forward.sample(profile) == backward.sample(profile)
-    assert (mine_fleet_dictionary(forward.sample(profile))
-            == mine_fleet_dictionary(backward.sample(profile)))
+    assert (mine_fleet_dictionary(forward.sample(profile), profile.method)
+            == mine_fleet_dictionary(backward.sample(profile),
+                                     profile.method))
 
 
 # -- serialization (what epochs are named by) -------------------------------

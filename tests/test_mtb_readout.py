@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from repro.cfa.cflog import BranchRecord, LoopRecord
 from repro.cfa.engine import EngineConfig, RapTrackEngine
+from repro.cfa.report import ChainCheck
 from repro.baselines.naive_mtb import NaiveMtbEngine
 from repro.cfa.wire import decode_records, pack_branch_packets
+from repro.crypto.hashing import measure_image
 from repro.eval.runner import prepare
 from repro.isa.instructions import make_instr
 from repro.machine.cpu import RetireEvent
@@ -205,7 +207,8 @@ def _attest(engine_cls, name, method, buffer_size, jit):
     args = (bound,) if method == "rap-track" else ()
     engine = engine_cls(mcu, keystore, *args, config)
     result = engine.attest(b"readout")
-    assert result.verify_chain(keystore.attestation_key)
+    assert ChainCheck(keystore.attestation_key, b"readout",
+                      measure_image(image)).admit_all(result.reports)
     return engine, result
 
 

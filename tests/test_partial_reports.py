@@ -46,10 +46,10 @@ class TestWatermarkPartials:
 
     def test_chain_verifies(self, keystore):
         config = EngineConfig(watermark=8 * PACKET_BYTES)
-        _, _, _, engine, _, _ = rap_setup(MANY_EVENTS, engine_config=config,
-                                          keystore=keystore)
+        _, _, _, engine, verifier, _ = rap_setup(
+            MANY_EVENTS, engine_config=config, keystore=keystore)
         result = engine.attest(b"x")
-        assert result.verify_chain(keystore.attestation_key)
+        assert verifier.authenticate(result, b"x")
 
     def test_lossless_across_partials(self, keystore):
         config = EngineConfig(watermark=8 * PACKET_BYTES)

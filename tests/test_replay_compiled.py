@@ -197,7 +197,7 @@ def mutate(records, data, image):
                 st.integers(0, 64), st.integers(0, 0xFFFF_FFFF),
                 st.sampled_from([0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF])))
             old = records[index]
-            records[index] = LoopRecord(old.key, value, old.size_bytes)
+            records[index] = LoopRecord(old.key, value)
     return records
 
 
@@ -236,9 +236,8 @@ class TestMutatedStreams:
         check(image, bound, records, 100)
         check(image, bound, records[:loop_index] + records[loop_index + 1:])
         hostile = list(records)
-        hostile[loop_index] = LoopRecord(
-            records[loop_index].key, 0x7FFF_FFFF,
-            records[loop_index].size_bytes)
+        hostile[loop_index] = LoopRecord(records[loop_index].key,
+                                         0x7FFF_FFFF)
         check(image, bound, hostile)
         check(image, bound, records + records[-1:])
         # the svc loop-condition site without its rewrite-map entry
@@ -624,7 +623,7 @@ def test_hostile_loop_value_rejected_by_fleet():
     """A MAC-valid loop-condition record that never terminates settles
     as a rejected verdict, fast, and raises nothing."""
     image, bound, records = build("ultrasonic", "rap-track")
-    hostile = [LoopRecord(r.key, 0x7FFF_FFFF, r.size_bytes)
+    hostile = [LoopRecord(r.key, 0x7FFF_FFFF)
                if isinstance(r, LoopRecord) else r for r in records]
     service = ShardedFleetService(workers=0)
     key = b"k" * 32

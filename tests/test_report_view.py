@@ -236,7 +236,7 @@ def test_the_verification_path_builds_no_record(monkeypatch):
         factory.chain(spec, b"n" * 16)
     dictionary = mine_subpaths([
         r for log in factory._templates[(FIBCALL, False)].cflogs
-        for r in log.records])
+        for r in log.records], FIBCALL.method)
     assert dictionary
 
     def fleet_round():

@@ -19,7 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.cfa import speccfa
-from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
+from repro.cfa.cflog import (
+    AddressRecord,
+    BranchRecord,
+    CFLog,
+    LoopRecord,
+    tag_sizes,
+)
 from repro.cfa.fleet import (
     ChainFactory,
     DeviceProfile,
@@ -51,10 +57,11 @@ FLEET_SHARED = ("fibcall", "prime", "bitcount", "dijkstra", "gps",
                 "temperature", "vulnerable")
 
 
-def cold_claim(records, dictionary):
+def cold_claim(records, dictionary, method="rap-track"):
     """The per-record claim arithmetic the memo must reproduce."""
+    sizes = tag_sizes(method)
     count = len(records)
-    size = sum(r.size_bytes for r in records)
+    size = sum(sizes[r.tag] for r in records)
     if dictionary:
         for token in records:
             if not isinstance(token, SpecRecord):
@@ -63,8 +70,8 @@ def cold_claim(records, dictionary):
             if pattern is None:
                 return None
             count += len(pattern) * token.count - 1
-            size += (sum(r.size_bytes for r in pattern) * token.count
-                     - token.size_bytes)
+            size += (sum(sizes[r.tag] for r in pattern) * token.count
+                     - sizes[token.tag])
     return count, size
 
 
@@ -256,7 +263,7 @@ def test_memoized_claims_equal_cold_claims(factory, workload):
     plain = factory.chain(DeviceSpec("miner", profile), b"\x00" * 16)
     records = [r for chunk in plain
                for r in decode_report(chunk)[0].cflog.records]
-    dictionary = mine_subpaths(records)
+    dictionary = mine_subpaths(records, profile.method)
     registry = DictionaryRegistry()
     entry = registry.publish(profile, dictionary)
     manager = SessionManager()

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cfa.cflog import BranchRecord, LoopRecord
+from repro.cfa.cflog import BranchRecord, LoopRecord, tag_sizes
 from repro.cfa.speccfa import (
     SpecRecord,
     SpeculativeVerifier,
@@ -44,8 +44,9 @@ class TestCompressExpand:
         dictionary = {0: (B(1), B(2))}
         records = [B(1), B(2)] * 50
         compressed = compress(records, dictionary)
-        original = sum(r.size_bytes for r in records)
-        packed = sum(r.size_bytes for r in compressed)
+        sizes = tag_sizes("rap-track")
+        original = sum(sizes[r.tag] for r in records)
+        packed = sum(sizes[r.tag] for r in compressed)
         assert packed == 4  # one token
         assert original == 800
 
@@ -55,14 +56,14 @@ class TestCompressExpand:
 
     def test_spec_record_pack(self):
         assert SpecRecord(1, 2).pack() != SpecRecord(1, 3).pack()
-        assert SpecRecord(1, 2).size_bytes == 4
+        assert tag_sizes("rap-track")[SpecRecord.tag] == 4
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=0,
                     max_size=60))
     @settings(deadline=None)
     def test_roundtrip_property(self, keys):
         records = [B(k) for k in keys]
-        dictionary = mine_subpaths(records)
+        dictionary = mine_subpaths(records, "rap-track")
         compressed = compress(records, dictionary)
         assert expand(compressed, dictionary) == records
 
@@ -70,17 +71,17 @@ class TestCompressExpand:
 class TestMining:
     def test_tandem_repeat_found(self):
         records = [B(9)] + [B(1), B(2)] * 20 + [B(8)]
-        dictionary = mine_subpaths(records)
+        dictionary = mine_subpaths(records, "rap-track")
         assert any(set(p) == {B(1), B(2)} and len(p) == 2
                    for p in dictionary.values())
 
     def test_unique_stream_yields_nothing(self):
         records = [B(i) for i in range(20)]
-        assert mine_subpaths(records) == {}
+        assert mine_subpaths(records, "rap-track") == {}
 
     def test_min_gain_threshold(self):
         records = [B(1), B(1)]  # saving 2*8-4 = 12 < 16
-        assert mine_subpaths(records, min_gain_bytes=16) == {}
+        assert mine_subpaths(records, "rap-track", min_gain_bytes=16) == {}
 
 
 class TestEndToEndSpeculation:
@@ -91,7 +92,7 @@ class TestEndToEndSpeculation:
         image, bound, mcu, engine, verifier, tracer = rap_setup(
             workload, keystore=keystore)
         profile = engine.attest(b"profiling")
-        dictionary = mine_subpaths(profile.cflog.records)
+        dictionary = mine_subpaths(profile.cflog.records, "rap-track")
 
         # attested run, transmitted compressed
         attested = engine.attest(b"real-chal")
@@ -107,7 +108,7 @@ class TestEndToEndSpeculation:
         workload = load_workload("bubblesort")
         _, _, _, engine, _, _ = rap_setup(workload, keystore=keystore)
         profile = engine.attest(b"profiling")
-        dictionary = mine_subpaths(profile.cflog.records)
+        dictionary = mine_subpaths(profile.cflog.records, "rap-track")
         attested = engine.attest(b"real")
         compressed = speculate_result(attested, dictionary,
                                       keystore.attestation_key)
@@ -118,7 +119,7 @@ class TestEndToEndSpeculation:
         _, _, _, engine, verifier, _ = rap_setup(workload,
                                                  keystore=keystore)
         profile = engine.attest(b"profiling")
-        dictionary = mine_subpaths(profile.cflog.records)
+        dictionary = mine_subpaths(profile.cflog.records, "rap-track")
         attested = engine.attest(b"real")
         compressed = speculate_result(attested, dictionary,
                                       keystore.attestation_key)
@@ -133,7 +134,7 @@ class TestEndToEndSpeculation:
         _, _, _, engine, verifier, _ = rap_setup(workload,
                                                  keystore=keystore)
         profile = engine.attest(b"profiling")
-        dictionary = mine_subpaths(profile.cflog.records)
+        dictionary = mine_subpaths(profile.cflog.records, "rap-track")
         if not dictionary:
             pytest.skip("nothing mined")
         attested = engine.attest(b"real")

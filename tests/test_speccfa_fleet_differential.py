@@ -66,8 +66,9 @@ def dictionaries(traffic):
     static = {}
     adaptive = {}
     for profile, streams in traffic.items():
-        static[profile] = mine_subpaths(list(streams[0][0]))
-        adaptive[profile] = mine_fleet_dictionary(streams)
+        static[profile] = mine_subpaths(list(streams[0][0]),
+                                        profile.method)
+        adaptive[profile] = mine_fleet_dictionary(streams, profile.method)
     return {"off": {}, "static": static, "adaptive": adaptive}
 
 

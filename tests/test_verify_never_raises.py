@@ -74,7 +74,8 @@ def honest_session(workload, method, compressed):
         return profile, NONCE, tuple(chunks), None
     records = [r for chunk in chunks
                for r in decode_report(chunk)[0].cflog.records]
-    entry = DictionaryRegistry().publish(profile, mine_subpaths(records))
+    entry = DictionaryRegistry().publish(profile,
+                                         mine_subpaths(records, method))
     assert not entry.is_empty
     chunks = _factory().chain(spec, NONCE, entry)
     challenge = decode_report(chunks[0])[0].challenge

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
-from repro.cfa.report import Report
+from repro.cfa.report import ChainCheck, Report
 from repro.cfa.speccfa import SpecRecord
 from repro.cfa.verifier import Verifier
 from repro.cfa.wire import (
@@ -55,7 +55,8 @@ class TestRoundtrip:
         ])
         decoded = decode_result(encode_result(chain))
         assert len(decoded.reports) == 2
-        assert decoded.verify_chain(key)
+        assert ChainCheck(key, b"chal-123", b"h" * 32).admit_all(
+            decoded.reports)
 
     def test_end_to_end_over_the_wire(self, keystore):
         image, bound, _, engine, verifier, _ = rap_setup("""
@@ -200,7 +201,7 @@ class TestDictionaryFrames:
 
         key = keystore.attestation_key
         records = [BranchRecord(4, 8), BranchRecord(8, 4)] * 6
-        dictionary = mine_subpaths(records)
+        dictionary = mine_subpaths(records, "rap-track")
         compressed = compress(records, dictionary)
         assert any(isinstance(r, SpecRecord) for r in compressed)
         decoded, _ = decode_report(
