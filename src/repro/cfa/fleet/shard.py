@@ -24,6 +24,14 @@ Three properties make sharding invisible to verdicts, all pinned by
   only through its own records, so the chain head is invariant to how
   devices interleave inside (or across) shard logs.
 
+The ring hashes a device id once per device, not once per call: the
+router keeps an owner map from every device that opened a session (by
+``open_session``, ``begin_heal`` or ``resume_heal``) to its shard, and
+every other per-device call reads that map. An id that never opened a
+session is routed through the ring and never stored, so traffic for
+unknown ids cannot grow the map; it holds one entry per admitted
+device, like each shard's session table.
+
 Consistent hashing keeps resharding cheap: adding a shard to an
 ``n``-shard ring remaps only ~``1/(n+1)`` of the keyspace, and every
 remapped device lands on the *new* shard — an existing shard never
@@ -163,6 +171,9 @@ class ShardedFleetService:
                 f"workers={workers}: verification runs inline; the "
                 f"only accepted value is 0")
         self.ring = HashRing(shards, vnodes=vnodes)
+        #: device id -> owning shard, for every device that opened a
+        #: session (see :meth:`shard_of`)
+        self._owners: Dict[str, int] = {}
         self.seed = seed
         self.audit_key = audit_key(seed)
         self.store_dir = Path(store_dir) if store_dir is not None else None
@@ -249,16 +260,22 @@ class ShardedFleetService:
         )
 
     def shard_of(self, device_id: str) -> int:
-        return self.ring.route(device_id)
+        """The shard that owns ``device_id``: its recorded owner, or
+        the ring's answer for a device that never opened a session."""
+        shard = self._owners.get(device_id)
+        return self.ring.route(device_id) if shard is None else shard
 
     def open_session(self, device_id: str, profile: DeviceProfile,
                      key: bytes, now: float = 0.0) -> Challenge:
-        return self.shards[self.ring.route(device_id)].open_session(
-            device_id, profile, key, now)
+        shard = self.shard_of(device_id)
+        challenge = self.shards[shard].open_session(device_id, profile,
+                                                    key, now)
+        self._owners[device_id] = shard
+        return challenge
 
     def submit(self, device_id: str, data: bytes, now: float = 0.0) -> None:
         """Route one report to its owning shard."""
-        self.shards[self.ring.route(device_id)].submit(device_id, data, now)
+        self.shards[self.shard_of(device_id)].submit(device_id, data, now)
 
     def tick(self, now: float) -> List[Tuple[str, Challenge]]:
         """Advance every shard's logical clock; merge re-challenges."""
@@ -311,11 +328,11 @@ class ShardedFleetService:
                     now: float = 0.0) -> bool:
         """Route a device's ``DACK`` to its owning shard, which
         validates MAC and registry binding."""
-        return self.shards[self.ring.route(device_id)].ingest_dack(
+        return self.shards[self.shard_of(device_id)].ingest_dack(
             device_id, data, now)
 
     def acked_epoch(self, device_id: str, profile: DeviceProfile) -> int:
-        return self.shards[self.ring.route(device_id)].acked_epoch(
+        return self.shards[self.shard_of(device_id)].acked_epoch(
             device_id, profile)
 
     # -- policy control plane (router surface) ------------------------------
@@ -327,8 +344,11 @@ class ShardedFleetService:
     def begin_heal(self, device_id: str,
                    now: float = 0.0) -> Optional[Tuple[str, bytes]]:
         """Heal one quarantined device at its owning shard."""
-        return self.shards[self.ring.route(device_id)].begin_heal(
-            device_id, now)
+        shard = self.shard_of(device_id)
+        push = self.shards[shard].begin_heal(device_id, now)
+        if push is not None:  # it opened the healing session
+            self._owners[device_id] = shard
+        return push
 
     def heal_pushes(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
         """One fleet-wide healing round. The engine is shared, so the
@@ -345,9 +365,14 @@ class ShardedFleetService:
         owning shard (no new decisions are minted)."""
         if self.policy is None:
             return []
-        pushes = (self.shards[self.ring.route(device_id)].resume_heal(
-            device_id, now) for device_id in self.policy.healing_devices())
-        return [push for push in pushes if push is not None]
+        pushes = []
+        for device_id in self.policy.healing_devices():
+            shard = self.shard_of(device_id)
+            push = self.shards[shard].resume_heal(device_id, now)
+            if push is not None:  # its healing session is open
+                self._owners[device_id] = shard
+                pushes.append(push)
+        return pushes
 
     def policy_pushes(self) -> List[Tuple[str, bytes]]:
         """Drain pending lifecycle notices fleet-wide as ``(device_id,
@@ -357,7 +382,7 @@ class ShardedFleetService:
             return []
         pushes: List[Tuple[str, bytes]] = []
         for device_id, state, reason, epoch in self.policy.take_notices():
-            frame = self.shards[self.ring.route(device_id)] \
+            frame = self.shards[self.shard_of(device_id)] \
                 .policy_notice_frame(device_id, state, reason, epoch)
             if frame is not None:
                 pushes.append((device_id, frame))

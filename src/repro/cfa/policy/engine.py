@@ -55,6 +55,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cfa.epochs import DeviceProfile
 from repro.cfa.policy.registry import (
+    ALLOWED,
+    PolicyDoc,
     PolicyRegistry,
     REVOKED_FW,
     UNPINNED,
@@ -208,17 +210,22 @@ class PolicyEngine:
             self.states[device_id] = entry
         return entry
 
-    def _policy_epoch(self, profile: DeviceProfile) -> int:
+    def _document(self, profile: DeviceProfile) -> Optional[PolicyDoc]:
+        """The latest policy document for ``profile`` (``None`` with no
+        registry): one registry read, from which a decision takes both
+        its ``policy_epoch`` and its firmware judgement, so a publish
+        racing the fold can never stamp one epoch on another's
+        judgement."""
         if self.registry is None:
-            return 0
-        return self.registry.latest_epoch(profile)
+            return None
+        return self.registry.latest(profile)
 
-    def _judge_measurement(self, profile: DeviceProfile,
+    @staticmethod
+    def _judge_measurement(doc: Optional[PolicyDoc],
                            measurement: bytes) -> str:
-        """The firmware-registry verdict ("" = nothing to object to)."""
-        if self.registry is None:
-            return ""
-        outcome = self.registry.evaluate(profile, measurement)
+        """The firmware verdict under ``doc`` ("" = nothing to object
+        to)."""
+        outcome = ALLOWED if doc is None else doc.judge(measurement)
         if outcome == REVOKED_FW:
             return (f"firmware measurement {measurement.hex()[:16]} is "
                     f"revoked by policy")
@@ -227,21 +234,18 @@ class PolicyEngine:
                     f"not pinned by policy")
         return ""
 
-    def _hard_reason(self, obs, profile: DeviceProfile) -> str:
+    def _hard_reason(self, obs, doc: Optional[PolicyDoc]) -> str:
         """A hard signal quarantines immediately, whatever the score."""
         if obs.accepted:
             # the chain verified — but the image itself may be banned
-            return self._judge_measurement(profile, obs.measurement)
+            return self._judge_measurement(doc, obs.measurement)
         if getattr(obs, "violations", ()):
             kind = obs.violations[0][0]
             return (f"authenticated control-flow violation "
                     f"({kind}; {len(obs.violations)} total)")
         if _HARD_EQUIVOCATION in obs.reason:
             return f"equivocation: {obs.reason}"
-        fw = self._judge_measurement(profile, obs.measurement)
-        if fw:
-            return fw
-        return ""
+        return self._judge_measurement(doc, obs.measurement)
 
     def preview(self, obs) -> List[PolicyDecision]:
         """The decisions one session observation triggers — **pure**.
@@ -261,7 +265,8 @@ class PolicyEngine:
         device_id = obs.device_id
         entry = self.states.get(device_id) or DevicePolicyState(
             profile=profile)
-        epoch = self._policy_epoch(profile)
+        doc = self._document(profile)
+        epoch = _epoch_of(doc)
         measurement = getattr(obs, "measurement", b"")
 
         def decision(to_state: int, action: str, reason: str,
@@ -279,7 +284,7 @@ class PolicyEngine:
             # rejoins; anything else burns the attempt
             if entry.state != HEALING:
                 return []  # stale healing report after a manual reset
-            fw = (self._judge_measurement(profile, measurement)
+            fw = (self._judge_measurement(doc, measurement)
                   if obs.accepted else "")
             if obs.accepted and not fw:
                 return [decision(
@@ -302,7 +307,7 @@ class PolicyEngine:
         if entry.state not in _ADMITTED:
             return []  # no session should exist; ignore, don't re-judge
 
-        hard = self._hard_reason(obs, profile)
+        hard = self._hard_reason(obs, doc)
         if hard:
             return [decision(QUARANTINED, ACT_QUARANTINE, hard,
                              entry.score, entry.heal_attempts,
@@ -393,6 +398,7 @@ class PolicyEngine:
             if entry.heal_attempts >= self.max_heal_attempts:
                 return None
             attempt = entry.heal_attempts + 1
+            doc = self._document(entry.profile)
             return PolicyDecision(
                 device_id=device_id, workload=entry.profile.workload,
                 method=entry.profile.method, from_state=QUARANTINED,
@@ -401,8 +407,8 @@ class PolicyEngine:
                        f"{self.max_heal_attempts}: re-provision pinned "
                        f"firmware and re-challenge",
                 score=entry.score, heal_attempt=attempt,
-                policy_epoch=self._policy_epoch(entry.profile),
-                measurement=self.heal_measurement(device_id))
+                policy_epoch=_epoch_of(doc),
+                measurement=_heal_image(entry, doc))
 
     def heal_measurement(self, device_id: str) -> bytes:
         """The image a healing order re-provisions: the policy-pinned
@@ -411,11 +417,7 @@ class PolicyEngine:
         entry = self.states.get(device_id)
         if entry is None:
             return b""
-        if self.registry is not None:
-            doc = self.registry.latest(entry.profile)
-            if not doc.is_permissive:
-                return doc.pinned
-        return entry.good_measurement
+        return _heal_image(entry, self._document(entry.profile))
 
     def heal_order(self, device_id: str) -> Optional[
             Tuple[int, int, bytes, DeviceProfile]]:
@@ -427,8 +429,9 @@ class PolicyEngine:
             entry = self.states.get(device_id)
             if entry is None or entry.state != HEALING:
                 return None
-            return (entry.heal_attempts, self._policy_epoch(entry.profile),
-                    self.heal_measurement(device_id), entry.profile)
+            doc = self._document(entry.profile)
+            return (entry.heal_attempts, _epoch_of(doc),
+                    _heal_image(entry, doc), entry.profile)
 
     def healing_devices(self) -> List[str]:
         return self.devices_in(HEALING)
@@ -512,10 +515,22 @@ class PolicyEngine:
             # restart resends any still-relevant lifecycle notice
             self._unnotified = {
                 device: (entry.state, entry.last_reason,
-                         self._policy_epoch(entry.profile))
+                         _epoch_of(self._document(entry.profile)))
                 for device, entry in sorted(self.states.items())
                 if entry.state not in (HEALTHY,) and entry.decisions}
         return replayed, repaired
+
+
+def _epoch_of(doc: Optional[PolicyDoc]) -> int:
+    return 0 if doc is None else doc.epoch
+
+
+def _heal_image(entry: DevicePolicyState, doc: Optional[PolicyDoc]) -> bytes:
+    """The pinned image of ``doc``, else the device's last known-good
+    measurement."""
+    if doc is not None and not doc.is_permissive:
+        return doc.pinned
+    return entry.good_measurement
 
 
 def _decision_matches(decision: PolicyDecision, record) -> bool:

@@ -39,7 +39,7 @@ from repro.codec import Reader, lp
 POLICY_MAGIC = b"FWP1"
 POLICY_VERSION = 1
 
-#: evaluation outcomes of :meth:`PolicyRegistry.evaluate`
+#: judgement outcomes of :meth:`PolicyDoc.judge`
 ALLOWED = "allowed"
 REVOKED_FW = "revoked"
 UNPINNED = "unpinned"
@@ -108,6 +108,24 @@ class PolicyDoc:
     @property
     def is_permissive(self) -> bool:
         return self.epoch == 0
+
+    def judge(self, measurement: bytes) -> str:
+        """Judge one firmware measurement under this document.
+
+        Returns :data:`ALLOWED`, :data:`REVOKED_FW`, :data:`UNPINNED`
+        (the document does not list the measurement), or
+        :data:`UNKNOWN_PROFILE` (the permissive epoch 0: nothing is
+        published, so fleets without policy behave exactly as before).
+        An empty measurement is always :data:`UNKNOWN_PROFILE`: records
+        predating measurement capture cannot be judged.
+        """
+        if not measurement or self.is_permissive:
+            return UNKNOWN_PROFILE
+        if measurement in self.revoked:
+            return REVOKED_FW
+        if measurement in self.allowed:
+            return ALLOWED
+        return UNPINNED
 
 
 #: what a policy epoch versions: ``(pinned, allowed, revoked)``
@@ -183,22 +201,6 @@ class PolicyRegistry(EpochRegistry[PolicyDoc]):
 
     def evaluate(self, profile: DeviceProfile,
                  measurement: bytes) -> str:
-        """Judge one firmware measurement under the latest policy.
-
-        Returns :data:`ALLOWED`, :data:`REVOKED_FW`, :data:`UNPINNED`
-        (a document exists but does not list the measurement), or
-        :data:`UNKNOWN_PROFILE` (no document published — permissive by
-        design, so fleets without policy behave exactly as before).
-        An empty measurement is always :data:`UNKNOWN_PROFILE`: records
-        predating measurement capture cannot be judged.
-        """
-        if not measurement:
-            return UNKNOWN_PROFILE
-        latest = self.latest(profile)
-        if latest.is_permissive:
-            return UNKNOWN_PROFILE
-        if measurement in latest.revoked:
-            return REVOKED_FW
-        if measurement in latest.allowed:
-            return ALLOWED
-        return UNPINNED
+        """Judge one firmware measurement under the latest policy
+        (:meth:`PolicyDoc.judge`)."""
+        return self.latest(profile).judge(measurement)

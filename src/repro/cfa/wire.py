@@ -66,9 +66,8 @@ class WireError(Exception):
 #: fields the MAC input opens with, then ``seq`` and ``final``
 _REPORT_HEAD = Layout((BLOB, STR, BLOB, BLOB, "IB"), WireError,
                       "wire data", "", "method field is not valid UTF-8")
-#: a report body's last field, which must end the body
-_REPORT_MAC = Layout((BLOB,), WireError, "wire data",
-                     "trailing bytes inside report body", "")
+#: what every report opens with, before its body's length prefix
+_PREAMBLE = MAGIC + bytes((VERSION,))
 _U32 = struct.Struct("<I")
 
 
@@ -158,17 +157,33 @@ class ReportView(NamedTuple):
             key, self.head, self.seq, self.final, self.span))
 
 
+def _preamble_error(data: bytes) -> WireError:
+    """Why ``data`` does not open with a version-1 report preamble and
+    a whole body length prefix, checked in wire order."""
+    if len(data) >= 4 and data[:4] != MAGIC:
+        return WireError("bad magic")
+    if len(data) >= 5 and data[4] != VERSION:
+        return WireError(f"unsupported version {data[4]}")
+    return WireError("truncated wire data")
+
+
 def read_report(data: bytes) -> Tuple[ReportView, int]:
     """Parse one report's envelope; returns ``(view, bytes_consumed)``.
 
     Every check of :func:`decode_report` runs here, in the same order
     and with the same message, but the records stay packed: their tag
     bytes are screened in one C-level pass, and only a span holding an
-    unknown tag is walked record by record to name it.
+    unknown tag is walked record by record to name it. The body's head
+    fields, ``seq`` and ``final`` are one compiled :class:`Layout`
+    scan; the preamble, record count and MAC are read inline, each
+    length checked before anything is sliced.
     """
-    reader = _reader(data)
-    reader.header(MAGIC, "", VERSION)
-    body = reader.lp()
+    if len(data) < 9 or data[:5] != _PREAMBLE:
+        raise _preamble_error(data)
+    consumed = 9 + _U32.unpack_from(data, 5)[0]
+    if consumed > len(data):
+        raise WireError("truncated wire data")
+    body = data[9:consumed]
     fields, pos = _REPORT_HEAD.scan(body)
     device_id, method, challenge, h_mem, seq, final = fields
     head = body[:pos - 5]  # the MAC input's first four fields
@@ -187,10 +202,17 @@ def read_report(data: bytes) -> Tuple[ReportView, int]:
     span = body[pos:stop]
     if span[::RECORD_BYTES].translate(None, _KNOWN_TAGS):
         decode_records(span)  # raises on the first unknown tag
-    mac = _REPORT_MAC.read(body, stop)[0]
+    # the MAC: the body's last field, which must end it
+    pos = stop + 4
+    if pos > len(body):
+        raise WireError("truncated wire data")
+    end = pos + _U32.unpack_from(body, stop)[0]
+    if end != len(body):
+        raise WireError("truncated wire data" if end > len(body)
+                        else "trailing bytes inside report body")
     view = ReportView(device_id, method, challenge, h_mem, seq,
-                      bool(final), span, mac, head)
-    return view, reader.pos
+                      bool(final), span, body[pos:], head)
+    return view, consumed
 
 
 def decode_report(data: bytes) -> Tuple[Report, int]:
