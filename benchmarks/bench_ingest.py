@@ -91,11 +91,11 @@ def capture(rows, devices: int) -> List[Captured]:
         DeviceProfile,
         DeviceSpec,
         FleetSimulator,
+        ShardedFleetService,
         device_key,
         learn_dictionaries,
         spec_challenge,
     )
-    from repro.cfa.fleet.service import FleetService
 
     specs = [DeviceSpec(f"dev-{name}{'-atk' if attacked else ''}-{i}",
                         DeviceProfile(name),
@@ -103,7 +103,7 @@ def capture(rows, devices: int) -> List[Captured]:
              for name, attacked in rows for i in range(devices)]
     factory = ChainFactory()
     simulator = FleetSimulator(specs, seed=1, factory=factory)
-    with FleetService(sampler=True) as service:
+    with ShardedFleetService(shards=1, sampler=True) as service:
         if not simulator.run(service).ok:
             raise RuntimeError("the learning round did not settle")
         learn_dictionaries(service)

@@ -33,10 +33,10 @@ from repro.cfa.fleet import (
     DeviceProfile,
     DeviceSpec,
     FleetSimulator,
+    ShardedFleetService,
     learn_dictionaries,
     mine_fleet_dictionary,
 )
-from repro.cfa.fleet.service import FleetService
 from repro.cfa.speccfa import compress, expand, mine_subpaths
 from repro.eval.figures import EVAL_WORKLOADS, format_table
 from conftest import save_table
@@ -60,7 +60,7 @@ def sampled_streams(artifact_cache):
     fleet that ran the real wire protocol (one honest device each)."""
     specs = [DeviceSpec(f"probe-{name}", DeviceProfile(name))
              for name in EVAL_WORKLOADS]
-    with FleetService(sampler=True) as service:
+    with ShardedFleetService(shards=1, sampler=True) as service:
         report = FleetSimulator(
             specs, seed=SEED,
             cache=artifact_cache).run(service)
@@ -109,7 +109,7 @@ def test_fleet_learning_round_trip(artifact_cache, results_dir):
                         DeviceProfile(EVAL_WORKLOADS[i % len(EVAL_WORKLOADS)]))
              for i in range(FLEET_DEVICES)]
     rows = []
-    with FleetService(sampler=True) as service:
+    with ShardedFleetService(shards=1, sampler=True) as service:
         simulator = FleetSimulator(specs, seed=SEED, cache=artifact_cache)
         for spec in specs:  # attest templates outside the timed rounds
             simulator.factory.chain(spec, b"\x00" * 16)

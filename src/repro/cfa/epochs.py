@@ -24,6 +24,8 @@ from pathlib import Path
 from typing import (Any, Dict, Generic, List, Optional, Tuple, Type,
                     TypeVar, Union)
 
+from repro.atomic import atomic_write
+
 _MAC_LEN = 32
 
 
@@ -149,9 +151,7 @@ class EpochRegistry(Generic[E]):
         profile = entry.profile
         path = self.store_dir / (f"{profile.workload}__{profile.method}__"
                                  f"{entry.epoch:06d}{self.suffix}")
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(entry.payload + self._mac(entry.payload))
-        os.replace(tmp, path)
+        atomic_write(path, entry.payload + self._mac(entry.payload))
 
     # -- the registry surface -------------------------------------------------
 

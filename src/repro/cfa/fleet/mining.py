@@ -299,14 +299,14 @@ def learn_dictionaries(service, profiles=None, max_len: int = 8,
                        top_k: int = 16, min_gain_bytes: int = 16):
     """One fleet learning round: mine and publish per-profile epochs.
 
-    ``service`` is anything with the fleet-service learning surface
-    (``traffic_samples()`` and ``publish_dictionary()``: both
-    :class:`~repro.cfa.fleet.service.FleetService` and
-    :class:`~repro.cfa.fleet.shard.ShardedFleetService`). Returns
-    ``profile -> DictEpoch`` for every profile whose mined dictionary
-    was worth publishing. Pushing the new epochs to devices (and
-    ingesting their ACKs) is the transport's job — see
-    ``dictionary_pushes`` / ``ingest_dack`` on the services.
+    ``service`` is the router, a
+    :class:`~repro.cfa.fleet.shard.ShardedFleetService`: learning is
+    fleet-wide, so it reads the router's merged ``traffic_samples()``
+    and publishes through its ``publish_dictionary()`` (a shard has
+    neither). Returns ``profile -> DictEpoch`` for every profile whose
+    mined dictionary was worth publishing. Pushing the new epochs to
+    devices (and ingesting their ACKs) is the transport's job — see
+    ``dictionary_pushes`` / ``ingest_dack`` on the router.
     """
     samples = service.traffic_samples()
     published = {}

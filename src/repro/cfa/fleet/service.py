@@ -24,22 +24,30 @@ active.
 All timing used for protocol decisions is an explicit logical clock
 (``now``) supplied by the caller, so tests and the simulator are
 deterministic; only the performance metrics touch the wall clock.
+
+A shard's surface is what one RSHD frame kind can carry for one device
+(``open_session``, ``submit``, ``dictionary_pushes``, ``ingest_dack``,
+``acked_epoch``, ``begin_heal``, ``resume_heal``,
+``policy_notice_frame``) plus ``tick``, ``restore``, ``drain``,
+``close``, ``verdicts`` and ``metrics``. Fleet-wide operations — the
+merged traffic sample, dictionary publishes, healing and notice
+rounds — live on the router only. :attr:`FleetService.metrics` is a
+snapshot built on each read: a counter that the session manager, the
+replay cache, the evidence store or the sampler keeps is read from it
+there, never mirrored.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.cfa.fleet.dictver import (
-    DictEpoch,
-    DictionaryRegistry,
-    verify_dack,
-)
-from repro.cfa.fleet.metrics import FleetMetrics
+from repro.cfa.fleet.dictver import DictionaryRegistry, verify_dack
+from repro.cfa.fleet.metrics import LATENCY_WINDOW, FleetMetrics
 from repro.cfa.fleet.mining import TrafficSampler
 from repro.cfa.fleet.store import EvidenceStore, chain_digest
 from repro.cfa.fleet.session import (
@@ -144,7 +152,9 @@ class FleetService:
         #: durable evidence log; when set, every verdict is fsync'd
         #: into the hash chain *before* it is released
         self.store = store
-        self.metrics = FleetMetrics()
+        #: the counters this service owns; :attr:`metrics` adds the
+        #: ones its session manager, cache, store and sampler own
+        self._metrics = FleetMetrics()
         self.verdicts: Dict[str, SessionVerdict] = {}
         self._lock = threading.Lock()
         self._started = time.perf_counter()
@@ -168,7 +178,7 @@ class FleetService:
         """
         with self._lock:
             if self.policy is not None and not self.policy.admits(device_id):
-                self.metrics.sessions_denied += 1
+                self._metrics.sessions_denied += 1
                 raise PolicyDeniedError(self.policy.deny_reason(device_id))
             epoch = self._acks.get((device_id, profile), 0)
             dict_epoch = self.registry.get(profile, epoch)
@@ -176,9 +186,9 @@ class FleetService:
                 session = self.manager.open(device_id, profile, key, now,
                                             dict_epoch=dict_epoch)
             except Exception:
-                self.metrics.sessions_refused += 1
+                self._metrics.sessions_refused += 1
                 raise
-            self.metrics.sessions_opened += 1
+            self._metrics.sessions_opened += 1
             return session.challenge
 
     def submit(self, device_id: str, data: bytes, now: float = 0.0) -> None:
@@ -189,22 +199,19 @@ class FleetService:
         thread, outside the lock (see the module docstring).
         """
         with self._lock:
-            if self.policy is not None and not self.policy.admits(device_id):
+            if self.policy is not None:
                 # blocked devices land nothing — except into the healing
-                # session the protocol itself opened for them
+                # session the protocol itself opened for them; a device
+                # with a live session was admitted, so only a report
+                # without one asks the engine
                 session = self.manager.sessions.get(device_id)
-                if session is None or not session.active:
-                    self.metrics.reports_denied += 1
+                if (session is None or not session.active) \
+                        and not self.policy.admits(device_id):
+                    self._metrics.reports_denied += 1
                     return
-            self.metrics.reports_ingested += 1
-            self.metrics.bytes_ingested += len(data)
-            before_ignored = self.manager.reports_ignored
-            before_dup = self.manager.duplicates_dropped
+            self._metrics.reports_ingested += 1
+            self._metrics.bytes_ingested += len(data)
             session = self.manager.ingest(device_id, data, now)
-            self.metrics.reports_ignored += (
-                self.manager.reports_ignored - before_ignored)
-            self.metrics.duplicates_dropped += (
-                self.manager.duplicates_dropped - before_dup)
             if session is None:
                 return
             if session.state == REJECTED and session.verdict is None:
@@ -216,7 +223,7 @@ class FleetService:
             if session.state == QUEUED and self.bounds is not None:
                 reason = self._screen_bounds_locked(session)
                 if reason is not None:
-                    self.metrics.sessions_bounds_rejected += 1
+                    self._metrics.sessions_bounds_rejected += 1
                     self._record_locked(session, SessionVerdict(
                         device_id=session.device_id,
                         profile=session.profile, accepted=False,
@@ -231,7 +238,7 @@ class FleetService:
         transport should deliver to the stalled devices."""
         with self._lock:
             rechallenged, expired = self.manager.tick(now)
-            self.metrics.sessions_retried += len(rechallenged)
+            self._metrics.sessions_retried += len(rechallenged)
             for session in expired:
                 self._record_locked(session, SessionVerdict(
                     device_id=session.device_id, profile=session.profile,
@@ -269,31 +276,15 @@ class FleetService:
             for device_id, record in latest.items():
                 self.verdicts[device_id] = record.to_verdict()
             self.manager.restore_rounds(rounds)
-            self.metrics.sessions_recovered += len(session_records)
+            self._metrics.sessions_recovered += len(session_records)
         if self.policy is not None:
             replayed, repaired = self.policy.restore(records,
                                                      store=self.store)
             with self._lock:
-                self.metrics.policy_decisions += replayed + repaired
-                if self.store is not None:
-                    self._count_evidence_locked()
+                self._metrics.policy_decisions += replayed + repaired
         return len(session_records)
 
-    # -- adaptive speculation: mining taps + epoch handshake ----------------
-
-    def traffic_samples(self) -> Dict[DeviceProfile, list]:
-        """``profile -> weighted exemplar streams`` — the miner's input
-        (empty when sampling is off)."""
-        if self.sampler is None:
-            return {}
-        return {profile: self.sampler.sample(profile)
-                for profile in self.sampler.profiles()}
-
-    def publish_dictionary(self, profile: DeviceProfile,
-                           dictionary) -> DictEpoch:
-        """Version a mined dictionary under the next epoch number in
-        the (possibly shard-shared) registry."""
-        return self.registry.publish(profile, dictionary)
+    # -- adaptive speculation: epoch handshake -------------------------------
 
     def dictionary_pushes(
             self, profile: Optional[DeviceProfile] = None
@@ -325,7 +316,7 @@ class FleetService:
                 latest.epoch, latest.digest, latest.payload)
             pushes.append((device_id, frame))
         with self._lock:
-            self.metrics.dict_pushes += len(pushes)
+            self._metrics.dict_pushes += len(pushes)
         return pushes
 
     def ingest_dack(self, device_id: str, data: bytes,
@@ -343,27 +334,27 @@ class FleetService:
             try:
                 acked_id, epoch, digest, mac = decode_dack_frame(data)
             except WireError:
-                self.metrics.dict_acks_rejected += 1
+                self._metrics.dict_acks_rejected += 1
                 return False
             if acked_id != device_id:
-                self.metrics.dict_acks_rejected += 1
+                self._metrics.dict_acks_rejected += 1
                 return False
             session = self.manager.sessions.get(device_id)
             if session is None:  # never opened a session: no key on file
-                self.metrics.dict_acks_rejected += 1
+                self._metrics.dict_acks_rejected += 1
                 return False
             entry = verify_dack(self.registry, session.profile,
                                 session.key, device_id, epoch, digest,
                                 mac)
             if entry is None:
-                self.metrics.dict_acks_rejected += 1
+                self._metrics.dict_acks_rejected += 1
                 return False
             pin = (device_id, session.profile)
             # monotone: a replayed older ACK can never roll a device back
             if entry.epoch <= self._acks.get(pin, 0):
                 return True
             self._acks[pin] = entry.epoch
-            self.metrics.dict_acks += 1
+            self._metrics.dict_acks += 1
             return True
 
     def acked_epoch(self, device_id: str, profile: DeviceProfile) -> int:
@@ -374,11 +365,11 @@ class FleetService:
     # -- policy control plane: quarantine + guaranteed healing --------------
 
     def _count_decision_locked(self, decision) -> None:
-        self.metrics.policy_decisions += 1
+        self._metrics.policy_decisions += 1
         counter = _DECISION_COUNTERS.get(decision.action)
         if counter is not None:
-            setattr(self.metrics, counter,
-                    getattr(self.metrics, counter) + 1)
+            setattr(self._metrics, counter,
+                    getattr(self._metrics, counter) + 1)
 
     def _device_key_locked(self, device_id: str) -> Optional[bytes]:
         session = self.manager.sessions.get(device_id)
@@ -413,7 +404,6 @@ class FleetService:
                 return None
             if self.store is not None:
                 self.store.append_decision(decision)
-                self._count_evidence_locked()
             self.policy.apply(decision)
             self._count_decision_locked(decision)
             epoch = self._acks.get((device_id, decision.profile), 0)
@@ -421,26 +411,12 @@ class FleetService:
             session = self.manager.open(device_id, decision.profile, key,
                                         now, dict_epoch=dict_epoch)
             session.healing = True
-            self.metrics.sessions_opened += 1
+            self._metrics.sessions_opened += 1
             frame = build_heal_frame(
                 key, device_id, decision.heal_attempt,
                 decision.policy_epoch, decision.measurement,
                 session.challenge.nonce)
         return (device_id, frame)
-
-    def heal_pushes(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
-        """One healing round: a heal order for every quarantined device
-        that still has attempts left (devices out of attempts stay
-        quarantined until an operator intervenes or a failed healing
-        session already revoked them)."""
-        if self.policy is None:
-            return []
-        pushes: List[Tuple[str, bytes]] = []
-        for device_id in self.policy.quarantined_devices():
-            push = self.begin_heal(device_id, now)
-            if push is not None:
-                pushes.append(push)
-        return pushes
 
     def resume_heal(self, device_id: str,
                     now: float = 0.0) -> Optional[Tuple[str, bytes]]:
@@ -471,19 +447,11 @@ class FleetService:
                 session = self.manager.open(device_id, profile, key,
                                             now, dict_epoch=dict_epoch)
                 session.healing = True
-                self.metrics.sessions_opened += 1
+                self._metrics.sessions_opened += 1
             frame = build_heal_frame(
                 key, device_id, attempt, policy_epoch, measurement,
                 session.challenge.nonce)
         return (device_id, frame)
-
-    def resume_heals(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
-        """:meth:`resume_heal` for every HEALING device."""
-        if self.policy is None:
-            return []
-        frames = (self.resume_heal(device_id, now)
-                  for device_id in self.policy.healing_devices())
-        return [frame for frame in frames if frame is not None]
 
     def policy_notice_frame(self, device_id: str, state: int,
                             reason: str, epoch: int) -> Optional[bytes]:
@@ -494,22 +462,8 @@ class FleetService:
             key = self._device_key_locked(device_id)
             if key is None:
                 return None
-            self.metrics.policy_notices += 1
+            self._metrics.policy_notices += 1
             return build_policy_frame(key, device_id, state, reason, epoch)
-
-    def policy_pushes(self) -> List[Tuple[str, bytes]]:
-        """Drain pending lifecycle notices as ``(device_id, PLCY
-        frame)`` pairs. Notices are idempotent: a crash between
-        draining and delivery just re-sends after :meth:`restore`."""
-        if self.policy is None:
-            return []
-        pushes: List[Tuple[str, bytes]] = []
-        for device_id, state, reason, epoch in self.policy.take_notices():
-            frame = self.policy_notice_frame(device_id, state, reason,
-                                             epoch)
-            if frame is not None:
-                pushes.append((device_id, frame))
-        return pushes
 
     def _sample_locked(self, session: Session,
                        verdict: SessionVerdict) -> None:
@@ -563,14 +517,8 @@ class FleetService:
             dict_epoch=session.dict_epoch)
         latency_s = time.perf_counter() - t0
         with self._lock:
-            self.metrics.verify_latencies_s.append(latency_s)
+            self._metrics.verify_latencies_s.append(latency_s)
             self._record_locked(session, verdict)
-
-    def _count_evidence_locked(self) -> None:
-        """Mirror the store's append counters into the metrics."""
-        self.metrics.evidence_records = self.store.records_appended
-        self.metrics.evidence_bytes = self.store.bytes_appended
-        self.metrics.evidence_fsyncs = self.store.fsyncs
 
     def _record_locked(self, session: Session,
                        verdict: SessionVerdict) -> None:
@@ -591,7 +539,6 @@ class FleetService:
                 measurement=measurement,
                 healing=session.healing,
             )
-            self._count_evidence_locked()
         if self.sampler is not None and verdict.accepted:
             self._sample_locked(session, verdict)
         if self.policy is not None:
@@ -609,32 +556,47 @@ class FleetService:
                 if self.store is not None:
                     self.store.append_decision(decision)
                 self._count_decision_locked(decision)
-            if decisions and self.store is not None:
-                self._count_evidence_locked()
         session.verdict = verdict
         if session.state == EXPIRED:
-            self.metrics.sessions_expired += 1
+            self._metrics.sessions_expired += 1
         elif verdict.accepted:
             session.state = VERIFIED
-            self.metrics.sessions_verified += 1
+            self._metrics.sessions_verified += 1
         else:
             session.state = REJECTED
             session.reject_reason = session.reject_reason or verdict.reason
-            self.metrics.sessions_rejected += 1
+            self._metrics.sessions_rejected += 1
         self.verdicts[session.device_id] = verdict
-        if self._cache is not None:
-            self.metrics.replay_cache_hits = self._cache.hits
-            self.metrics.replay_cache_misses = self._cache.misses
-            self.metrics.replay_cache_evictions = self._cache.evictions
-        if self.sampler is not None:
-            self.metrics.sampler_evictions = self.sampler.evictions
 
-    # -- draining / shutdown ------------------------------------------------
+    # -- metrics, draining, shutdown ----------------------------------------
+
+    @property
+    def metrics(self) -> FleetMetrics:
+        """A snapshot of this shard's counters, built on each read:
+        the service's own, plus each counter read from its owner —
+        the session manager, the replay cache, the evidence store and
+        the sampler."""
+        with self._lock:
+            snapshot = replace(self._metrics, verify_latencies_s=deque(
+                self._metrics.verify_latencies_s, maxlen=LATENCY_WINDOW))
+            snapshot.reports_ignored = self.manager.reports_ignored
+            snapshot.duplicates_dropped = self.manager.duplicates_dropped
+            if self._cache is not None:
+                snapshot.replay_cache_hits = self._cache.hits
+                snapshot.replay_cache_misses = self._cache.misses
+                snapshot.replay_cache_evictions = self._cache.evictions
+            if self.store is not None:
+                snapshot.evidence_records = self.store.records_appended
+                snapshot.evidence_bytes = self.store.bytes_appended
+                snapshot.evidence_fsyncs = self.store.fsyncs
+            if self.sampler is not None:
+                snapshot.sampler_evictions = self.sampler.evictions
+        return snapshot
 
     def drain(self) -> FleetMetrics:
         """Refresh the wall-clock metrics (verification is inline, so
         nothing is ever in flight once ``submit`` returns)."""
-        self.metrics.wall_s = time.perf_counter() - self._started
+        self._metrics.wall_s = time.perf_counter() - self._started
         return self.metrics
 
     def close(self) -> FleetMetrics:

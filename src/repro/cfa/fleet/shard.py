@@ -137,9 +137,13 @@ class ShardedFleetService:
 
     Presents the per-shard :class:`FleetService` surface
     (``open_session`` / ``submit`` / ``tick`` / ``drain`` / ``close`` /
-    ``verdicts``), so the simulator drives either interchangeably; the
-    CLI and the benchmarks build this class. ``workers`` is accepted
-    for old callers and must be 0: verification is always inline.
+    ``verdicts`` / ``metrics`` and the per-device speculation and
+    policy calls), routing each call to the owning shard, and is the
+    only home of the fleet-wide operations: ``traffic_samples``,
+    ``publish_dictionary``, ``heal_pushes``, ``resume_heals`` and
+    ``policy_pushes``. The CLI, the simulators and the benchmarks
+    build this class. ``workers`` is accepted for old callers and must
+    be 0: verification is always inline.
     Shards live in this process, so every routed call is a plain
     method call on the owning shard: nothing is framed. The
     RSHD handoff frame (:func:`~repro.cfa.wire.encode_shard_frame`)
@@ -353,7 +357,10 @@ class ShardedFleetService:
     def heal_pushes(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
         """One fleet-wide healing round. The engine is shared, so the
         router — not the shards — enumerates quarantined devices and
-        routes each heal to the shard that owns the device's sessions."""
+        routes each heal to the shard that owns the device's sessions.
+        A device out of attempts gets no order: it stays quarantined
+        until an operator intervenes (or its failed healing session
+        already revoked it)."""
         if self.policy is None:
             return []
         pushes = (self.begin_heal(device_id, now)
@@ -377,7 +384,8 @@ class ShardedFleetService:
     def policy_pushes(self) -> List[Tuple[str, bytes]]:
         """Drain pending lifecycle notices fleet-wide as ``(device_id,
         PLCY frame)`` pairs; each notice is MAC'd by the owning shard
-        under the device's key."""
+        under the device's key. Notices are idempotent: a crash between
+        draining and delivery just re-sends them after a restore."""
         if self.policy is None:
             return []
         pushes: List[Tuple[str, bytes]] = []

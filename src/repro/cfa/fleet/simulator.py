@@ -40,7 +40,7 @@ import hashlib
 import random
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.naive_mtb import NaiveMtbEngine
 from repro.baselines.traces import TracesEngine
@@ -241,6 +241,39 @@ class SimulationReport:
         return not self.mismatches
 
 
+def _drive_sessions(service, queues: Sequence[Tuple[str, List[bytes]]],
+                   rng: random.Random, now: float, step_s: float,
+                   chain_for: Callable[[str, bytes], List[bytes]]) -> None:
+    """Deliver every queued report, settle stalled chains, drain.
+
+    Interleaving picks at random (``rng``), from the devices in
+    ``queues`` order that still have traffic, whose report goes next;
+    the logical clock advances ``step_s`` per delivered report. Once
+    the stream drains, the clock jumps past the idle timeout for each
+    retry round, so stalled sessions are re-challenged and then expire
+    when the service is out of retries. A re-challenged device answers
+    with ``chain_for(device_id, nonce)``: a stalled device answers in
+    full (a transient outage), while a hostile one keeps its behavior,
+    so a tamper that merely stalled the chain (e.g. a flipped seq
+    byte) cannot launder itself into acceptance through the retry path.
+    """
+    pending = dict(queues)
+    live = [device_id for device_id, queue in queues if queue]
+    while live:
+        device_id = live[rng.randrange(len(live))]
+        service.submit(device_id, pending[device_id].pop(0), now)
+        now += step_s
+        if not pending[device_id]:
+            live.remove(device_id)
+    for _ in range(service.manager.max_attempts):
+        now += service.manager.idle_timeout + 1.0
+        for device_id, challenge in service.tick(now):
+            for chunk in chain_for(device_id, challenge.nonce):
+                service.submit(device_id, chunk, now)
+                now += step_s
+    service.drain()
+
+
 class FleetSimulator:
     """Interleave N device sessions against one fleet service."""
 
@@ -320,48 +353,30 @@ class FleetSimulator:
     def run(self, service, step_s: float = 0.001) -> SimulationReport:
         """Open every session, interleave all deliveries, settle retries.
 
-        The logical clock advances ``step_s`` per delivered report;
-        after the interleaved stream drains, it jumps past the idle
-        timeout so stalled sessions are re-challenged (answered in
-        full) and then expired if the service is out of retries.
+        Devices are interleaved in spec order (see
+        :func:`_drive_sessions`).
         """
-        now = 0.0
         queues: Dict[str, List[bytes]] = {}
         by_id = {spec.device_id: spec for spec in self.specs}
         for spec in self.specs:
             challenge = service.open_session(
                 spec.device_id, spec.profile,
-                device_key(spec.device_id), now)
+                device_key(spec.device_id), 0.0)
             honest = self.factory.chain(
                 spec, challenge.nonce,
                 self.device_epochs.get(spec.device_id))
             queues[spec.device_id] = self._deliveries(spec, honest)
-        # interleave: randomly pick among devices that still have traffic
-        live = [d for d, q in queues.items() if q]
-        while live:
-            device_id = live[self.rng.randrange(len(live))]
-            service.submit(device_id, queues[device_id].pop(0), now)
-            now += step_s
-            if not queues[device_id]:
-                live.remove(device_id)
-        # settle stalled chains: retry rounds, then expiry. A stalled
-        # device answers its retry in full (a transient outage); a
-        # hostile device keeps its behavior, so a tamper that merely
-        # stalled the chain (e.g. a flipped seq byte) cannot launder
-        # itself into acceptance through the retry path.
-        for _ in range(service.manager.max_attempts):
-            now += service.manager.idle_timeout + 1.0
-            rechallenges = service.tick(now)
-            for device_id, challenge in rechallenges:
-                spec = by_id[device_id]
-                chunks = self.factory.chain(
-                    spec, challenge.nonce, self.device_epochs.get(device_id))
-                if spec.behavior != "stall":
-                    chunks = self._deliveries(spec, chunks)
-                for chunk in chunks:
-                    service.submit(device_id, chunk, now)
-                    now += step_s
-        service.drain()
+
+        def retry(device_id: str, nonce: bytes) -> List[bytes]:
+            spec = by_id[device_id]
+            chunks = self.factory.chain(
+                spec, nonce, self.device_epochs.get(device_id))
+            if spec.behavior != "stall":
+                chunks = self._deliveries(spec, chunks)
+            return chunks
+
+        _drive_sessions(service, list(queues.items()), self.rng, 0.0,
+                       step_s, retry)
         report = SimulationReport(verdicts=dict(service.verdicts))
         for spec in self.specs:
             verdict = report.verdicts.get(spec.device_id)
@@ -520,7 +535,8 @@ class CampaignReport:
 
 class CampaignSimulator:
     """Drive a compromise-then-heal campaign against a policy-enabled
-    service (:class:`FleetService` or ``ShardedFleetService``).
+    router, a :class:`~repro.cfa.fleet.shard.ShardedFleetService`
+    (healing and notice rounds are fleet-wide: a shard has neither).
 
     Device-side state — which devices have been re-provisioned by a
     HEAL order — lives here, *outside* the service: devices do not
@@ -600,25 +616,16 @@ class CampaignSimulator:
             honest = self.factory.chain(eff, challenge.nonce)
             queues[eff.device_id] = apply_behavior(
                 eff.behavior, honest, rng)
-        live = sorted(d for d, q in queues.items() if q)
-        while live:
-            device_id = live[rng.randrange(len(live))]
-            service.submit(device_id, queues[device_id].pop(0), now)
-            now += step_s
-            if not queues[device_id]:
-                live.remove(device_id)
-        # settle stalled chains exactly like FleetSimulator.run
-        for _ in range(service.manager.max_attempts):
-            now += service.manager.idle_timeout + 1.0
-            for device_id, challenge in service.tick(now):
-                eff = self._effective(self._by_id[device_id])
-                chunks = self.factory.chain(eff, challenge.nonce)
-                if eff.behavior != "stall":
-                    chunks = apply_behavior(eff.behavior, chunks, rng)
-                for chunk in chunks:
-                    service.submit(device_id, chunk, now)
-                    now += step_s
-        service.drain()
+
+        def retry(device_id: str, nonce: bytes) -> List[bytes]:
+            eff = self._effective(self._by_id[device_id])
+            chunks = self.factory.chain(eff, nonce)
+            if eff.behavior != "stall":
+                chunks = apply_behavior(eff.behavior, chunks, rng)
+            return chunks
+
+        _drive_sessions(service, sorted(queues.items()), rng, now, step_s,
+                       retry)
         self._observe_states(service, round_index)
 
     # -- one healing round ---------------------------------------------------

@@ -742,5 +742,5 @@ class DurableReplayCache(ReplayCache):
             self._remember((profile, key), entry)
             root = self.root
             if root is not None:
-                atomic_pickle(root, root / f"{self.cas_key(profile, key)}.pkl",
+                atomic_pickle(root / f"{self.cas_key(profile, key)}.pkl",
                               entry)

@@ -220,7 +220,6 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
                          challenge: bytes, chunks: Sequence[bytes],
                          cache: Optional[ReplayCache] = None,
                          reports: Optional[Sequence] = None,
-                         info: Optional[dict] = None,
                          dict_epoch: Optional["DictEpoch"] = None
                          ) -> SessionVerdict:
     """Verify one complete session chain exactly as the serial Vrf would.
@@ -243,12 +242,10 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
     After authentication the session is expanded once, as bytes
     (:func:`expand_session`): the replay-cache key digests that log,
     so a compressed and a plain session of one execution share a
-    cached replay and ``==`` verdicts, and a miss replays it.
-
-    ``info``, when supplied, receives side-band facts that must *not*
-    influence verdict equality — currently ``info["cache_hit"]``, True
-    iff the replay half came from the cache. Nothing persisted depends
-    on it: evidence records the verdict, not which cache served it.
+    cached replay and ``==`` verdicts, and a miss replays it. Which
+    cache served a replay is side-band: the cache counts its own hits
+    (read through ``FleetMetrics``), and evidence records the verdict,
+    never the cache.
     """
     try:
         verifier = _attestable(profile)
@@ -278,8 +275,6 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
         summary = None
         if cache is not None:
             summary = cache.lookup(profile, key_digest)
-            if info is not None:
-                info["cache_hit"] = summary is not None
         if summary is None:
             summary = _summarize(
                 verifier.program.run(log, verifier.max_steps))

@@ -28,7 +28,8 @@ is replay-protected exactly like any other session.
 
 This module is pure protocol (MACs + frame build/verify); the state
 transitions live in :mod:`repro.cfa.policy.engine` and the transport
-loop in the fleet service (``heal_pushes`` / ``policy_pushes``).
+loop on the fleet router (``ShardedFleetService.heal_pushes`` /
+``policy_pushes``).
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.atomic import atomic_write
 from repro.cfa.fleet.store import audit_key, verify_evidence_trail
 from repro.cfa.policy.engine import PolicyEngine, STATE_NAMES
 from repro.cfa.policy.registry import PolicyRegistry, policy_key
@@ -173,7 +174,5 @@ def write_recovery_manifest(
     """Write (or refresh) ``RECOVERY.md`` beside the evidence logs."""
     path = Path(store_dir) / "RECOVERY.md"
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(_MANIFEST.format(version=MANIFEST_VERSION))
-    os.replace(tmp, path)
+    atomic_write(path, _MANIFEST.format(version=MANIFEST_VERSION).encode())
     return path

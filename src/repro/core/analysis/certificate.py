@@ -32,10 +32,10 @@ import hashlib
 import hmac
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.atomic import atomic_write
 from repro.cfa.cflog import PACKED_RECORD, span_claim
 from repro.codec import Reader, lp16
 from repro.core.analysis.bounds import PathBounds, UNBOUNDED
@@ -168,16 +168,7 @@ def store_certificate(root: str, cert: BoundsCertificate,
     """Atomically write the signed blob next to the image artifacts."""
     os.makedirs(root, exist_ok=True)
     path = certificate_path(root, cert.image_digest, cert.method)
-    blob = sign_certificate(cert, key)
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=".bnds-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, sign_certificate(cert, key))
     return path
 
 

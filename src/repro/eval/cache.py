@@ -21,11 +21,11 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from repro.atomic import atomic_write
 from repro.core.pipeline import RapTrackConfig
 
 #: bump when the artifact layout (or anything feeding it) changes shape
@@ -100,28 +100,17 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def atomic_pickle(root: Union[str, os.PathLike],
-                  path: Union[str, os.PathLike], value: Any) -> None:
+def atomic_pickle(path: Union[str, os.PathLike], value: Any) -> None:
     """Atomically publish ``value`` pickled at ``path``.
 
     The one-file-per-key CAS idiom of the offline-artifact cache
     (:class:`~repro.cfa.fleet.store.DurableReplayCache` uses it too,
-    but the fleet service keeps its replay cache in memory): write to
-    a temp file in the same directory, then rename — concurrent
-    writers may race on the same key, but every rename installs a
-    complete file and readers never observe a torn write.
+    but the fleet service keeps its replay cache in memory), through
+    :func:`~repro.atomic.atomic_write`: concurrent writers may race on
+    the same key, but every rename installs a complete file and
+    readers never observe a torn write.
     """
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class ArtifactCache:
@@ -152,7 +141,7 @@ class ArtifactCache:
         self.stats.stores += 1
         if self.root is None:
             return
-        atomic_pickle(self.root, self._path(key), value)
+        atomic_pickle(self._path(key), value)
 
     def get_or_build(self, key: str, builder: Callable[[], Any]) -> Any:
         """Memoize ``builder()`` under ``key``."""

@@ -58,7 +58,7 @@ def pinned_service(factory, registry):
         [r for log in template.cflogs for r in log.records], PROFILE.method)
     assert dictionary
     service = FleetService(bounds=registry)
-    entry = service.publish_dictionary(PROFILE, dictionary)
+    entry = service.registry.publish(PROFILE, dictionary)
     challenge = service.open_session(DEVICE, PROFILE, device_key(DEVICE))
     for chunk in factory.chain(DeviceSpec(DEVICE, PROFILE), challenge.nonce):
         service.submit(DEVICE, chunk)

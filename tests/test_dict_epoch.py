@@ -162,7 +162,7 @@ class TestEpochStateMachine:
     def test_never_acked_device_stays_on_epoch_zero(
             self, factory, fibcall_dictionary):
         service = FleetService()
-        service.publish_dictionary(FIBCALL, fibcall_dictionary)
+        service.registry.publish(FIBCALL, fibcall_dictionary)
         # the push is *offered* but the device never answers it
         verdict = run_session(service, factory, "prv-0")
         assert verdict.accepted
@@ -175,7 +175,7 @@ class TestEpochStateMachine:
     def test_acked_device_attests_compressed(
             self, factory, fibcall_dictionary):
         service = FleetService()
-        entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
+        entry = service.registry.publish(FIBCALL, fibcall_dictionary)
         plain = run_session(service, factory, "prv-0")
         assert ack(service, "prv-0", entry.epoch)
         assert service.acked_epoch("prv-0", FIBCALL) == entry.epoch
@@ -193,7 +193,7 @@ class TestEpochStateMachine:
         chain fails the bound challenge — and the reject reason names
         the stale epoch instead of guessing at a replay."""
         service = FleetService()
-        entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
+        entry = service.registry.publish(FIBCALL, fibcall_dictionary)
         run_session(service, factory, "prv-0")
         assert ack(service, "prv-0", entry.epoch)
         verdict = run_session(service, factory, "prv-0", chain_epoch=0)
@@ -208,7 +208,7 @@ class TestEpochStateMachine:
         0) transmitting a compressed epoch-1 chain is refused before
         any expansion is attempted."""
         service = FleetService()
-        entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
+        entry = service.registry.publish(FIBCALL, fibcall_dictionary)
         verdict = run_session(service, factory, "prv-0",
                               chain_epoch=entry.epoch)
         assert not verdict.accepted
@@ -228,7 +228,7 @@ class TestEpochStateMachine:
                                challenge.nonce)
         service.submit("prv-0", chunks[0])
         # dictionary published + ACKed while the chain is in flight
-        entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
+        entry = service.registry.publish(FIBCALL, fibcall_dictionary)
         assert ack(service, "prv-0", entry.epoch)
         for chunk in chunks[1:]:
             service.submit("prv-0", chunk)
@@ -243,10 +243,10 @@ class TestEpochStateMachine:
     def test_replayed_older_ack_cannot_roll_back(
             self, factory, fibcall_dictionary):
         service = FleetService()
-        e1 = service.publish_dictionary(FIBCALL, fibcall_dictionary)
+        e1 = service.registry.publish(FIBCALL, fibcall_dictionary)
         bigger = dict(fibcall_dictionary)
         bigger[max(bigger) + 1] = (BranchRecord(4, 8), BranchRecord(8, 4))
-        e2 = service.publish_dictionary(FIBCALL, bigger)
+        e2 = service.registry.publish(FIBCALL, bigger)
         run_session(service, factory, "prv-0")
         assert ack(service, "prv-0", e2.epoch)
         assert ack(service, "prv-0", e1.epoch)  # replay: absorbed...
@@ -256,7 +256,7 @@ class TestEpochStateMachine:
     def test_forged_dack_is_counted_and_dropped(
             self, factory, fibcall_dictionary):
         service = FleetService()
-        entry = service.publish_dictionary(FIBCALL, fibcall_dictionary)
+        entry = service.registry.publish(FIBCALL, fibcall_dictionary)
         run_session(service, factory, "prv-0")
         forged = encode_dack_frame(
             "prv-0", entry.epoch, entry.digest,

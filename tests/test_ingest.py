@@ -44,12 +44,12 @@ from repro.cfa.fleet import (
     DurableReplayCache,
     FleetSimulator,
     ReplayCache,
+    ShardedFleetService,
     TrafficSampler,
     device_key,
     learn_dictionaries,
     verify_session_chain,
 )
-from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.verify import (
     _ReplaySummary,
     build_verifier,
@@ -417,7 +417,7 @@ class TestOneParsePerEpoch:
         specs = [DeviceSpec(f"prv-{i}", FIBCALL) for i in range(6)]
         factory = ChainFactory()
         simulator = FleetSimulator(specs, seed=3, factory=factory)
-        with FleetService(sampler=True) as service:
+        with ShardedFleetService(shards=1, sampler=True) as service:
             assert simulator.run(service).ok
             published = learn_dictionaries(service)
             assert FIBCALL in published
@@ -568,7 +568,7 @@ class TestSamplerExpansion:
     def test_service_expands_each_kept_stream_once(self, monkeypatch):
         specs = [DeviceSpec(f"prv-{i}", FIBCALL) for i in range(5)]
         simulator = FleetSimulator(specs, seed=4, factory=ChainFactory())
-        with FleetService(sampler=True) as service:
+        with ShardedFleetService(shards=1, sampler=True) as service:
             assert simulator.run(service).ok
             learn_dictionaries(service)
             simulator.handshake(service)
@@ -576,9 +576,10 @@ class TestSamplerExpansion:
             real = service_mod.decode_records
             monkeypatch.setattr(service_mod, "decode_records",
                                 lambda log: expansions.append(1) or real(log))
-            before = service.sampler.sample(FIBCALL)
+            sampler = service.shards[0].sampler
+            before = sampler.sample(FIBCALL)
             assert simulator.run(service).ok
-            after = service.sampler.sample(FIBCALL)
+            after = sampler.sample(FIBCALL)
         # the compressed round repeats the plain round's one execution:
         # its stream is already kept, so nothing is expanded for it
         assert [s for s, _ in after] == [s for s, _ in before]

@@ -22,15 +22,11 @@ from repro.cfa.fleet import (
     build_campaign_specs,
     device_key,
 )
-from repro.cfa.fleet.service import FleetService
 from repro.cfa.fleet.verify import DeviceProfile
 from repro.cfa.policy import (
     PolicyDeniedError,
-    PolicyEngine,
-    PolicyRegistry,
     QUARANTINED,
     REVOKED,
-    policy_key,
     verify_heal_frame,
 )
 from repro.cli import main
@@ -45,12 +41,11 @@ def factory():
     return ChainFactory(watermark=256)
 
 
-def policy_service(max_heal_attempts: int = 2) -> FleetService:
-    engine = PolicyEngine(
-        registry=PolicyRegistry(policy_key(SEED)),
-        suspect_threshold=2, max_heal_attempts=max_heal_attempts)
-    return FleetService(seed=SEED, idle_timeout=IDLE, policy=engine,
-                        key_lookup=device_key)
+def policy_service(max_heal_attempts: int = 2) -> ShardedFleetService:
+    return ShardedFleetService(
+        shards=1, seed=SEED, idle_timeout=IDLE, policy=True,
+        key_lookup=device_key, suspect_threshold=2,
+        max_heal_attempts=max_heal_attempts)
 
 
 class TestCampaignSLA:

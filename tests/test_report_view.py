@@ -243,7 +243,7 @@ def test_the_verification_path_builds_no_record(monkeypatch):
         simulator = FleetSimulator(specs, seed=5, factory=factory)
         with FleetService() as service:
             plain = simulator.run(service)
-            service.publish_dictionary(FIBCALL, dictionary)
+            service.registry.publish(FIBCALL, dictionary)
             assert simulator.handshake(service) == 3
             compressed = simulator.run(service)
             cache = service._cache

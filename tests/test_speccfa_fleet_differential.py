@@ -54,7 +54,7 @@ def factory():
 def traffic(factory):
     """One probe round with the sampler on: the expanded streams every
     dictionary in this battery is mined from."""
-    with FleetService(sampler=True) as service:
+    with ShardedFleetService(shards=1, sampler=True) as service:
         report = FleetSimulator(SPECS, seed=SEED,
                                 factory=factory).run(service)
         assert report.ok, report.mismatches
@@ -81,7 +81,7 @@ def settle(factory, dicts, store_path=None):
         for profile, dictionary in sorted(
                 dicts.items(), key=lambda kv: str(kv[0])):
             if dictionary:
-                service.publish_dictionary(profile, dictionary)
+                service.registry.publish(profile, dictionary)
         simulator = FleetSimulator(SPECS, seed=SEED, factory=factory)
         report = simulator.run(service)
         assert report.ok, report.mismatches
@@ -143,7 +143,7 @@ def test_compression_actually_happened(factory, dictionaries):
         with FleetService() as service:
             for profile, dictionary in dictionaries[name].items():
                 if dictionary:
-                    service.publish_dictionary(profile, dictionary)
+                    service.registry.publish(profile, dictionary)
             simulator = FleetSimulator(SPECS, seed=SEED, factory=factory)
             simulator.run(service)
             before = service.metrics.bytes_ingested
