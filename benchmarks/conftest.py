@@ -5,7 +5,8 @@ method (with full lossless verification) and caches the metrics; the
 per-figure benches assert the paper's shape bands against it, print the
 reproduced table, and time a representative operation with
 pytest-benchmark. Tables are also written to ``benchmarks/results/``
-for EXPERIMENTS.md.
+for EXPERIMENTS.md, or to ``REPRO_RESULTS_DIR`` when it is set (a smoke
+run that must not overwrite the committed tables).
 
 The collection goes through the parallel evaluation subsystem
 (``repro.eval.parallel``): set ``REPRO_BENCH_JOBS=N`` to fan the grid
@@ -45,8 +46,9 @@ def all_runs(artifact_cache):
 
 @pytest.fixture(scope="session")
 def results_dir():
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    path = pathlib.Path(os.environ.get("REPRO_RESULTS_DIR") or RESULTS_DIR)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def save_table(results_dir: pathlib.Path, name: str, text: str) -> None:

@@ -266,25 +266,37 @@ def trip_count(shape: SimpleLoopShape, init: int,
     """
     if ranges is None:
         ranges = exit_ranges(shape.cond, shape.bound)
-    step = shape.step % _WORD
-    first = (init + shape.step) % _WORD  # counter at the first latch test
-    taken = None  # latch-taken count before the first failing test
-    if step == 1 or step == _WORD - 1:
-        for lo, hi in ranges:
-            if lo <= first <= hi:
-                taken = 0
-                break
-            hit = (lo - first) % _WORD if step == 1 else (first - hi) % _WORD
-            if taken is None or hit < taken:
-                taken = hit
-    else:
-        for lo, hi in ranges:
-            hit = _first_hit(first, step, lo, hi)
-            if hit is not None and (taken is None or hit < taken):
-                taken = hit
+    taken = latch_taken((init + shape.step) % _WORD, shape.step, ranges)
     if taken is None or taken > TRIP_GUARD:
         raise ValueError("non-terminating simple loop")
     return taken + 1
+
+
+def latch_taken(first: int, step: int,
+                ranges: Tuple[Tuple[int, int], ...]) -> Optional[int]:
+    """How often a latch is taken before it first falls through, or
+    None if it never does.
+
+    ``first`` is the counter at the first latch test, ``step`` the
+    counter's signed (or mod 2**32) change per iteration, ``ranges`` the
+    latch's :func:`exit_ranges`. This is the one statement of the rule:
+    :func:`trip_count` and the JIT's closed-form loop step both call it.
+    """
+    step %= _WORD
+    taken: Optional[int] = None
+    if step == 1 or step == _WORD - 1:
+        for lo, hi in ranges:
+            if lo <= first <= hi:
+                return 0
+            hit = (lo - first) % _WORD if step == 1 else (first - hi) % _WORD
+            if taken is None or hit < taken:
+                taken = hit
+        return taken
+    for lo, hi in ranges:
+        hit = _first_hit(first, step, lo, hi)
+        if hit is not None and (taken is None or hit < taken):
+            taken = hit
+    return taken
 
 
 def exit_ranges(cond: str, bound: int) -> Tuple[Tuple[int, int], ...]:

@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.program import Image
+from repro.core.loops import TRIP_GUARD, exit_ranges, latch_taken
 from repro.isa import alu
 from repro.isa.conditions import normalise_cond
 from repro.isa.instructions import Instr, InstrKind, TAKEN_BRANCH_PENALTY
@@ -103,8 +104,11 @@ class CompiledBlock:
         self.fn = fn
         #: loop-resident blocks only (else None): ``loop(cpu, ret_batch,
         #: retire_limit, pending, pre_hooks, pre_len, retire_hooks,
-        #: retire_len)`` iterates until the back-edge falls through or
-        #: the run loop would act between iterations
+        #: retire_len, bulk)`` iterates until the back-edge falls through
+        #: or the run loop would act between iterations, and returns how
+        #: many closed-form chunks it took (``bulk`` holds the retire
+        #: hooks' ``jit_loop_cap`` and ``jit_loop_retire`` lists, or is
+        #: None when some hook lacks them)
         self.loop = loop
         #: retires beyond the first — the run-loop dispatches this block
         #: only when ``retired_so_far + max_extra < limit``, so the
@@ -450,6 +454,60 @@ def _loop_resident(block: Superblock, gen: _Codegen) -> bool:
             and gen.conditional and gen.direct_target == block.entry)
 
 
+def _counted_loop(block: Superblock) -> Optional[Tuple[Dict[int, int],
+                                                     int, int, str]]:
+    """``(steps, counter, bound, cond)`` if a loop-resident ``block`` is
+    a counted loop, else None.
+
+    Counted: every body register write is ``rX = rX +/- #imm`` (``nop``
+    may sit between them), the body ends in ``cmp counter, #bound`` and
+    the terminator is a conditional ``b`` back to the entry. ``steps``
+    maps each written register to its net change per iteration, mod
+    2**32; the counter's own step may be 0.
+    """
+    if not block.body:
+        return None
+    _, term = block.terminator
+    if term.kind is not InstrKind.BRANCH or term.cond is None:
+        return None
+    _, cmp = block.body[-1]
+    if cmp.mnemonic != "cmp":
+        return None
+    counter, bound = cmp.operands
+    if (not isinstance(counter, Reg) or counter.num == PC
+            or not isinstance(bound, Imm)):
+        return None
+    steps: Dict[int, int] = {}
+    for _, instr in block.body[:-1]:
+        if instr.mnemonic == "nop":
+            continue
+        if instr.mnemonic not in ("add", "sub") or len(instr.operands) != 3:
+            return None
+        dest, lhs, rhs = instr.operands
+        if (not isinstance(dest, Reg) or not isinstance(lhs, Reg)
+                or dest.num != lhs.num or dest.num == PC
+                or not isinstance(rhs, Imm)):
+            return None
+        delta = rhs.value if instr.mnemonic == "add" else -rhs.value
+        steps[dest.num] = (steps.get(dest.num, 0) + delta) & M32
+    return steps, counter.num, bound.value, normalise_cond(term.cond)
+
+
+def _taken_counter(step: int, cond: str, bound: int):
+    """``taken(counter)``: whole taken iterations left in a counted loop
+    whose counter is ``counter`` at an iteration's start (the latch
+    falls through on the one after them), or None past
+    :data:`~repro.core.loops.TRIP_GUARD` (non-terminating)."""
+    ranges = exit_ranges(cond, bound)
+
+    def taken(counter: int) -> Optional[int]:
+        count = latch_taken((counter + step) & M32, step, ranges)
+        if count is None or count > TRIP_GUARD:
+            return None
+        return count
+    return taken
+
+
 def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
     """Generate, compile, and wrap one superblock.
 
@@ -469,6 +527,15 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
     iterations — when an IRQ is pending, the CPU halted, or either hook
     list changed: everything the run loop would act on between two
     dispatches.
+
+    A counted loop (:func:`_counted_loop`) first tries a closed-form
+    chunk at the top of every iteration: the taken iterations left
+    (``_taken``), capped at ``_lim`` and by each bulk observer, advance
+    the affine registers, cycles, retires, PC and flags at once, then
+    the observers take them and the same exits are checked.  Whatever
+    no chunk takes (the final fall-through, an MTB's warmup or
+    watermark packet) runs through the per-iteration body.  ``_loop``
+    returns the number of chunks taken.
     """
     gen = _Codegen(image, block)
     for pc, instr in block.body:
@@ -543,17 +610,54 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
     indent(term_lines)
 
     loop_resident = _loop_resident(block, gen)
+    counted = _counted_loop(block) if loop_resident else None
+    taken_event = None
+    taken = None
     if loop_resident:
-        out.append("def _loop(cpu, _ret, _lim, _pend, _hp, _hpl, _hr, _hrl):")
-        indent(preamble)
-        indent(["while True:"])
+        exits = ["if _hrl and (_pend or cpu.halted or cpu.pre_hooks is not _hp",
+                 "             or len(_hp) != _hpl or cpu.retire_hooks is not _hr",
+                 "             or len(_hr) != _hrl):"]
+        out.append("def _loop(cpu, _ret, _lim, _pend, _hp, _hpl, _hr, _hrl, "
+                   "_bulk):")
+        indent(preamble + ["_nk = 0", "while True:"])
+        if counted is not None:
+            steps, counter, bound, cond = counted
+            taken = _taken_counter(steps.get(counter, 0), cond, bound)
+            taken_event = events[block.entry]
+            n_iter = n_body + 1
+            cycles = (gen._cyc + block.terminator[1].spec.cycles
+                      + TAKEN_BRANCH_PENALTY)
+            flagger = _Codegen(image, block)
+            flagger._gen_compare(*block.body[-1])
+            indent(["if _bulk is not None:",
+                    f"    _k = _taken(regs[{counter}])",
+                    "    if _k is None:",
+                    "        _bulk = None",
+                    "    elif _k:",
+                    f"        _q = (_lim - cpu.retired + {n_iter - 1}) "
+                    f"// {n_iter}",
+                    "        if _q < _k:",
+                    "            _k = _q",
+                    "        for _c in _bulk[0]:",
+                    "            _k = _c(_k)"], 2)
+            indent(["if _k:"]
+                   + [f"    regs[{reg}] = (regs[{reg}] + _k * {hex(step)})"
+                      " & 0xFFFFFFFF" for reg, step in sorted(steps.items())]
+                   + [f"    cpu.cycles += _k * {cycles}",
+                      f"    cpu.retired += _k * {n_iter}",
+                      f"    regs[15] = {hex(block.entry)}"]
+                   + ["    " + line for line in flagger.lines + flag_commit]
+                   + ["    for _o in _bulk[1]:",
+                      "        _o(_PCS, _EVT, _k)",
+                      "    _nk += 1",
+                      "    if cpu.retired >= _lim:",
+                      "        return _nk"]
+                   + ["    " + line for line in exits]
+                   + ["        return _nk",
+                      "    continue"], 4)
         indent(body_lines + commit + flag_commit + ret_batch + term_lines, 2)
         indent([f"if _n != {hex(block.entry)} or cpu.retired >= _lim:",
-                "    return",
-                "if _hrl and (_pend or cpu.halted or cpu.pre_hooks is not _hp",
-                "             or len(_hp) != _hpl or cpu.retire_hooks is not _hr",
-                "             or len(_hr) != _hrl):",
-                "    return"], 2)
+                "    return _nk"] + exits + ["    return _nk"], 2)
 
     source = "\n".join(out) + "\n"
     namespace = {
@@ -563,6 +667,8 @@ def compile_superblock(image: Image, block: Superblock) -> CompiledBlock:
         "_TI": block.terminator[1] if block.terminator is not None else None,
         "_EVS": events,
         "_PCS": body_pcs,
+        "_EVT": taken_event,
+        "_taken": taken,
         "_udiv": alu.udiv,
         "_sdiv": alu.sdiv,
         "_lsl": alu.lsl,

@@ -37,6 +37,17 @@ batch, and must be idempotent under repetition: for a loop-resident
 block the run loop calls it once with the whole loop's PCs and then
 runs every iteration without pre-hooks, while the retire hooks still
 run per iteration.  Batch handlers must not change the hook lists.
+
+A counted loop-resident block advances whole runs of taken iterations
+in one closed-form step when every retire hook also provides the bulk
+loop retire: ``jit_loop_cap(count)`` returns how many of ``count``
+iterations the observer takes now (no side effects; 0 runs the next
+iteration per iteration), then ``jit_loop_retire(pcs, event, count)``
+observes ``count`` iterations of the body ``pcs`` followed by the
+terminator's taken ``event``.  A bulk retire must run no foreign code
+(callbacks, handlers): an observer whose next retire would do so caps
+the chunk short of it, as the MTB does for its watermark packet.  A
+hook without the pair keeps its loops on the per-iteration path.
 """
 
 from __future__ import annotations
@@ -180,6 +191,8 @@ class JITRuntime:
         self.blocks: _Table = {}
         self.compiles = 0
         self.invalidations = 0
+        #: closed-form chunks taken by counted loop-resident blocks
+        self.closed_form_chunks = 0
 
     # -- dispatch side -----------------------------------------------------
 

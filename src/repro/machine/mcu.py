@@ -116,7 +116,11 @@ class MCU:
         (a register-only self-loop) whose whole loop the pre batch
         handlers accept runs all its iterations in one dispatch when no
         device ticks; it returns whenever this loop would act between
-        two iterations.
+        two iterations.  A counted one (``rX = rX +/- #imm`` writes,
+        ``cmp counter, #imm``) advances whole runs of iterations in
+        closed form when every retire hook takes bulk loop retires
+        (``jit_loop_cap``/``jit_loop_retire``, :mod:`repro.machine.jit.
+        runtime`).
         """
         limit = max_instructions or self.max_instructions
         cpu = self.cpu
@@ -135,7 +139,7 @@ class MCU:
         # hook-hoisting state, revalidated whenever the hook lists change
         hp = hr = None
         hp_len = hr_len = -1
-        pre_batch = ret_batch = None
+        pre_batch = ret_batch = loop_bulk = None
         jit_ok = False
 
         while True:
@@ -159,6 +163,12 @@ class MCU:
                     ret_batch = hoisted_handlers(
                         hr, "JIT_RETIRE_HOOK", "jit_block_retire")
                     jit_ok = pre_batch is not None and ret_batch is not None
+                    caps = hoisted_handlers(
+                        hr, "JIT_RETIRE_HOOK", "jit_loop_cap")
+                    bulk = hoisted_handlers(
+                        hr, "JIT_RETIRE_HOOK", "jit_loop_retire")
+                    loop_bulk = (None if caps is None or bulk is None
+                                 else (caps, bulk))
                 if jit_ok:
                     pc = regs[15]
                     blk = blocks.get(pc)
@@ -168,8 +178,9 @@ class MCU:
                         loop = blk.loop
                         if (loop is not None and tick is None
                                 and _accepts(pre_batch, blk.pcs)):
-                            loop(cpu, ret_batch, base + limit - blk.max_extra,
-                                 pending, hp, hp_len, hr, hr_len)
+                            jit.closed_form_chunks += loop(
+                                cpu, ret_batch, base + limit - blk.max_extra,
+                                pending, hp, hp_len, hr, hr_len, loop_bulk)
                             stepped = False
                         elif (not blk.body_pcs
                               or _accepts(pre_batch, blk.body_pcs)):

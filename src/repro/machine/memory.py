@@ -88,6 +88,15 @@ class Memory:
         b[address + 6] = (second >> 16) & 0xFF
         b[address + 7] = (second >> 24) & 0xFF
 
+    def poke_pairs(self, address: int, first: int, second: int,
+                   count: int) -> None:
+        """``count`` back-to-back copies of :meth:`poke_pair`'s packet
+        from ``address`` on, in one store update."""
+        packet = (first & 0xFFFFFFFF | (second & 0xFFFFFFFF) << 32
+                  ).to_bytes(8, "little")
+        self._bytes.update(zip(range(address, address + 8 * count),
+                               packet * count))
+
     # -- checked access ----------------------------------------------------
 
     def read(self, address: int, size: int, world: World) -> int:

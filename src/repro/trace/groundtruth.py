@@ -15,7 +15,8 @@ from repro.machine.cpu import RetireEvent
 class GroundTruthTracer:
     """Subscribes to CPU retires and keeps the full path."""
 
-    #: block-observation protocol (repro.machine.jit.runtime)
+    #: block-observation protocol (repro.machine.jit.runtime), counted
+    #: loops included
     JIT_RETIRE_HOOK = "on_retire"
 
     def __init__(self, record_all: bool = False):
@@ -33,6 +34,18 @@ class GroundTruthTracer:
         """Hoisted retire hook: all of ``pcs`` retired sequentially."""
         if self.record_all:
             self.pcs.extend(pcs)
+
+    def jit_loop_cap(self, count: int) -> int:
+        """Bulk loop retires are always taken whole."""
+        return count
+
+    def jit_loop_retire(self, pcs, event: RetireEvent, count: int) -> None:
+        """Hoisted retire hook: ``count`` iterations of the sequential
+        ``pcs`` followed by the terminator's ``event``."""
+        if self.record_all:
+            self.pcs.extend((tuple(pcs) + (event.src,)) * count)
+        if event.non_sequential:
+            self.transfers.extend([(event.src, event.dst)] * count)
 
     def executed_addresses(self) -> List[int]:
         if not self.record_all:

@@ -45,6 +45,7 @@ class MTB:
 
     #: block-observation protocol (repro.machine.jit.runtime): the CPU
     #: retire hook this unit registers, hoistable via jit_block_retire
+    #: and, for a counted loop, jit_loop_cap + jit_loop_retire
     JIT_RETIRE_HOOK = "on_retire"
 
     def __init__(self, memory: Memory, *, base: int = MTB_SRAM_BASE,
@@ -120,6 +121,51 @@ class MTB:
         """
         if self.enabled and self._warmup > 0:
             self._warmup = max(0, self._warmup - len(pcs))
+
+    def jit_loop_cap(self, count: int) -> int:
+        """How many of ``count`` taken loop iterations
+        :meth:`jit_loop_retire` may take at once (0: none, run the next
+        iteration through :meth:`on_retire`).
+
+        A disabled MTB takes them all.  An enabled one takes none while
+        its activation warmup runs down, and otherwise stops short of
+        the packet that wraps the buffer and of the packet that reaches
+        the watermark: that one is recorded per iteration, so the
+        ``MTB_FLOW`` handler runs at exactly the instruction boundary,
+        with exactly the CPU state and hook lists, it would under
+        interpretation.
+        """
+        if not self.enabled:
+            return count
+        if self._warmup > 0:
+            return 0
+        start = self.position
+        if start + PACKET_BYTES > self.buffer_size:
+            start = 0  # the chunk's first packet wraps
+        room = (self.buffer_size - start) // PACKET_BYTES
+        if self.watermark is not None and self.watermark_handler is not None:
+            room = min(room, (self.watermark - start - 1) // PACKET_BYTES)
+        return max(0, min(count, room))
+
+    def jit_loop_retire(self, pcs, event: RetireEvent, count: int) -> None:
+        """Hoisted retire hook for ``count`` iterations of a loop: the
+        sequential ``pcs``, then the terminator's ``event``.
+
+        Called only with a count :meth:`jit_loop_cap` granted, so no
+        warmup is left, no packet wraps but the first and the watermark
+        is not reached: the ``count`` packets go into the trace SRAM in
+        one store update.
+        """
+        if not self.enabled or event.sequential:
+            return
+        offset = self.position
+        if offset + PACKET_BYTES > self.buffer_size:
+            offset = 0
+            self.wrapped = True
+        self.memory.poke_pairs(self.base + offset, event.src, event.dst,
+                               count)
+        self.position = offset + count * PACKET_BYTES
+        self.total_packets += count
 
     def _record(self, src: int, dst: int) -> None:
         offset = self.position

@@ -17,6 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.asm.assembler import assemble_and_link
+from repro.cfa.engine import EngineConfig
+from repro.cfa.wire import encode_report
+from repro.core.loops import SimpleLoopShape, trip_count
+from repro.isa.conditions import CONDITIONS
 from repro.machine.faults import ExecutionLimitExceeded, MemFault
 from repro.machine.jit import NOJIT, compile_superblock, discover_superblock
 from repro.machine.jit.runtime import (
@@ -30,6 +34,8 @@ from repro.machine.mmio import MMIODevice
 from repro.trace.dwt import DWT
 from repro.trace.groundtruth import GroundTruthTracer
 from repro.trace.mtb import MTB
+from repro.workloads import load_workload
+from conftest import naive_setup
 
 
 @pytest.fixture(autouse=True)
@@ -668,6 +674,328 @@ class _Ticker(MMIODevice):
 
 class _Silent(MMIODevice):
     WINDOW = 0x10
+
+
+# -- closed-form counted loops -----------------------------------------------
+
+#: a counted loop: ``rX = rX +/- #imm`` updates, ``cmp r4, #bound`` and a
+#: conditional branch back; r5/r6 are extra affine registers
+COUNTED = """.entry main
+main:
+    mov32 r4, #{init:#x}
+    mov32 r5, #{extra:#x}
+loop:
+{body}
+    cmp r4, #{bound:#x}
+    b{cond} loop
+    bkpt
+"""
+
+#: DELAY plus an interrupt handler, for watermark handlers that pend IRQs
+DELAY_ISR = DELAY + """isr:
+    add r6, r6, #1
+    mov r5, r7
+    bx lr
+"""
+
+_MASK = 0xFFFF_FFFF
+_BOUNDARY = [0, 1, 2, 0x7FFF_FFFE, 0x7FFF_FFFF, 0x8000_0000, 0x8000_0001,
+             0xFFFF_FFFE, 0xFFFF_FFFF]
+_UPDATE = st.tuples(st.sampled_from(["add", "sub"]),
+                    st.one_of(st.sampled_from([1, 2, 3, 7, 255]),
+                              st.integers(1, 0xFFFF_FFFF)))
+
+
+def _counted_source(counter_ops, extra_ops, nops, init, bound, cond):
+    lines = [f"    {op} r4, r4, #{imm}" for op, imm in counter_ops]
+    lines += [f"    {op} r{reg}, r{reg}, #{imm}"
+              for reg, (op, imm) in extra_ops]
+    lines += ["    nop"] * nops
+    return COUNTED.format(init=init, extra=0x7FFF_FFF0, bound=bound,
+                          cond=cond, body="\n".join(lines))
+
+
+def _chunks(mcu):
+    return mcu.jit.closed_form_chunks
+
+
+class TestClosedForm:
+    """Counted loop-resident blocks advance whole runs of iterations in
+    one step; everything observable must equal interpreting them."""
+
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(counter_ops=st.lists(_UPDATE, min_size=1, max_size=2),
+           extra_ops=st.lists(st.tuples(st.sampled_from([5, 6]), _UPDATE),
+                              max_size=3),
+           nops=st.integers(0, 1),
+           cond=st.sampled_from(CONDITIONS),
+           bound=st.one_of(st.sampled_from(_BOUNDARY + [10, 255]),
+                           st.integers(0, _MASK)),
+           base=st.one_of(st.sampled_from(_BOUNDARY),
+                          st.integers(0, _MASK)),
+           near=st.booleans(), offset=st.integers(-300, 300),
+           limit=st.integers(60, 3000))
+    def test_matches_interpreter(self, counter_ops, extra_ops, nops, cond,
+                                 bound, base, near, offset, limit):
+        step = sum(imm if op == "add" else -imm for op, imm in counter_ops)
+        init = ((bound if near else base) + offset * step) & _MASK
+        source = _counted_source(counter_ops, extra_ops, nops, init, bound,
+                                 cond)
+        _, m1 = assert_identical(source, require_compiles=False,
+                                 max_instructions=limit)
+        n_iter = len(counter_ops) + len(extra_ops) + nops + 2
+        try:
+            trips = trip_count(SimpleLoopShape(0, 4, bound, step, cond,
+                                               None), init)
+        except ValueError:
+            trips = None
+        if trips is not None and trips >= 3 and 2 + trips * n_iter < limit:
+            assert _chunks(m1) > 0, "closed form never engaged"
+
+    @pytest.mark.parametrize("cond,init,step,bound", [
+        ("gt", 40, -1, 0),                  # geiger's delay loop
+        ("ne", 0xFFFF_FFF0, 1, 3),          # wraps through 2**32 - 1
+        ("lt", 0xFFFF_FF00, 1, 5),          # negative counter counts up
+        ("hi", 0x1000, -3, 0x10),           # unsigned, step -3
+        ("pl", 0x7FFF_FF00, 0x10, 0),       # signed wrap ends it
+        ("lt", 0x8000_0000, -0x1000, 0x8000_0000),  # exits at once
+    ])
+    def test_fixed_cases_take_one_chunk(self, cond, init, step, bound):
+        op = "add" if step > 0 else "sub"
+        source = _counted_source([(op, abs(step))], [(5, ("add", 9))], 0,
+                                 init, bound, cond)
+        _, m1 = assert_identical(source, require_compiles=False,
+                                 max_instructions=5_000_000)
+        trips = trip_count(SimpleLoopShape(0, 4, bound, step, cond, None),
+                           init)
+        assert _chunks(m1) == (1 if trips >= 3 else 0)
+
+    @pytest.mark.parametrize("limit", [71, 82, 93, 120])
+    def test_flags_after_a_chunk_cut_by_the_limit(self, limit):
+        """The counter crosses 0x80000000 on its way to the bound, which
+        flips V mid-loop: a chunk the limit cuts must leave the flags of
+        its own last ``cmp``."""
+        source = _counted_source([("add", 1)], [(5, ("add", 9))], 0,
+                                 0x7FFF_FFF0, 0x8000_0010, "ne")
+        _, m1 = assert_identical(source, max_instructions=limit)
+        assert _chunks(m1) == 1
+        assert m1.cpu.retired == limit and m1.cpu.regs[4] > 0x8000_0000
+
+    def test_non_terminating_loop_keeps_per_iteration_path(self):
+        """Step 2 never reaches an odd bound: no closed form, and the
+        limit fires on the same instruction."""
+        source = _counted_source([("add", 2)], [], 0, 0, 7, "ne")
+        _, m1 = assert_identical(source, max_instructions=2_000)
+        assert _chunks(m1) == 0
+
+    @pytest.mark.parametrize("body", [
+        "sub r4, r4, r5; cmp r4, #0",       # a register operand
+        "mov r5, #1; sub r4, r4, #1; cmp r4, #0",   # a non-affine write
+        "adc r5, r5, #1; sub r4, r4, #1; cmp r4, #0",  # reads the carry
+        "sub r4, r4, #1; cmp r4, #0; nop",  # cmp not last
+    ])
+    def test_other_shapes_stay_per_iteration(self, body):
+        lines = "\n".join("    " + part.strip() for part in body.split(";"))
+        _, m1 = assert_identical(f""".entry main
+main:
+    mov r4, #90
+    mov r5, #1
+loop:
+{lines}
+    bgt loop
+    bkpt
+""")
+        assert _chunks(m1) == 0
+        assert any(b is not NOJIT and b.loop is not None
+                   for b in m1.jit.blocks.values())
+
+    @pytest.mark.parametrize("slack", range(4))
+    def test_limit_lands_inside_a_chunk(self, slack):
+        image = assemble_and_link(DELAY.format(n=2_000))
+        calls = spy_loops(image)
+        (m0, _, e0, t0), (m1, _, e1, t1) = run_pair(
+            image, _tracer, max_instructions=3_001 + slack)
+        assert calls and _chunks(m1) == 1
+        assert isinstance(e0, ExecutionLimitExceeded)
+        assert type(e1) is type(e0) and str(e1) == str(e0)
+        _assert_same_cpu(m0, m1)
+        assert t0.pcs == t1.pcs
+
+    def test_loop_without_bulk_hook_falls_back(self):
+        """``_OnTaken`` has no bulk loop methods: per iteration, exactly."""
+        image = assemble_and_link(DELAY.format(n=50))
+
+        def setup(mcu):
+            hook = _OnTaken(mcu.cpu, lambda cpu: None, 10 ** 6)
+            mcu.cpu.retire_hooks.append(hook.on_retire)
+            return hook
+
+        (m0, r0, _, h0), (m1, r1, _, h1) = run_pair(image, setup)
+        assert h0.taken == h1.taken == 49
+        assert _chunks(m1) == 0
+        _assert_same_cpu(m0, m1)
+
+
+def _assert_same_cpu(m0, m1):
+    assert m0.cpu.regs == m1.cpu.regs
+    assert m0.cpu.flags.as_tuple() == m1.cpu.flags.as_tuple()
+    assert (m0.cpu.cycles, m0.cpu.retired, m0.cpu.halted) == \
+           (m1.cpu.cycles, m1.cpu.retired, m1.cpu.halted)
+
+
+def mtb_setup(buffer_size=64, watermark=None, activation_latency=1,
+              action=None, drain=True):
+    """A ``run_pair`` setup: an MTB enabled from reset, with a watermark
+    handler that snapshots the CPU and trace SRAM on every call, may
+    ``action(mcu, mtb, call_number)``, then drains unless told not to.
+    Returns ``(mtb, snapshots, tracer)``."""
+    def setup(mcu):
+        mtb = MTB(mcu.memory, buffer_size=buffer_size,
+                  activation_latency=activation_latency)
+        snapshots = []
+
+        def handler(unit):
+            cpu = mcu.cpu
+            snapshots.append((
+                cpu.retired, cpu.cycles, tuple(cpu.regs),
+                cpu.flags.as_tuple(), unit.position, unit.wrapped,
+                unit.total_packets,
+                unit.memory.peek_bytes(unit.base, unit.buffer_size)))
+            if action is not None:
+                action(mcu, unit, len(snapshots))
+            if drain:
+                unit.reset_position()
+
+        mtb.configure(watermark=watermark, watermark_handler=handler)
+        mcu.cpu.retire_hooks.append(mtb.on_retire)
+        mtb.start()
+        return mtb, snapshots, _tracer(mcu)
+    return setup
+
+
+def _assert_same_mtb_run(pair):
+    (m0, r0, e0, (mtb0, s0, t0)), (m1, r1, e1, (mtb1, s1, t1)) = pair
+    assert type(e0) is type(e1) and str(e0) == str(e1)
+    if r0 is not None:
+        assert (r0.cycles, r0.instructions, r0.exit_reason) == \
+               (r1.cycles, r1.instructions, r1.exit_reason)
+    _assert_same_cpu(m0, m1)
+    assert (mtb0.position, mtb0.wrapped, mtb0.total_packets,
+            mtb0.enabled) == (mtb1.position, mtb1.wrapped,
+                              mtb1.total_packets, mtb1.enabled)
+    assert (mtb0.memory.peek_bytes(mtb0.base, mtb0.buffer_size)
+            == mtb1.memory.peek_bytes(mtb1.base, mtb1.buffer_size))
+    assert s0 == s1
+    assert t0.pcs == t1.pcs and t0.transfers == t1.transfers
+    return m1, mtb1, s1
+
+
+class TestClosedFormMTB:
+    """The MTB takes a counted loop's packets per chunk: up to the next
+    wrap, short of the packet that reaches the watermark."""
+
+    @pytest.mark.parametrize("buffer_size,watermark,drain", [
+        (64, 40, True),       # a partial report every 5 packets
+        (64, 64, True),       # watermark at the buffer's end
+        (64, 40, False),      # undrained: every packet past 40 fires
+        (64, None, True),     # no watermark: the buffer wraps
+        (64, 1_000, True),    # watermark beyond the buffer: wraps too
+        (0, None, True),      # degenerate: every packet wraps to 0
+    ])
+    def test_watermarks_and_wraps(self, buffer_size, watermark, drain):
+        image = assemble_and_link(DELAY.format(n=300))
+        m1, mtb1, snaps = _assert_same_mtb_run(run_pair(
+            image, mtb_setup(buffer_size, watermark, drain=drain)))
+        assert mtb1.total_packets == 299
+        assert (_chunks(m1) > 0) == (buffer_size > 0)
+        if watermark is not None and watermark <= buffer_size:
+            assert len(snaps) >= 299 // 8
+        elif buffer_size:
+            assert mtb1.wrapped
+
+    @pytest.mark.parametrize("buffer_size,watermark", [(64, 40),
+                                                       (4096, None)])
+    def test_warmup_left_at_loop_entry(self, buffer_size, watermark):
+        """A 9-retire activation window is still running when the loop
+        block starts: it runs down one iteration at a time first."""
+        image = assemble_and_link(DELAY.format(n=100))
+        calls = spy_loops(image)
+        m1, mtb1, _ = _assert_same_mtb_run(run_pair(
+            image, mtb_setup(buffer_size, watermark, activation_latency=9)))
+        assert calls[0] < 9, "the window must still run at loop entry"
+        assert _chunks(m1) > 0
+        assert mtb1.total_packets < 99  # the window swallowed some
+
+    @pytest.mark.parametrize("slack", range(4))
+    def test_limit_inside_a_chunk(self, slack):
+        image = assemble_and_link(DELAY.format(n=400))
+        m1, _, _ = _assert_same_mtb_run(run_pair(
+            image, mtb_setup(4096, 2_000), max_instructions=901 + slack))
+        assert _chunks(m1) > 0
+
+    @pytest.mark.parametrize("what", ["halt", "irq", "add_hook",
+                                      "drop_mtb", "stop"])
+    def test_handler_side_effects(self, what):
+        """A watermark handler that halts, pends an IRQ, edits the hook
+        lists or stops the MTB on its second call: the loop returns (or
+        the run ends) where interpreting would."""
+        image = assemble_and_link(DELAY_ISR.format(n=200))
+        extra = []
+
+        def action(mcu, unit, call):
+            if call != 2:
+                return
+            if what == "halt":
+                mcu.cpu.halted = True
+            elif what == "irq":
+                mcu.nvic.raise_irq(3)
+            elif what == "add_hook":
+                mcu.cpu.retire_hooks.append(
+                    lambda event: extra.append(event.src))
+            elif what == "drop_mtb":
+                mcu.cpu.retire_hooks.remove(unit.on_retire)
+            else:
+                unit.stop()
+
+        def setup(mcu):
+            mcu.nvic.register_vector(3, image.addr_of("isr"))
+            extra.clear()
+            return mtb_setup(64, 40, action=action)(mcu)
+
+        pair = run_pair(image, setup)
+        m1, _, snaps = _assert_same_mtb_run(pair)
+        assert len(snaps) >= 2 and _chunks(m1) > 0
+        if what == "irq":
+            assert pair[0][0].nvic.serviced == m1.nvic.serviced == [3]
+        if what == "add_hook":
+            assert extra  # the closure saw the rest of the run
+        if what == "halt":
+            assert m1.cpu.halted and pair[1][1].exit_reason == "bkpt"
+
+    @pytest.mark.parametrize("workload", [None, "geiger", "ultrasonic"])
+    def test_naive_mtb_reports_identical(self, workload, monkeypatch):
+        """Naive-MTB with an 8-packet buffer and a watermark at 5: every
+        partial report's bytes and MAC, the packet count and the report
+        cycles are identical on both tiers."""
+        config = EngineConfig(mtb_buffer_size=64, watermark=40)
+        results = []
+        for enabled in ("0", "1"):
+            monkeypatch.setenv("REPRO_JIT", enabled)
+            subject = (DELAY.format(n=500) if workload is None
+                       else load_workload(workload))
+            _, _, mcu, engine, _, tracer = naive_setup(
+                subject, engine_config=config)
+            results.append((mcu, engine.attest(b"closed-form"), tracer))
+        (m0, a0, t0), (m1, a1, t1) = results
+        assert m1.jit is not None and _chunks(m1) > 0
+        assert len(a0.reports) == len(a1.reports) > 10
+        assert ([encode_report(r) for r in a0.reports]
+                == [encode_report(r) for r in a1.reports])
+        assert (a0.mtb_packets, a0.report_cycles, a0.cycles,
+                a0.instructions) == (a1.mtb_packets, a1.report_cycles,
+                                     a1.cycles, a1.instructions)
+        assert t0.pcs == t1.pcs and t0.transfers == t1.transfers
 
 
 # -- hypothesis: cycle pre-summing == per-instruction accounting ---------

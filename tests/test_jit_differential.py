@@ -23,8 +23,11 @@ from repro.cfa.engine import EngineConfig
 from repro.cfa.wire import encode_report
 from repro.eval.figures import EVAL_WORKLOADS
 from repro.eval.runner import run_method
+from repro.asm import link
 from repro.machine.jit import NOJIT
+from repro.machine.jit.runtime import shared_cache_for
 from repro.workloads import load_workload, vulnerable
+from repro.workloads.base import make_mcu
 from conftest import naive_setup, rap_setup, traces_setup
 
 CHALLENGE = b"jit-diff-chal"
@@ -130,6 +133,41 @@ class TestTierEngagement:
         mcu, _, _, _ = attest_once("geiger", method, True)
         assert any(b is not NOJIT and b.loop is not None
                    for b in mcu.jit.blocks.values())
+
+    @pytest.mark.parametrize("workload,label", [("geiger", "delay_loop"),
+                                                ("ultrasonic", "echo_wait")])
+    @pytest.mark.parametrize("method", ["baseline"] + sorted(SETUPS))
+    def test_counted_loops_take_the_closed_form(self, workload, label,
+                                                method):
+        """geiger's delay loop and ultrasonic's echo_wait are counted
+        loops: under every method their loop-resident block advances in
+        closed-form chunks, so the grid above covers that path (the
+        naive-MTB partial reports included)."""
+        def run():
+            if method == "baseline":
+                wl = load_workload(workload)
+                with jit_env(True):
+                    mcu = make_mcu(link(wl.module()), wl)
+                mcu.run()
+                return mcu
+            return attest_once(workload, method, True)[0]
+
+        image = run().image  # compiles the block into the shared table
+        blk = shared_cache_for(image).blocks[image.addr_of(label)]
+        assert blk is not NOJIT and blk.loop is not None
+        chunks = []
+
+        def spy(*args, _inner=blk.loop):
+            chunks.append(_inner(*args))
+            return chunks[-1]
+
+        blk.loop, inner = spy, blk.loop
+        try:
+            mcu = run()
+        finally:
+            blk.loop = inner
+        assert sum(chunks) > 0
+        assert mcu.jit.closed_form_chunks >= sum(chunks)
 
     def test_interpreter_tier_has_no_runtime(self):
         mcu, _, _, _ = attest_once("prime", "rap-track", False)
