@@ -8,10 +8,9 @@ pytest-benchmark. Tables are also written to ``benchmarks/results/``
 for EXPERIMENTS.md, or to ``REPRO_RESULTS_DIR`` when it is set (a smoke
 run that must not overwrite the committed tables).
 
-The collection goes through the parallel evaluation subsystem
-(``repro.eval.parallel``): set ``REPRO_BENCH_JOBS=N`` to fan the grid
-out across worker processes, and ``REPRO_CACHE_DIR`` to relocate the
-offline-artifact cache that repeated benchmark sessions reuse.
+The collection is the grid ``repro.eval.figures.collect_all``, in
+this process; set ``REPRO_CACHE_DIR`` to relocate the offline-artifact
+cache that repeated benchmark sessions reuse.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import pathlib
 import pytest
 
 from repro.eval.cache import ArtifactCache, default_cache_dir
-from repro.eval.parallel import evaluate_grid
+from repro.eval.figures import collect_all
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -36,12 +35,7 @@ def artifact_cache():
 @pytest.fixture(scope="session")
 def all_runs(artifact_cache):
     """Every workload x every method, verified, collected once."""
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    from repro.eval.figures import EVAL_WORKLOADS
-
-    runs, _ = evaluate_grid(list(EVAL_WORKLOADS), jobs=jobs,
-                            cache=artifact_cache)
-    return runs
+    return collect_all(cache=artifact_cache)
 
 
 @pytest.fixture(scope="session")

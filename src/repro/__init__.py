@@ -26,7 +26,8 @@ from repro.cfa.engine import EngineConfig, RapTrackEngine
 from repro.cfa.report import AttestationResult
 from repro.cfa.verifier import NaiveVerifier, VerificationResult, Verifier
 from repro.core.pipeline import RapTrackConfig, RapTrackResult, transform
-from repro.eval.runner import METHODS, run_all_methods, run_method
+from repro.eval.figures import collect_all
+from repro.eval.runner import METHODS, run_method
 from repro.machine.mcu import MCU
 from repro.tz.keystore import KeyStore
 from repro.workloads import WORKLOADS, load_workload
@@ -85,7 +86,7 @@ __all__ = [
     "make_mcu",
     "METHODS",
     "run_method",
-    "run_all_methods",
+    "collect_all",
     "attest_rap_track",
     "AttestationOutcome",
 ]

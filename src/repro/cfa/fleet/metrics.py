@@ -1,8 +1,7 @@
 """Structured metrics for the fleet verification service.
 
-Mirrors the :class:`~repro.eval.parallel.EvalMetrics` idiom: plain
-counters mutated under the service lock, plus derived views (latency
-percentiles, throughput) computed on demand and a one-line
+Plain counters mutated under the service lock, plus derived views
+(latency percentiles, throughput) computed on demand and a one-line
 ``summary()`` for the CLI/CI smoke output.
 """
 

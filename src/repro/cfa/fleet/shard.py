@@ -62,7 +62,12 @@ from repro.cfa.fleet.dictver import DictEpoch, DictionaryRegistry
 from repro.cfa.fleet.metrics import FleetMetrics, aggregate_metrics
 from repro.cfa.fleet.mining import TrafficSampler
 from repro.cfa.fleet.service import FleetService
-from repro.cfa.fleet.store import EvidenceStore, audit_key, recorded_count
+from repro.cfa.fleet.store import (
+    EvidenceStore,
+    audit_key,
+    evidence_logs,
+    recorded_count,
+)
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.policy.engine import PolicyEngine
 from repro.cfa.policy.registry import PolicyRegistry, policy_key
@@ -181,9 +186,8 @@ class ShardedFleetService:
         self.seed = seed
         self.audit_key = audit_key(seed)
         self.store_dir = Path(store_dir) if store_dir is not None else None
-        logs = [None if store_dir is None
-                else self.store_dir / f"evidence-{i:02d}.log"
-                for i in range(shards)]
+        logs = ([None] * shards if self.store_dir is None
+                else evidence_logs(self.store_dir, shards))
         if not resume:
             # refused before any log is opened: the disk stays as it was
             for path in filter(None, logs):

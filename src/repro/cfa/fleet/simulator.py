@@ -686,12 +686,12 @@ class CampaignSimulator:
     # -- the whole campaign ---------------------------------------------------
 
     def run(self, service, rounds: int = 3,
-            heal: bool = True) -> CampaignReport:
-        """``rounds`` full cycles of attest -> heal -> notify."""
-        for round_index in range(rounds):
+            start: int = 0) -> CampaignReport:
+        """Cycles ``start`` .. ``rounds - 1`` of attest -> heal -> notify
+        (a campaign resumed after a restart starts past round 0)."""
+        for round_index in range(start, rounds):
             self.run_round(service, round_index)
-            if heal:
-                self.heal_round(service, round_index)
+            self.heal_round(service, round_index)
             self.deliver_notices(service)
         self.report.rounds = rounds
         if service.policy is not None:

@@ -476,6 +476,23 @@ def verify_evidence_trail(path: Union[str, os.PathLike],
     return records
 
 
+def evidence_logs(store_dir: Union[str, os.PathLike],
+                  shards: Optional[int] = None) -> List[Path]:
+    """The evidence logs of a store directory, in file order.
+
+    A sharded store keeps one ``evidence-NN.log`` per shard; a store
+    written before sharding holds one ``evidence.log``, read when no
+    shard log exists. With ``shards``, the paths those shards write,
+    whether or not they exist yet.
+    """
+    store_dir = Path(store_dir)
+    if shards is not None:
+        return [store_dir / f"evidence-{i:02d}.log" for i in range(shards)]
+    logs = sorted(store_dir.glob("evidence-*.log"))
+    legacy = store_dir / "evidence.log"
+    return logs or ([legacy] if legacy.exists() else [])
+
+
 def recorded_count(path: Union[str, os.PathLike], key: bytes) -> int:
     """How many intact records the evidence log at ``path`` holds (0
     when there is none), read without changing the file."""

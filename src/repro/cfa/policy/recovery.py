@@ -26,7 +26,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.atomic import atomic_write
-from repro.cfa.fleet.store import audit_key, verify_evidence_trail
+from repro.cfa.fleet.store import (
+    audit_key,
+    evidence_logs,
+    verify_evidence_trail,
+)
 from repro.cfa.policy.engine import PolicyEngine, STATE_NAMES
 from repro.cfa.policy.registry import PolicyRegistry, policy_key
 
@@ -145,12 +149,7 @@ def reconstruct_control_plane(
                           max_heal_attempts=max_heal_attempts)
     snapshot = ControlPlaneSnapshot(engine=engine, registry=registry)
     key = audit_key(seed)
-    logs = sorted(store_dir.glob("evidence-*.log"))
-    if not logs:
-        single = store_dir / "evidence.log"
-        if single.exists():
-            logs = [single]
-    for path in logs:
+    for path in evidence_logs(store_dir):
         records = verify_evidence_trail(path, key)
         snapshot.logs_verified += 1
         for record in records:

@@ -4,13 +4,11 @@ Commands:
 
 * ``list`` — the workload registry;
 * ``run WORKLOAD [--method M]`` — one attested, verified execution;
-* ``figures [--workloads ...] [--jobs N]`` — regenerate the paper's
-  tables, optionally fanning the (workload × method) grid out across
-  worker processes;
+* ``figures [--workloads ...]`` — regenerate the paper's tables from
+  the (workload × method) grid;
 * ``profile WORKLOAD`` — cProfile one attested execution and print the
   simulator's hot spots (``--no-jit`` to profile the interpreter tier);
 * ``offline WORKLOAD`` — show the rewriter's output (MTBDR/MTBAR);
-* ``attack`` — the ROP detection demonstration;
 * ``fleet [--devices N] [--shards S]`` — simulate a mixed fleet
   (honest, faulty, and hostile devices) against the fleet attestation
   service; exits 0 iff every session settles as expected.
@@ -25,14 +23,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from repro.asm import link
 from repro.core.pipeline import transform
-from repro.eval.cache import ArtifactCache, default_cache_dir
-from repro.eval.parallel import evaluate_grid, ProgressEvent
+from repro.eval.cache import ArtifactCache, CacheStats, default_cache_dir
 from repro.eval.figures import (
     EVAL_WORKLOADS,
+    collect_all,
     fig1_motivation,
     fig8_runtime,
     fig9_cflog,
@@ -40,7 +39,7 @@ from repro.eval.figures import (
     format_table,
     partial_report_table,
 )
-from repro.eval.runner import METHODS, run_method
+from repro.eval.runner import METHODS, MethodRun, run_method
 from repro.workloads import WORKLOADS, load_workload
 
 
@@ -83,32 +82,33 @@ def _cmd_run(args) -> int:
     return 0 if run.verified else 1
 
 
-def _progress(event: ProgressEvent) -> None:
-    if event.kind == "cell":
-        print(f"[{event.done}/{event.total}] {event.spec} {event.detail}",
-              file=sys.stderr)
-    elif event.kind == "retry":
-        print(f"[{event.done}/{event.total}] {event.detail}",
-              file=sys.stderr)
-    else:
-        print(f"eval: {event.detail}", file=sys.stderr)
+def _progress(done: int, total: int, run: MethodRun) -> None:
+    print(f"[{done}/{total}] {run.workload}×{run.method} ok",
+          file=sys.stderr)
 
 
 def _cmd_figures(args) -> int:
+    """Exit codes: 0 = every cell verified; 1 = a cell failed (one
+    stderr line names it); 2 = unknown workload."""
     names = args.workloads or list(EVAL_WORKLOADS)
     unknown = [n for n in names if n not in WORKLOADS]
     if unknown:
         print(f"unknown workloads: {unknown}", file=sys.stderr)
         return 2
-    runs, metrics = evaluate_grid(
-        names,
-        jobs=args.jobs,
-        cache=_make_cache(args),
-        timeout_s=args.cell_timeout,
-        progress=_progress if not args.quiet else None,
-    )
-    if args.quiet:
-        print(f"eval: {metrics.summary()}", file=sys.stderr)
+    cache = _make_cache(args)
+    wall0 = time.perf_counter()
+    try:
+        runs = collect_all(names, cache=cache,
+                           progress=None if args.quiet else _progress)
+    except RuntimeError as exc:
+        print(f"figures: {exc}", file=sys.stderr)
+        return 1
+    stats = cache.stats if cache is not None else CacheStats()
+    print(f"eval: {len(names) * len(METHODS)} cells ok, offline cache "
+          f"hit rate {100.0 * stats.hit_rate:.0f}% "
+          f"({stats.hits}/{stats.lookups}), "
+          f"offline {stats.offline_s * 1e3:.1f}ms, "
+          f"wall {time.perf_counter() - wall0:.2f}s", file=sys.stderr)
     for title, fig in (
         ("Figure 1 — motivation", fig1_motivation),
         ("Figure 8 — runtime (CPU cycles)", fig8_runtime),
@@ -294,34 +294,11 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_attack(_args) -> int:
-    from repro.cfa.engine import RapTrackEngine
-    from repro.cfa.verifier import Verifier
-    from repro.tz.keystore import KeyStore
-    from repro.workloads import vulnerable
-    from repro.workloads.base import make_mcu
-
-    for attack in (False, True):
-        workload = vulnerable.make()
-        offline = transform(workload.module())
-        image = link(offline.module)
-        bound = offline.rmap.bind(image)
-        mcu = make_mcu(image, workload)
-        feed = (vulnerable.attack_feed(image) if attack
-                else vulnerable.benign_feed())
-        mcu.mmio.device("uart").set_feed(feed)
-        keystore = KeyStore.provision()
-        engine = RapTrackEngine(mcu, keystore, bound)
-        result = engine.attest(b"cli-attack-demo")
-        outcome = Verifier(image, bound, keystore.attestation_key).verify(
-            result, b"cli-attack-demo")
-        label = "attack" if attack else "benign"
-        print(f"{label}: device status "
-              f"{mcu.mmio.device('gpio').latches[0]:#x}, "
-              f"verdict {'ACCEPTED' if outcome.ok else 'REJECTED'}")
-        for violation in outcome.violations:
-            print(f"  [{violation.kind}] {violation.detail}")
-    return 0
+def _hard_stop(service) -> None:
+    """Stop ``service`` as a crash would: flush each shard's evidence
+    log to the OS and skip the clean close."""
+    for shard in service.shards:
+        shard.store.close()
 
 
 def _cmd_fleet(args) -> int:
@@ -360,8 +337,7 @@ def _cmd_fleet(args) -> int:
                                 factory=factory).run(service)
         mismatches += report.mismatches
         verdicts.update(service.verdicts)
-        for shard in service.shards:  # flush OS buffers, skip close()
-            shard.store.close()
+        _hard_stop(service)
         service = make_service(resume=True)
         lost = {d: v for d, v in verdicts.items()
                 if service.verdicts.get(d) != v}
@@ -409,11 +385,12 @@ def _cmd_fleet(args) -> int:
             metrics = service.metrics
     print(f"fleet: {metrics.summary()}", file=sys.stderr)
     if args.store:
-        audited = _audit_store(args.store)
-        if audited < 0:
+        audit = _audit(args.store)
+        if audit["error"] is not None:
+            print(f"audit: FAILED: {audit['error']}")
             return 1
         print(f"fleet: evidence trail verified from disk "
-              f"({audited} records)", file=sys.stderr)
+              f"({audit['records']} records)", file=sys.stderr)
     for line in mismatches:
         print(f"MISMATCH {line}")
     if mismatches:
@@ -424,75 +401,29 @@ def _cmd_fleet(args) -> int:
     return 0
 
 
-def _audit_store(store_dir, seed: bytes = b"fleet-vrf") -> int:
-    """Strictly verify every evidence log under ``store_dir``; returns
-    the record count, or -1 after printing what failed."""
-    import pathlib
-
-    from repro.cfa.fleet import EvidenceError, audit_key, \
-        verify_evidence_trail
-
-    key = audit_key(seed)
-    total = 0
-    logs = sorted(pathlib.Path(store_dir).glob("evidence-*.log"))
-    if not logs:
-        print(f"audit: no evidence logs under {store_dir}")
-        return -1
-    for path in logs:
-        try:
-            total += len(verify_evidence_trail(path, key))
-        except EvidenceError as exc:
-            print(f"audit: {path.name}: FAILED: {exc}")
-            return -1
-    return total
-
-
-def _cmd_audit(args) -> int:
-    """Exit codes: 0 = every chain verified; 1 = missing logs or any
-    integrity failure (torn frames, bad MACs, broken chains)."""
-    import json
-    import pathlib
+def _audit(store_dir) -> dict:
+    """Strictly verify every evidence log under ``store_dir`` and tally
+    its records: the report ``repro audit`` prints. ``error`` names
+    missing logs or the first integrity failure (torn frames, bad MACs,
+    broken chains); ``ok`` is true only when there is none."""
     from collections import Counter
 
     from repro.cfa.fleet import EvidenceError, audit_key, \
         verify_evidence_trail
+    from repro.cfa.fleet.store import evidence_logs
     from repro.cfa.policy import STATE_NAMES
 
     result = {
-        "ok": False, "store": str(args.store), "logs": [],
+        "ok": False, "store": str(store_dir), "logs": [],
         "records": 0, "session_records": 0, "policy_records": 0,
         "devices": 0, "accepted": 0, "rejected": 0,
         "policy_states": {}, "error": None,
     }
-
-    def emit(code: int) -> int:
-        if args.json:
-            try:
-                print(json.dumps(result, indent=2, sort_keys=True))
-            except BrokenPipeError:  # |head closed the pipe; exit quietly
-                sys.stderr.close()
-        elif result["error"] is not None:
-            print(f"audit: FAILED: {result['error']}", file=sys.stderr)
-        else:
-            states = ", ".join(
-                f"{count} {name}" for name, count
-                in sorted(result["policy_states"].items()))
-            print(f"audit: {result['records']} records across "
-                  f"{result['devices']} devices OK "
-                  f"({result['accepted']} accepted, "
-                  f"{result['rejected']} rejected, "
-                  f"{result['policy_records']} policy"
-                  + (f"; states: {states}" if states else "") + ")")
-        return code
-
     key = audit_key(b"fleet-vrf")
-    store_dir = pathlib.Path(args.store)
-    logs = sorted(store_dir.glob("evidence-*.log"))
-    if not logs and (store_dir / "evidence.log").exists():
-        logs = [store_dir / "evidence.log"]
+    logs = evidence_logs(store_dir)
     if not logs:
-        result["error"] = f"no evidence logs under {args.store}"
-        return emit(1)
+        result["error"] = f"no evidence logs under {store_dir}"
+        return result
     devices = set()
     last_state: dict = {}
     for path in logs:
@@ -500,13 +431,13 @@ def _cmd_audit(args) -> int:
             records = verify_evidence_trail(path, key)
         except EvidenceError as exc:
             result["error"] = f"{path.name}: {exc}"
-            return emit(1)
+            return result
         result["logs"].append({"name": path.name,
                                "records": len(records)})
         for record in records:
             devices.add(record.device_id)
             result["records"] += 1
-            if getattr(record, "is_policy", False):
+            if record.is_policy:
                 result["policy_records"] += 1
                 last_state[record.device_id] = \
                     STATE_NAMES[record.to_state]
@@ -517,7 +448,33 @@ def _cmd_audit(args) -> int:
     result["devices"] = len(devices)
     result["policy_states"] = dict(Counter(last_state.values()))
     result["ok"] = True
-    return emit(0)
+    return result
+
+
+def _cmd_audit(args) -> int:
+    """Exit codes: 0 = every chain verified; 1 = missing logs or any
+    integrity failure (torn frames, bad MACs, broken chains)."""
+    import json
+
+    result = _audit(args.store)
+    if args.json:
+        try:
+            print(json.dumps(result, indent=2, sort_keys=True))
+        except BrokenPipeError:  # |head closed the pipe; exit quietly
+            sys.stderr.close()
+    elif result["error"] is not None:
+        print(f"audit: FAILED: {result['error']}", file=sys.stderr)
+    else:
+        states = ", ".join(
+            f"{count} {name}" for name, count
+            in sorted(result["policy_states"].items()))
+        print(f"audit: {result['records']} records across "
+              f"{result['devices']} devices OK "
+              f"({result['accepted']} accepted, "
+              f"{result['rejected']} rejected, "
+              f"{result['policy_records']} policy"
+              + (f"; states: {states}" if states else "") + ")")
+    return 0 if result["ok"] else 1
 
 
 def _cmd_policy(args) -> int:
@@ -558,8 +515,7 @@ def _cmd_policy(args) -> int:
         # the control-plane durability smoke the CI gate runs
         simulator.run_round(service, 0)
         simulator.heal_round(service, 0)
-        for shard in service.shards:  # flush OS buffers, skip close()
-            shard.store.close()
+        _hard_stop(service)
         service = make_service(resume=True)
         print(f"policy: restart recovered "
               f"{service.recovered_verdicts} verdicts; policy states "
@@ -569,15 +525,8 @@ def _cmd_policy(args) -> int:
             print(f"policy: re-issued {resumed} standing heal "
                   f"order(s)", file=sys.stderr)
         simulator.deliver_notices(service)
-        for round_index in range(1, args.rounds):
-            simulator.run_round(service, round_index)
-            simulator.heal_round(service, round_index)
-            simulator.deliver_notices(service)
-        simulator.report.rounds = args.rounds
-        simulator.report.end_states = service.policy.state_names()
-        report = simulator.report
-    else:
-        report = simulator.run(service, rounds=args.rounds)
+    report = simulator.run(service, rounds=args.rounds,
+                           start=1 if args.smoke_restart else 0)
     metrics = service.close()
     print(f"policy: {metrics.summary()}", file=sys.stderr)
     print(f"policy: {report.summary()}")
@@ -593,12 +542,12 @@ def _cmd_policy(args) -> int:
     for device_id in report.wrongful_quarantines:
         failures.append(f"{device_id}: honest device was quarantined")
     if args.store:
-        audited = _audit_store(args.store)
-        if audited < 0:
-            failures.append("evidence audit failed")
+        audit = _audit(args.store)
+        if audit["error"] is not None:
+            failures.append(f"evidence audit failed: {audit['error']}")
         else:
             print(f"policy: evidence trail verified from disk "
-                  f"({audited} records)", file=sys.stderr)
+                  f"({audit['records']} records)", file=sys.stderr)
     for line in failures:
         print(f"FAILED {line}")
     if failures:
@@ -654,12 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="regenerate the paper's tables")
     figures.add_argument("--workloads", nargs="*",
                          help="subset to evaluate (default: all)")
-    figures.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes for the evaluation grid "
-                              "(default: 1 = serial)")
-    figures.add_argument("--cell-timeout", type=float, default=None,
-                         metavar="SEC",
-                         help="per-cell wall-clock timeout")
     figures.add_argument("--quiet", action="store_true",
                          help="suppress the per-cell progress stream")
     _add_cache_flags(figures)
@@ -701,9 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--json", action="store_true",
                       help="machine-readable report")
     lint.set_defaults(func=_cmd_lint)
-
-    sub.add_parser("attack", help="ROP detection demonstration") \
-        .set_defaults(func=_cmd_attack)
 
     fleet = sub.add_parser(
         "fleet", help="simulate a device fleet against the async verifier")

@@ -1,5 +1,6 @@
-"""Evaluation harness: method runners, the offline-artifact cache,
-the parallel grid executor, and figure/table generators."""
+"""Evaluation harness: the method runner, the offline-artifact cache,
+and the paper's grid (:func:`collect_all`) with its figure/table
+generators."""
 
 from repro.eval.cache import (
     ArtifactCache,
@@ -7,24 +8,15 @@ from repro.eval.cache import (
     default_cache_dir,
     offline_key,
 )
-from repro.eval.parallel import (
-    CellResult,
-    CellSpec,
-    EvalMetrics,
-    ProgressEvent,
-    evaluate_grid,
-    run_cell,
-    run_cells,
-)
 from repro.eval.runner import (
     METHODS,
     MethodRun,
     offline_artifact,
     prepare,
-    run_all_methods,
     run_method,
 )
 from repro.eval.figures import (
+    collect_all,
     fig1_motivation,
     fig8_runtime,
     fig9_cflog,
@@ -37,20 +29,13 @@ __all__ = [
     "METHODS",
     "MethodRun",
     "ArtifactCache",
-    "CellResult",
-    "CellSpec",
-    "EvalMetrics",
-    "ProgressEvent",
+    "collect_all",
     "config_fingerprint",
     "default_cache_dir",
-    "evaluate_grid",
     "offline_artifact",
     "offline_key",
     "prepare",
-    "run_cell",
-    "run_cells",
     "run_method",
-    "run_all_methods",
     "fig1_motivation",
     "fig8_runtime",
     "fig9_cflog",

@@ -5,12 +5,12 @@ The offline phase — ``classify_module`` → ``transform`` /
 the workload's assembly source, the method, and the
 :class:`~repro.core.pipeline.RapTrackConfig` switches. This module
 memoizes that output under a content-addressed key so repeated
-evaluation runs (CLI invocations, benchmark sessions, parallel
-workers) skip straight to the execution phase.
+evaluation runs (CLI invocations, benchmark sessions) skip straight
+to the execution phase.
 
 Keys are hex SHA-256 digests over a canonical JSON payload; artifacts
 are ``(Image, RewriteMap | None)`` pairs, pickled one-file-per-key with
-an atomic rename so concurrent workers never observe a torn write. A
+an atomic rename so concurrent processes never observe a torn write. A
 corrupt or unreadable entry is treated as a miss and rebuilt.
 """
 
@@ -23,7 +23,7 @@ import os
 import pickle
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.atomic import atomic_write
 from repro.core.pipeline import RapTrackConfig
@@ -170,10 +170,6 @@ class ArtifactCache:
             return _MISS   # rebuild and overwrite
         self._memory[key] = value
         return value
-
-    def snapshot(self) -> Tuple[int, int, float]:
-        """(hits, misses, offline_s) — for computing per-task deltas."""
-        return self.stats.hits, self.stats.misses, self.stats.offline_s
 
 
 def _unfold(value: Any) -> Any:

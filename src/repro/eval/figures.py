@@ -10,12 +10,10 @@ factor, where the crossovers fall — are the reproduction target.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.cfa.engine import EngineConfig
 from repro.eval.cache import ArtifactCache
-from repro.eval.parallel import evaluate_grid, ProgressFn
-from repro.eval.runner import MethodRun
+from repro.eval.runner import METHODS, MethodRun, run_method
 
 #: evaluation order (real applications first, BEEBs after — as the paper)
 EVAL_WORKLOADS = (
@@ -24,24 +22,34 @@ EVAL_WORKLOADS = (
     "bitcount", "insertsort", "strsearch", "dijkstra", "fir",
 )
 
+#: called after each cell as ``progress(done, total, run)``
+ProgressFn = Callable[[int, int, MethodRun], None]
 
-def collect_all(config: Optional[EngineConfig] = None,
-                workloads: Sequence[str] = EVAL_WORKLOADS,
-                verify: bool = True,
-                jobs: Optional[int] = None,
+
+def collect_all(workloads: Sequence[str] = EVAL_WORKLOADS,
                 cache: Optional[ArtifactCache] = None,
                 progress: Optional[ProgressFn] = None
                 ) -> Dict[str, Dict[str, MethodRun]]:
-    """Run every workload under every method.
+    """Run every workload under every method, verified, in order.
 
-    Serial by default; ``jobs`` fans the grid out across worker
-    processes and ``cache`` memoizes the offline phase — both routes go
-    through :func:`repro.eval.parallel.evaluate_grid`, so the result is
-    identical either way.
+    Returns ``{workload: {method: MethodRun}}``; each cell is one
+    :func:`~repro.eval.runner.run_method` call, and ``cache`` memoizes
+    the offline phase across cells (and, on disk, across processes).
+    A cell that raises stops the grid with a ``RuntimeError`` naming
+    the cell and its error.
     """
-    runs, _ = evaluate_grid(list(workloads), jobs=jobs,
-                            engine_config=config, verify=verify,
-                            cache=cache, progress=progress)
+    cells = [(name, method) for name in workloads for method in METHODS]
+    runs: Dict[str, Dict[str, MethodRun]] = {name: {} for name in workloads}
+    for done, (name, method) in enumerate(cells, start=1):
+        try:
+            run = run_method(name, method, cache=cache)
+        except Exception as exc:
+            raise RuntimeError(
+                f"cell {name}×{method} failed: "
+                f"{type(exc).__name__}: {exc}") from exc
+        runs[name][method] = run
+        if progress is not None:
+            progress(done, len(cells), run)
     return runs
 
 

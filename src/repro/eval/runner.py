@@ -155,13 +155,3 @@ def run_method(name: str, method: str,
         report_cycles=result.report_cycles,
         verified=verified,
     )
-
-
-def run_all_methods(name: str,
-                    config: Optional[EngineConfig] = None,
-                    verify: bool = True,
-                    cache: Optional[ArtifactCache] = None) -> dict:
-    """Run a workload under all four methods; returns method -> run."""
-    return {method: run_method(name, method, config, verify=verify,
-                               cache=cache)
-            for method in METHODS}

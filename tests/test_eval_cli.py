@@ -5,6 +5,7 @@ import pytest
 from repro.cfa.engine import EngineConfig
 from repro.cli import main
 from repro.eval.figures import (
+    collect_all,
     fig1_motivation,
     fig8_runtime,
     fig9_cflog,
@@ -12,7 +13,7 @@ from repro.eval.figures import (
     format_table,
     partial_report_table,
 )
-from repro.eval.runner import METHODS, MethodRun, prepare, run_all_methods, run_method
+from repro.eval.runner import METHODS, MethodRun, prepare, run_method
 from repro.workloads import load_workload
 
 
@@ -47,8 +48,9 @@ class TestRunner:
         assert run.cycles > 0
 
     def test_run_all_methods_keys(self):
-        runs = run_all_methods("crc32")
-        assert set(runs) == set(METHODS)
+        runs = collect_all(["crc32"])
+        assert list(runs) == ["crc32"]
+        assert list(runs["crc32"]) == list(METHODS)
 
     def test_overhead_vs(self):
         a = MethodRun("w", "m", 100, 0, 0, 0, 0, 0, 0, 0, True)
@@ -72,8 +74,6 @@ class TestRunner:
 class TestFigures:
     @pytest.fixture(scope="class")
     def runs(self):
-        from repro.eval.figures import collect_all
-
         return collect_all(workloads=("crc32", "temperature"))
 
     def test_fig1_fields(self, runs):
@@ -140,10 +140,23 @@ class TestCli:
     def test_figures_unknown_workload(self, capsys):
         assert main(["figures", "--workloads", "nope"]) == 2
 
-    def test_attack(self, capsys):
-        assert main(["attack"]) == 0
-        out = capsys.readouterr().out
-        assert "REJECTED" in out and "rop-return" in out
+    def test_figures_failing_cell_exits_1(self, capsys, monkeypatch):
+        from repro.cfa import verifier as verifier_mod
+
+        monkeypatch.setattr(verifier_mod.Verifier, "authenticate",
+                            lambda self, result, challenge: False)
+        assert main(["figures", "--workloads", "fibcall", "--no-cache",
+                     "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "figures: cell fibcall×rap-track failed: RuntimeError: "
+            "rap-track verification failed on fibcall: []"]
+
+    def test_figures_drops_pool_flags(self):
+        for flag in (["--jobs", "2"], ["--cell-timeout", "5"]):
+            with pytest.raises(SystemExit):
+                main(["figures", "--workloads", "fibcall", *flag])
 
     def test_bad_workload_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

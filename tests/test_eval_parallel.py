@@ -1,36 +1,29 @@
-"""The parallel evaluation subsystem, differentially tested.
+"""The paper's evaluation grid, differentially tested.
 
-The safety net for ``repro.eval.parallel``: whatever the grid executor
-does — fan out across processes, hit the artifact cache, retry a dead
-worker — every ``MethodRun`` it produces must be field-for-field
-identical to the serial ``run_method`` primitive.
+``repro.eval.figures.collect_all`` runs every (workload, method) cell
+in one process, one ``run_method`` call per cell. Whatever the
+offline-artifact cache holds (cold, or warm from disk), every
+``MethodRun`` it returns must be field-for-field identical to a direct
+``run_method`` call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import time
 
 import pytest
 
-from repro.eval.cache import ArtifactCache
-from repro.eval.parallel import (
-    CellSpec,
-    EvalMetrics,
-    ProgressEvent,
-    evaluate_grid,
-    run_cell,
-    run_cells,
-)
-from repro.eval.runner import METHODS, run_method
+from repro.eval.cache import ArtifactCache, CacheStats
+from repro.eval.figures import collect_all
+from repro.eval.runner import METHODS, MethodRun, run_method
 
 BEEBS = ("prime", "crc32", "bubblesort", "fibcall", "matmult",
          "bitcount", "insertsort", "strsearch", "dijkstra", "fir")
 
 
 class TestDifferentialSerialVsParallel:
-    """All BEEBS workloads × all four methods, both execution paths."""
+    """All BEEBS workloads × all four methods: direct ``run_method``
+    calls against the grid, on a cold and then a warm cache."""
 
     @pytest.fixture(scope="class")
     def serial_runs(self):
@@ -40,141 +33,97 @@ class TestDifferentialSerialVsParallel:
 
     @pytest.fixture(scope="class")
     def parallel_runs(self, tmp_path_factory):
-        cache = ArtifactCache(tmp_path_factory.mktemp("offline-cache"))
-        runs, metrics = evaluate_grid(BEEBS, jobs=4, cache=cache)
-        assert metrics.cells_ok == len(BEEBS) * len(METHODS)
-        return runs
+        root = tmp_path_factory.mktemp("offline-cache")
+        cold = collect_all(BEEBS, cache=ArtifactCache(root))
+        warm_cache = ArtifactCache(root)  # a new process's view: disk only
+        warm = collect_all(BEEBS, cache=warm_cache)
+        assert warm_cache.stats.misses == 0
+        return {"cold": cold, "warm": warm}
 
     def test_every_cell_field_for_field_identical(self, serial_runs,
                                                   parallel_runs):
-        for name in BEEBS:
-            for method in METHODS:
-                serial = serial_runs[name][method]
-                parallel = parallel_runs[name][method]
-                assert dataclasses.asdict(parallel) == \
-                    dataclasses.asdict(serial), (name, method)
+        for label, runs in parallel_runs.items():
+            for name in BEEBS:
+                for method in METHODS:
+                    assert dataclasses.asdict(runs[name][method]) == \
+                        dataclasses.asdict(serial_runs[name][method]), \
+                        (label, name, method)
 
     def test_grid_is_complete(self, parallel_runs):
-        assert set(parallel_runs) == set(BEEBS)
-        for name in BEEBS:
-            assert set(parallel_runs[name]) == set(METHODS)
+        for runs in parallel_runs.values():
+            assert list(runs) == list(BEEBS)
+            for name in BEEBS:
+                assert list(runs[name]) == list(METHODS)
 
 
 class TestRunCell:
-    def test_ok_cell_carries_run_and_timing(self):
-        result = run_cell(CellSpec("fibcall", "rap-track"))
-        assert result.ok
-        assert result.run.verified
-        assert result.error is None
-        assert result.wall_s > 0
-        assert result.cache_hits == result.cache_misses == 0  # no cache
-
     def test_cell_counts_cache_traffic(self, tmp_path):
+        """Per cell, read through the progress callback: baseline and
+        naive-mtb share one offline artifact, so a cold grid misses on
+        every method but naive-mtb, and a warm one hits on all four."""
         cache = ArtifactCache(tmp_path)
-        cold = run_cell(CellSpec("fibcall", "rap-track"), cache=cache)
-        warm = run_cell(CellSpec("fibcall", "rap-track"), cache=cache)
-        assert cold.cache_misses == 1 and cold.cache_hits == 0
-        assert warm.cache_hits == 1 and warm.cache_misses == 0
-        assert dataclasses.asdict(cold.run) == dataclasses.asdict(warm.run)
+        traffic = []
 
-    def test_failing_cell_is_captured_not_raised(self):
-        result = run_cell(CellSpec("fibcall", "no-such-method"))
-        assert not result.ok
-        assert "ValueError" in result.error
+        def cold_progress(done, total, run):
+            traffic.append((run.method, cache.stats.hits,
+                            cache.stats.misses))
 
-    @pytest.mark.skipif(not hasattr(os, "fork"),
-                        reason="needs SIGALRM timeouts")
-    def test_timeout_is_enforced(self, monkeypatch):
-        def wedge(name, method, **kwargs):
-            time.sleep(10)
-
-        monkeypatch.setattr("repro.eval.parallel.run_method", wedge)
-        t0 = time.perf_counter()
-        result = run_cell(CellSpec("fibcall", "rap-track"), timeout_s=0.2)
-        assert time.perf_counter() - t0 < 5
-        assert not result.ok
-        assert "timeout" in result.error
+        cold = collect_all(["fibcall"], cache=cache, progress=cold_progress)
+        assert traffic == [("baseline", 0, 1), ("naive-mtb", 1, 1),
+                           ("rap-track", 1, 2), ("traces", 1, 3)]
+        cache = ArtifactCache(tmp_path)
+        warm = collect_all(["fibcall"], cache=cache)
+        assert (cache.stats.hits, cache.stats.misses) == (4, 0)
+        assert dataclasses.asdict(cold["fibcall"]["traces"]) == \
+            dataclasses.asdict(warm["fibcall"]["traces"])
 
 
 class TestRunCellsSerial:
-    def test_progress_stream_and_metrics(self):
+    def test_progress_stream_and_metrics(self, tmp_path):
         events = []
-        specs = [CellSpec("fibcall", m) for m in ("baseline", "rap-track")]
-        results, metrics = run_cells(specs, jobs=1, progress=events.append)
-        assert [r.ok for r in results] == [True, True]
-        kinds = [e.kind for e in events]
-        assert kinds == ["cell", "cell", "done"]
-        assert events[0].done == 1 and events[1].done == 2
-        assert metrics.cells_total == 2 and metrics.cells_ok == 2
-        assert metrics.jobs == 1
-        assert metrics.wall_s > 0 and metrics.cpu_s > 0
-        assert "cells ok" in metrics.summary()
-
-    def test_failed_cell_does_not_stop_the_grid(self):
-        specs = [CellSpec("fibcall", "no-such-method"),
-                 CellSpec("fibcall", "baseline")]
-        results, metrics = run_cells(specs, jobs=1)
-        assert not results[0].ok and results[1].ok
-        assert metrics.cells_failed == 1 and metrics.cells_ok == 1
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"),
-                    reason="crash injection relies on fork semantics")
-class TestWorkerCrashRetry:
-    def test_crashed_worker_is_retried_once(self, tmp_path, monkeypatch):
-        marker = tmp_path / "crashed-once"
-        real = run_method
-
-        def crash_once(name, method, **kwargs):
-            if name == "crc32" and not marker.exists():
-                marker.touch()
-                os._exit(13)  # simulate a segfaulted worker
-            return real(name, method, **kwargs)
-
-        monkeypatch.setattr("repro.eval.parallel.run_method", crash_once)
-        specs = [CellSpec("crc32", "baseline"),
-                 CellSpec("fibcall", "baseline")]
-        events = []
-        results, metrics = run_cells(specs, jobs=2, progress=events.append)
-        assert all(r.ok for r in results)
-        assert metrics.retries >= 1
-        retried = {r.spec: r.attempts for r in results}
-        assert retried[CellSpec("crc32", "baseline")] >= 2
-        # the retried cell's result still matches a clean serial run
-        crc = next(r for r in results if r.spec.workload == "crc32")
-        assert dataclasses.asdict(crc.run) == \
-            dataclasses.asdict(real("crc32", "baseline"))
-
-    def test_persistent_crash_is_reported_not_hung(self, monkeypatch):
-        def always_crash(name, method, **kwargs):
-            os._exit(13)
-
-        monkeypatch.setattr("repro.eval.parallel.run_method", always_crash)
-        specs = [CellSpec("fibcall", "baseline")]
-        results, metrics = run_cells(specs, jobs=2, retries=1)
-        assert not results[0].ok
-        assert "worker process died" in results[0].error
-        assert results[0].attempts == 2
-        assert metrics.cells_failed == 1
+        cache = ArtifactCache(tmp_path)
+        runs = collect_all(["fibcall", "crc32"], cache=cache,
+                           progress=lambda *event: events.append(event))
+        assert [(done, total, run.workload, run.method)
+                for done, total, run in events] == [
+            (i + 1, 8, name, method)
+            for i, (name, method) in enumerate(
+                (n, m) for n in ("fibcall", "crc32") for m in METHODS)]
+        assert [run for _, _, run in events] == [
+            runs[name][method] for name in runs for method in runs[name]]
+        assert cache.stats.lookups == 8
+        assert cache.stats.offline_s > 0
 
 
 class TestEvaluateGrid:
-    def test_strict_raises_on_failure(self):
-        with pytest.raises(RuntimeError, match="no-such-method"):
-            evaluate_grid(["fibcall"], methods=("no-such-method",))
+    def test_strict_raises_on_failure(self, monkeypatch):
+        """The first failing cell stops the grid, named with its error."""
+        from repro.cfa import verifier as verifier_mod
 
-    def test_non_strict_omits_failures(self):
-        runs, metrics = evaluate_grid(
-            ["fibcall"], methods=("baseline", "no-such-method"),
-            strict=False)
-        assert set(runs["fibcall"]) == {"baseline"}
-        assert metrics.cells_failed == 1
+        monkeypatch.setattr(verifier_mod.Verifier, "authenticate",
+                            lambda self, result, challenge: False)
+        done = []
+        with pytest.raises(RuntimeError,
+                           match="cell fibcall×rap-track failed: "
+                                 "RuntimeError: rap-track verification "
+                                 "failed on fibcall"):
+            collect_all(["fibcall", "crc32"],
+                        progress=lambda d, t, run: done.append(run.method))
+        assert done == ["baseline", "naive-mtb"]
 
-    def test_metrics_hit_rate(self):
-        metrics = EvalMetrics(cache_hits=3, cache_misses=1)
-        assert metrics.cache_hit_rate == pytest.approx(0.75)
-        assert EvalMetrics().cache_hit_rate == 0.0
+    def test_metrics_hit_rate(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        collect_all(["fibcall"], cache=cache)
+        assert cache.stats.hit_rate == pytest.approx(0.25)
+        cache = ArtifactCache(tmp_path)
+        collect_all(["fibcall"], cache=cache)
+        assert cache.stats.hit_rate == 1.0
+        assert CacheStats().hit_rate == 0.0
 
     def test_progress_event_shape(self):
-        event = ProgressEvent("cell", 1, 2, CellSpec("a", "b"), "ok")
-        assert event.done == 1 and str(event.spec) == "a×b"
+        events = []
+        collect_all(["fibcall"], progress=lambda *e: events.append(e))
+        assert len(events) == len(METHODS)
+        for done, total, run in events:
+            assert isinstance(done, int) and total == len(METHODS)
+            assert isinstance(run, MethodRun) and run.verified
